@@ -1,11 +1,15 @@
 // Wall-clock microbenchmarks (google-benchmark) of the reference host NTT
-// — the HEXL-equivalent CPU path used as the correctness oracle.
+// — the HEXL-equivalent CPU path used as the correctness oracle — and of
+// the host evaluator's key-switching routines at the serving size.
 #include <benchmark/benchmark.h>
 
 #include <random>
 
+#include "ckks/encoder.h"
+#include "ckks/evaluator.h"
 #include "ntt/ntt_ref.h"
 
+namespace xc = xehe::ckks;
 namespace xn = xehe::ntt;
 namespace xu = xehe::util;
 
@@ -24,6 +28,32 @@ struct Fixture {
     }
 };
 
+/// A fresh size-2 ciphertext at N = 8192, L = 3 (the serving shape) with
+/// the relinearization and rotate-by-1 keys.
+struct HostEval {
+    static constexpr int kStep = 1;
+    xc::CkksContext context{xc::EncryptionParameters::create(8192, 3)};
+    xc::CkksEncoder encoder{context};
+    xc::KeyGenerator keygen{context};
+    xc::Evaluator evaluator{context};
+    xc::RelinKeys relin = keygen.create_relin_keys();
+    xc::GaloisKeys galois =
+        keygen.create_galois_keys(std::span<const int>(&kStep, 1));
+    xc::Ciphertext ct;
+
+    HostEval() {
+        std::vector<double> values(context.slots());
+        std::mt19937_64 rng(8192);
+        std::uniform_real_distribution<double> dist(-1.0, 1.0);
+        for (auto &v : values) {
+            v = dist(rng);
+        }
+        xc::Encryptor encryptor(context, keygen.create_public_key());
+        ct = encryptor.encrypt(encoder.encode(
+            std::span<const double>(values), static_cast<double>(1ull << 40)));
+    }
+};
+
 }  // namespace
 
 static void BM_NttForward(benchmark::State &state) {
@@ -34,7 +64,8 @@ static void BM_NttForward(benchmark::State &state) {
     }
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_NttForward)->Arg(1024)->Arg(4096)->Arg(16384)->Arg(32768);
+BENCHMARK(BM_NttForward)
+    ->Arg(1024)->Arg(4096)->Arg(8192)->Arg(16384)->Arg(32768);
 
 static void BM_NttInverse(benchmark::State &state) {
     Fixture f(static_cast<std::size_t>(state.range(0)));
@@ -44,7 +75,8 @@ static void BM_NttInverse(benchmark::State &state) {
     }
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_NttInverse)->Arg(1024)->Arg(4096)->Arg(16384)->Arg(32768);
+BENCHMARK(BM_NttInverse)
+    ->Arg(1024)->Arg(4096)->Arg(8192)->Arg(16384)->Arg(32768);
 
 static void BM_NttRoundtrip(benchmark::State &state) {
     Fixture f(static_cast<std::size_t>(state.range(0)));
@@ -55,6 +87,32 @@ static void BM_NttRoundtrip(benchmark::State &state) {
     }
     state.SetItemsProcessed(state.iterations() * state.range(0) * 2);
 }
-BENCHMARK(BM_NttRoundtrip)->Arg(4096)->Arg(32768);
+BENCHMARK(BM_NttRoundtrip)->Arg(4096)->Arg(8192)->Arg(32768);
+
+static void BM_HostRelinearize(benchmark::State &state) {
+    HostEval f;
+    const auto product = f.evaluator.multiply(f.ct, f.ct);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(f.evaluator.relinearize(product, f.relin));
+    }
+}
+BENCHMARK(BM_HostRelinearize)->Unit(benchmark::kMicrosecond);
+
+static void BM_HostRescale(benchmark::State &state) {
+    HostEval f;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(f.evaluator.rescale(f.ct));
+    }
+}
+BENCHMARK(BM_HostRescale)->Unit(benchmark::kMicrosecond);
+
+static void BM_HostRotate(benchmark::State &state) {
+    HostEval f;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            f.evaluator.rotate(f.ct, HostEval::kStep, f.galois));
+    }
+}
+BENCHMARK(BM_HostRotate)->Unit(benchmark::kMicrosecond);
 
 BENCHMARK_MAIN();

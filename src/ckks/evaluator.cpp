@@ -4,6 +4,46 @@
 
 namespace xehe::ckks {
 
+namespace {
+
+/// Divides an RNS polynomial by one of its moduli with rounding — the
+/// shared core of Rescale and the key-switch mod-down.  `drop` is the
+/// NTT-form limb under key modulus `drop_idx`; for each j < count,
+///   r     = INTT(drop) + floor(q_drop / 2)           (mod q_drop),
+///   v_j   = (src_j - NTT_j(r - floor(q_drop / 2))) · q_drop^{-1}  (mod q_j),
+/// and v_j is added into dst_j (a zeroed dst_j receives v_j itself).
+void divide_round(const CkksContext &ctx, std::span<const uint64_t> drop,
+                  std::size_t drop_idx, std::span<const uint64_t> src,
+                  std::span<uint64_t> dst, std::size_t count) {
+    const std::size_t n = ctx.n();
+    const Modulus &q_drop = ctx.key_modulus()[drop_idx];
+    const uint64_t half = ctx.half(drop_idx);
+    std::vector<uint64_t> rounded(drop.begin(), drop.end()), t(n);
+    ntt::ntt_inverse(rounded, ctx.table(drop_idx));
+    for (auto &x : rounded) {
+        x = util::add_mod(x, half, q_drop);
+    }
+    for (std::size_t j = 0; j < count; ++j) {
+        const Modulus &qj = ctx.key_modulus()[j];
+        const uint64_t half_j = ctx.half_mod(drop_idx, j);
+        for (std::size_t k = 0; k < n; ++k) {
+            t[k] = util::sub_mod(util::barrett_reduce_64(rounded[k], qj),
+                                 half_j, qj);
+        }
+        ntt::ntt_forward(t, ctx.table(j));
+        const auto &inv = ctx.inv_mod(drop_idx, j);
+        const auto sj = src.subspan(j * n, n);
+        auto dj = dst.subspan(j * n, n);
+        for (std::size_t k = 0; k < n; ++k) {
+            const uint64_t v = util::mul_mod(util::sub_mod(sj[k], t[k], qj),
+                                             inv, qj);
+            dj[k] = util::add_mod(dj[k], v, qj);
+        }
+    }
+}
+
+}  // namespace
+
 Evaluator::Evaluator(const CkksContext &context)
     : context_(&context), galois_(context.n()) {}
 
@@ -107,72 +147,65 @@ void Evaluator::switch_key_inplace(Ciphertext &dest,
     const std::size_t n = context_->n();
     const std::size_t l = dest.rns;
     const std::size_t special = context_->key_rns() - 1;
-    const Modulus &p = context_->special_prime();
     util::require(target.size() == l * n, "switch-key target size mismatch");
     util::require(key.keys.size() >= l, "key-switching key too short");
+
+    // The inner products below sum l digit×key products, each of two
+    // residues below 2^kMaxBits, in 128 bits before a single reduction.
+    constexpr int kProductBits = 2 * Modulus::kMaxBits;
+    static_assert(kProductBits < 128, "digit×key product must fit 128 bits");
+    util::require(l <= (std::size_t{1} << (128 - kProductBits)),
+                  "too many key-switch digits for a 128-bit inner product");
 
     // 1. Decomposition digits need the coefficient representation.
     std::vector<uint64_t> target_coeff(target.begin(), target.end());
     poly::intt(target_coeff, context_->tables(l), n);
 
     // 2. Inner products over the extended base {q_0..q_{l-1}, p}.
-    std::vector<uint64_t> acc0((l + 1) * n, 0), acc1((l + 1) * n, 0);
-    std::vector<uint64_t> digit(n);
+    std::vector<uint64_t> acc0((l + 1) * n), acc1((l + 1) * n);
+    std::vector<uint64_t> digits(l * n);
+    std::vector<const uint64_t *> d(l), k0(l), k1(l);
     for (std::size_t j = 0; j <= l; ++j) {
         const std::size_t mod_idx = (j < l) ? j : special;
         const Modulus &mj = context_->key_modulus()[mod_idx];
-        const auto &table_j = context_->table(mod_idx);
-        auto a0 = std::span<uint64_t>(acc0).subspan(j * n, n);
-        auto a1 = std::span<uint64_t>(acc1).subspan(j * n, n);
         for (std::size_t i = 0; i < l; ++i) {
             // Digit i as an integer polynomial with coefficients < q_i,
-            // reduced into modulus m_j, then NTT'ed under m_j.
-            const auto src = std::span<const uint64_t>(target_coeff)
-                                 .subspan(i * n, n);
+            // reduced into modulus m_j and NTT'ed under m_j.  Its diagonal
+            // (m_j = q_i) is the NTT-form input limb itself: the limb holds
+            // canonical residues, so NTT(INTT(x)) = x.
+            k0[i] = key.keys[i].component(0, mod_idx).data();
+            k1[i] = key.keys[i].component(1, mod_idx).data();
             if (mod_idx == i) {
-                std::copy(src.begin(), src.end(), digit.begin());
-            } else {
-                for (std::size_t k = 0; k < n; ++k) {
-                    digit[k] = util::barrett_reduce_64(src[k], mj);
-                }
+                d[i] = target.data() + i * n;
+                continue;
             }
-            ntt::ntt_forward(digit, table_j);
-            const auto k0 = key.keys[i].component(0, mod_idx);
-            const auto k1 = key.keys[i].component(1, mod_idx);
+            uint64_t *digit = digits.data() + i * n;
+            const uint64_t *src = target_coeff.data() + i * n;
             for (std::size_t k = 0; k < n; ++k) {
-                a0[k] = util::mad_mod(digit[k], k0[k], a0[k], mj);
-                a1[k] = util::mad_mod(digit[k], k1[k], a1[k], mj);
+                digit[k] = util::barrett_reduce_64(src[k], mj);
             }
+            ntt::ntt_forward({digit, n}, context_->table(mod_idx));
+            d[i] = digit;
+        }
+        uint64_t *a0 = acc0.data() + j * n;
+        uint64_t *a1 = acc1.data() + j * n;
+        for (std::size_t k = 0; k < n; ++k) {
+            util::Uint128 s0, s1;
+            for (std::size_t i = 0; i < l; ++i) {
+                const uint64_t di = d[i][k];
+                s0 = util::add_uint128(s0, util::mul_uint64_wide(di, k0[i][k]));
+                s1 = util::add_uint128(s1, util::mul_uint64_wide(di, k1[i][k]));
+            }
+            a0[k] = util::barrett_reduce_128(s0, mj);
+            a1[k] = util::barrett_reduce_128(s1, mj);
         }
     }
 
-    // 3. Mod-down by the special prime with rounding, then accumulate.
-    const uint64_t half = context_->half(special);
-    std::vector<uint64_t> special_coeff(n), t(n);
+    // 3. Mod-down by the special prime with rounding, accumulated into dest.
     for (int part = 0; part < 2; ++part) {
-        auto &acc = part == 0 ? acc0 : acc1;
-        auto sp = std::span<uint64_t>(acc).subspan(l * n, n);
-        ntt::ntt_inverse(sp, context_->table(special));
-        for (std::size_t k = 0; k < n; ++k) {
-            special_coeff[k] = util::add_mod(sp[k], half, p);
-        }
-        for (std::size_t j = 0; j < l; ++j) {
-            const Modulus &qj = context_->key_modulus()[j];
-            for (std::size_t k = 0; k < n; ++k) {
-                t[k] = util::sub_mod(util::barrett_reduce_64(special_coeff[k],
-                                                             qj),
-                                     context_->half_mod(special, j), qj);
-            }
-            ntt::ntt_forward(t, context_->table(j));
-            auto aj = std::span<uint64_t>(acc).subspan(j * n, n);
-            auto dst = dest.component(part, j);
-            const auto &inv_p = context_->inv_mod(special, j);
-            for (std::size_t k = 0; k < n; ++k) {
-                const uint64_t diff = util::sub_mod(aj[k], t[k], qj);
-                dst[k] = util::add_mod(dst[k], util::mul_mod(diff, inv_p, qj),
-                                       qj);
-            }
-        }
+        const auto acc = std::span<const uint64_t>(part == 0 ? acc0 : acc1);
+        divide_round(*context_, acc.subspan(l * n, n), special, acc,
+                     dest.poly(part), l);
     }
 }
 
@@ -192,40 +225,15 @@ Ciphertext Evaluator::relinearize(const Ciphertext &a,
 Ciphertext Evaluator::rescale(const Ciphertext &a) const {
     util::require(a.rns >= 2, "cannot rescale at the last level");
     util::require(a.ntt_form, "expected NTT form");
-    const std::size_t n = a.n;
     const std::size_t last = a.rns - 1;
-    const Modulus &q_last = context_->key_modulus()[last];
-    const uint64_t half = context_->half(last);
-
     Ciphertext out;
-    out.resize(n, a.size, a.rns - 1);
+    out.resize(a.n, a.size, last);
     out.ntt_form = true;
-    out.scale = a.scale / static_cast<double>(q_last.value());
-
-    std::vector<uint64_t> last_coeff(n), t(n);
-    for (std::size_t poly_i = 0; poly_i < a.size; ++poly_i) {
-        // Last component to coefficient form, plus rounding offset.
-        const auto src_last = a.component(poly_i, last);
-        std::copy(src_last.begin(), src_last.end(), last_coeff.begin());
-        ntt::ntt_inverse(last_coeff, context_->table(last));
-        for (std::size_t k = 0; k < n; ++k) {
-            last_coeff[k] = util::add_mod(last_coeff[k], half, q_last);
-        }
-        for (std::size_t j = 0; j < last; ++j) {
-            const Modulus &qj = context_->key_modulus()[j];
-            for (std::size_t k = 0; k < n; ++k) {
-                t[k] = util::sub_mod(util::barrett_reduce_64(last_coeff[k], qj),
-                                     context_->half_mod(last, j), qj);
-            }
-            ntt::ntt_forward(t, context_->table(j));
-            const auto src = a.component(poly_i, j);
-            auto dst = out.component(poly_i, j);
-            const auto &inv_q = context_->inv_mod(last, j);
-            for (std::size_t k = 0; k < n; ++k) {
-                dst[k] = util::mul_mod(util::sub_mod(src[k], t[k], qj), inv_q,
-                                       qj);
-            }
-        }
+    out.scale = a.scale /
+                static_cast<double>(context_->key_modulus()[last].value());
+    for (std::size_t p = 0; p < a.size; ++p) {
+        divide_round(*context_, a.component(p, last), last, a.poly(p),
+                     out.poly(p), last);
     }
     return out;
 }
@@ -248,29 +256,17 @@ Ciphertext Evaluator::rotate(const Ciphertext &a, int step,
                              const GaloisKeys &keys) const {
     util::require(a.size == 2, "rotate expects a size-2 ciphertext");
     const uint64_t elt = galois_.elt_from_step(step);
-    if (elt == 1) {
-        return a;
-    }
-    const std::size_t n = a.n;
-    Ciphertext out;
-    out.resize(n, 2, a.rns);
-    out.ntt_form = true;
-    out.scale = a.scale;
-
-    std::vector<uint64_t> rotated_c1(a.rns * n);
-    for (std::size_t r = 0; r < a.rns; ++r) {
-        galois_.apply_ntt(a.component(0, r), elt, out.component(0, r));
-        galois_.apply_ntt(a.component(1, r), elt,
-                          std::span<uint64_t>(rotated_c1).subspan(r * n, n));
-    }
-    switch_key_inplace(out, rotated_c1, keys.key(elt));
-    return out;
+    return elt == 1 ? a : apply_galois(a, elt, keys);
 }
 
 Ciphertext Evaluator::conjugate(const Ciphertext &a,
                                 const GaloisKeys &keys) const {
     util::require(a.size == 2, "conjugate expects a size-2 ciphertext");
-    const uint64_t elt = galois_.conjugation_elt();
+    return apply_galois(a, galois_.conjugation_elt(), keys);
+}
+
+Ciphertext Evaluator::apply_galois(const Ciphertext &a, uint64_t elt,
+                                   const GaloisKeys &keys) const {
     const std::size_t n = a.n;
     Ciphertext out;
     out.resize(n, 2, a.rns);

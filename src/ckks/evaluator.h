@@ -53,6 +53,10 @@ public:
 
 private:
     void check_compatible(const Ciphertext &a, const Ciphertext &b) const;
+    /// Applies the Galois automorphism `elt` to a size-2 ciphertext and
+    /// switches it back to the original key (rotate and conjugate).
+    Ciphertext apply_galois(const Ciphertext &a, uint64_t elt,
+                            const GaloisKeys &keys) const;
 
     const CkksContext *context_;
     GaloisTool galois_;

@@ -112,18 +112,19 @@ public:
             const NttTables &t = tables_[b % geo_.rns];
             uint64_t *slice = data_.data() + b * geo_.n;
             const std::size_t g = gap_lo_;
-            const std::size_t base = (k / g) * (radix * g) + (k % g);
+            const std::size_t base = k + (k & ~(g - 1)) * (radix - 1);
             // Largest-gap sub-round first (stride radix/2), down to stride 1.
             for (int s = 0; s < sub_rounds_; ++s) {
                 const std::size_t stride = radix >> (s + 1);
                 const std::size_t big_gap = g * stride;
-                const std::size_t m = geo_.n / (2 * big_gap);
+                const int span_log = util::log2_exact(2 * big_gap);
+                const std::size_t m = geo_.n >> span_log;
                 for (std::size_t u = 0; u < radix; ++u) {
-                    if (((u / stride) & 1) != 0) {
+                    if ((u & stride) != 0) {
                         continue;
                     }
                     const std::size_t idx = base + u * g;
-                    const std::size_t i = idx / (2 * big_gap);
+                    const std::size_t i = idx >> span_log;
                     util::forward_butterfly(&slice[idx],
                                             &slice[idx + big_gap],
                                             t.root_powers()[m + i],
@@ -195,11 +196,11 @@ public:
         // All remaining rounds inside SLM (SIMD-shuffle rounds are
         // arithmetically identical; the difference is cost-model only).
         for (std::size_t gap = block_ / 2; gap >= 1; gap >>= 1) {
-            const std::size_t m = geo_.n / (2 * gap);
+            const int span_log = util::log2_exact(2 * gap);
+            const std::size_t m = geo_.n >> span_log;
             for (std::size_t ind = 0; ind < block_ / 2; ++ind) {
-                const std::size_t lidx = (ind / gap) * 2 * gap + (ind % gap);
-                const std::size_t gidx = base + lidx;
-                const std::size_t i = gidx / (2 * gap);
+                const std::size_t lidx = ind + (ind & ~(gap - 1));
+                const std::size_t i = (base + lidx) >> span_log;
                 util::forward_butterfly(&slm[lidx], &slm[lidx + gap],
                                         t.root_powers()[m + i], q);
             }
@@ -357,12 +358,12 @@ public:
             slm[i] = slice[base + i];
         }
         for (std::size_t gap = 1; gap <= block_ / 2; gap <<= 1) {
-            const std::size_t m = geo_.n / (2 * gap);
+            const int span_log = util::log2_exact(2 * gap);
+            const std::size_t m = geo_.n >> span_log;
             const std::size_t root_base = geo_.n - 2 * m + 1;
             for (std::size_t ind = 0; ind < block_ / 2; ++ind) {
-                const std::size_t lidx = (ind / gap) * 2 * gap + (ind % gap);
-                const std::size_t gidx = base + lidx;
-                const std::size_t i = gidx / (2 * gap);
+                const std::size_t lidx = ind + (ind & ~(gap - 1));
+                const std::size_t i = (base + lidx) >> span_log;
                 util::inverse_butterfly(&slm[lidx], &slm[lidx + gap],
                                         t.inv_root_powers()[root_base + i], q);
             }
@@ -423,19 +424,20 @@ public:
             const NttTables &t = tables_[b % geo_.rns];
             uint64_t *slice = data_.data() + b * geo_.n;
             const std::size_t g = gap_lo_;
-            const std::size_t base = (k / g) * (radix * g) + (k % g);
+            const std::size_t base = k + (k & ~(g - 1)) * (radix - 1);
             // Smallest-gap sub-round first (stride 1), up to stride radix/2.
             for (int s = 0; s < sub_rounds_; ++s) {
                 const std::size_t stride = std::size_t{1} << s;
                 const std::size_t big_gap = g * stride;
-                const std::size_t m = geo_.n / (2 * big_gap);
+                const int span_log = util::log2_exact(2 * big_gap);
+                const std::size_t m = geo_.n >> span_log;
                 const std::size_t root_base = geo_.n - 2 * m + 1;
                 for (std::size_t u = 0; u < radix; ++u) {
-                    if (((u / stride) & 1) != 0) {
+                    if ((u & stride) != 0) {
                         continue;
                     }
                     const std::size_t idx = base + u * g;
-                    const std::size_t i = idx / (2 * big_gap);
+                    const std::size_t i = idx >> span_log;
                     util::inverse_butterfly(&slice[idx], &slice[idx + big_gap],
                                             t.inv_root_powers()[root_base + i],
                                             t.modulus());

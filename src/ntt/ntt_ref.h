@@ -29,16 +29,4 @@ void naive_negacyclic_multiply(std::span<const uint64_t> a,
                                std::span<const uint64_t> b,
                                std::span<uint64_t> c, const Modulus &q);
 
-/// One radix-2 Cooley-Tukey round (m groups, stride `gap`) over butterflies
-/// [first, last) of the round; shared by the reference path and the
-/// simulated GPU kernels.
-void forward_round_range(std::span<uint64_t> a, const NttTables &tables,
-                         std::size_t m, std::size_t gap, std::size_t first,
-                         std::size_t last);
-
-/// One radix-2 Gentleman-Sande inverse round (m groups, stride `gap`).
-void inverse_round_range(std::span<uint64_t> a, const NttTables &tables,
-                         std::size_t m, std::size_t gap, std::size_t first,
-                         std::size_t last);
-
 }  // namespace xehe::ntt

@@ -370,6 +370,41 @@ TEST(HeSession, MidRangeScaleGapRejected) {
     EXPECT_EQ(prod.size(), 2u);
 }
 
+TEST(HeBackend, KeySwitchAndRescaleBitExactAtEveryLevel) {
+    // Every key-switching primitive and rescale, on both backends, at each
+    // level from the top down to 1.  At level 1 the key switch's only digit
+    // is the diagonal one (the input limb reused without a transform); at
+    // the top level its inner products sum the most digit products.
+    BackendRig rig;
+    he::Session keys(rig.host);
+    const auto &relin = keys.relin_keys();
+    const auto &galois = keys.galois_keys();
+    ckks::Ciphertext ct =
+        rig.host.download(keys.encrypt(random_reals(rig.context.slots(), 9)));
+    for (std::size_t level = rig.context.max_level(); level > 0; --level) {
+        SCOPED_TRACE(level);
+        ASSERT_EQ(ct.rns, level);
+        const he::Cipher h = rig.host.upload(ct);
+        const he::Cipher g = rig.gpu.upload(ct);
+        expect_bit_identical(
+            rig.host.download(rig.host.relinearize(rig.host.square(h), relin)),
+            rig.gpu.download(rig.gpu.relinearize(rig.gpu.square(g), relin)),
+            "relinearize");
+        expect_bit_identical(
+            rig.host.download(rig.host.rotate(h, 1, galois)),
+            rig.gpu.download(rig.gpu.rotate(g, 1, galois)), "rotate");
+        expect_bit_identical(
+            rig.host.download(rig.host.conjugate(h, galois)),
+            rig.gpu.download(rig.gpu.conjugate(g, galois)), "conjugate");
+        if (level > 1) {
+            expect_bit_identical(rig.host.download(rig.host.rescale(h)),
+                                 rig.gpu.download(rig.gpu.rescale(g)),
+                                 "rescale");
+            ct = rig.host.download(rig.host.mod_switch(h));
+        }
+    }
+}
+
 TEST(HeBackend, ForeignAndEmptyHandlesRejected) {
     BackendRig rig;
     he::Session hs(rig.host);
