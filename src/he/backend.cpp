@@ -2,6 +2,17 @@
 
 namespace xehe::he {
 
+Cipher Backend::multiply_acc(const Cipher &a, const Cipher &b,
+                             uint64_t count) {
+    util::require(count >= 1, "he: multiply_acc needs count >= 1");
+    const Cipher product = multiply(a, b);
+    Cipher acc = product;
+    for (uint64_t t = 1; t < count; ++t) {
+        acc = add(acc, product);
+    }
+    return acc;
+}
+
 // ---------------------------------------------------------------------------
 // HostBackend
 // ---------------------------------------------------------------------------
@@ -173,6 +184,19 @@ Cipher GpuBackend::rotate(const Cipher &a, int step,
 
 Cipher GpuBackend::conjugate(const Cipher &a, const ckks::GaloisKeys &keys) {
     return adopt(evaluator_->conjugate(native(a), keys));
+}
+
+Cipher GpuBackend::multiply_acc(const Cipher &a, const Cipher &b,
+                                uint64_t count) {
+    util::require(count >= 1, "he: multiply_acc needs count >= 1");
+    const core::GpuCiphertext &na = native(a);
+    const core::GpuCiphertext &nb = native(b);
+    core::GpuCiphertext acc =
+        core::allocate_ciphertext(*gpu_, 3, na.rns, na.scale * nb.scale);
+    for (uint64_t t = 0; t < count; ++t) {
+        evaluator_->multiply_acc(na, nb, acc);
+    }
+    return adopt(std::move(acc));
 }
 
 Cipher GpuBackend::set_scale(const Cipher &a, double scale) {

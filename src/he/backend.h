@@ -54,6 +54,12 @@ public:
     virtual Cipher rotate(const Cipher &a, int step,
                           const ckks::GaloisKeys &keys) = 0;
     virtual Cipher conjugate(const Cipher &a, const ckks::GaloisKeys &keys) = 0;
+    /// The sum of `count` >= 1 copies of a*b (size 3, unrelinearized) —
+    /// the matmul tile of Section IV-E.  The default is one product plus
+    /// count - 1 additions; the GPU backend overrides it with its chain
+    /// of fused mad_mod multiply-accumulates, bit-identical.
+    virtual Cipher multiply_acc(const Cipher &a, const Cipher &b,
+                                uint64_t count);
     /// Explicit scale override on an arbitrary (shared) handle: copies the
     /// underlying value with new scale metadata (a copy kernel on the GPU
     /// backend).
@@ -158,6 +164,8 @@ public:
     Cipher rotate(const Cipher &a, int step,
                   const ckks::GaloisKeys &keys) override;
     Cipher conjugate(const Cipher &a, const ckks::GaloisKeys &keys) override;
+    Cipher multiply_acc(const Cipher &a, const Cipher &b,
+                        uint64_t count) override;
     Cipher set_scale(const Cipher &a, double scale) override;
 
     Cipher upload(const ckks::Ciphertext &ct) override;

@@ -7,10 +7,67 @@ namespace xehe::serve {
 
 namespace {
 
+/// Per-operand bound for the streaming path (the monolithic path is
+/// implicitly bounded by its envelope length).
+constexpr std::size_t kMaxInputBytes = std::size_t{1} << 26;
+
 void check(bool condition, const char *what) {
     if (!condition) {
         throw wire::WireError(what);
     }
+}
+
+/// The rules on the fields before the operand buffers.
+void check_header(const Request &req, std::size_t input_count) {
+    check(static_cast<uint8_t>(req.op) <= static_cast<uint8_t>(Op::Program),
+          "wire: bad op");
+    check(req.matmul_tiles >= 1 && req.matmul_tiles <= (1u << 20),
+          "wire: bad matmul tile count");
+    check(std::isfinite(req.arrival_ns) && req.arrival_ns >= 0.0,
+          "wire: bad arrival time");
+    check(req.cost_only_level <= 64, "wire: bad cost-only level");
+    check(static_cast<uint8_t>(req.backend) <=
+              static_cast<uint8_t>(BackendHint::Gpu),
+          "wire: bad backend hint");
+    if (req.op == Op::Program) {
+        // The exact arity is the shipped program's input count; the
+        // server checks it after parsing the program with its context.
+        // 64 matches the Program IR's own input bound.
+        check(input_count <= 64, "wire: bad input count");
+        check(!req.cost_only || input_count == 0,
+              "wire: cost-only request with inputs");
+    } else {
+        check(input_count <= 3, "wire: bad input count");
+        check(req.cost_only ? input_count == 0
+                            : input_count == op_arity(req.op),
+              "wire: input count does not match op");
+    }
+}
+
+void check_program_size(const Request &req, uint64_t program_len) {
+    check(program_len <= (1u << 24), "wire: oversized program");
+    check(req.op == Op::Program ? program_len > 0 : program_len == 0,
+          "wire: program bytes do not match op");
+}
+
+/// Reads and checks the fixed Request-body prefix (tag through input
+/// count); returns the input count.
+std::size_t read_header(wire::Reader &r, Request &req) {
+    check(r.u8() == static_cast<uint8_t>(wire::Tag::Request),
+          "wire: expected Request");
+    req.session_id = r.u64();
+    req.op = static_cast<Op>(r.u8());
+    req.rotate_step = static_cast<int>(static_cast<int64_t>(r.u64()));
+    req.matmul_tiles = r.u64();
+    req.arrival_ns = r.f64();
+    const uint8_t cost_only = r.u8();
+    check(cost_only <= 1, "wire: bad flag byte");
+    req.cost_only = cost_only != 0;
+    req.cost_only_level = r.u64();
+    req.backend = static_cast<BackendHint>(r.u8());
+    const uint8_t count = r.u8();
+    check_header(req, count);
+    return count;
 }
 
 }  // namespace
@@ -80,53 +137,22 @@ void save(wire::Writer &w, const Request &req) {
     w.bytes(req.program);
 }
 
+void validate(const Request &req) {
+    check_header(req, req.inputs.size());
+    check_program_size(req, req.program.size());
+}
+
 void load(wire::Reader &r, Request &req) {
-    check(r.u8() == static_cast<uint8_t>(wire::Tag::Request),
-          "wire: expected Request");
-    req.session_id = r.u64();
-    const uint8_t op = r.u8();
-    check(op <= static_cast<uint8_t>(Op::Program), "wire: bad op");
-    req.op = static_cast<Op>(op);
-    req.rotate_step = static_cast<int>(static_cast<int64_t>(r.u64()));
-    req.matmul_tiles = r.u64();
-    check(req.matmul_tiles >= 1 && req.matmul_tiles <= (1u << 20),
-          "wire: bad matmul tile count");
-    req.arrival_ns = r.f64();
-    check(std::isfinite(req.arrival_ns) && req.arrival_ns >= 0.0,
-          "wire: bad arrival time");
-    const uint8_t cost_only = r.u8();
-    check(cost_only <= 1, "wire: bad flag byte");
-    req.cost_only = cost_only != 0;
-    req.cost_only_level = r.u64();
-    check(req.cost_only_level <= 64, "wire: bad cost-only level");
-    const uint8_t hint = r.u8();
-    check(hint <= static_cast<uint8_t>(BackendHint::Gpu),
-          "wire: bad backend hint");
-    req.backend = static_cast<BackendHint>(hint);
-    const uint8_t count = r.u8();
-    if (req.op == Op::Program) {
-        // The exact arity is the shipped program's input count; the
-        // server checks it after parsing the program with its context.
-        // 64 matches the Program IR's own input bound.
-        check(count <= 64, "wire: bad input count");
-        check(!req.cost_only || count == 0,
-              "wire: cost-only request with inputs");
-    } else {
-        check(count <= 3, "wire: bad input count");
-        check(req.cost_only ? count == 0 : count == op_arity(req.op),
-              "wire: input count does not match op");
-    }
+    const std::size_t count = read_header(r, req);
     req.inputs.clear();
     req.inputs.reserve(count);
-    for (uint8_t i = 0; i < count; ++i) {
+    for (std::size_t i = 0; i < count; ++i) {
         const uint64_t len = r.u64();
         const auto view = r.bytes(len);  // bounds-checked
         req.inputs.emplace_back(view.begin(), view.end());
     }
     const uint64_t program_len = r.u64();
-    check(program_len <= (1u << 24), "wire: oversized program");
-    check(req.op == Op::Program ? program_len > 0 : program_len == 0,
-          "wire: program bytes do not match op");
+    check_program_size(req, program_len);
     const auto program = r.bytes(program_len);
     req.program.assign(program.begin(), program.end());
 }
@@ -193,64 +219,9 @@ std::vector<std::vector<uint8_t>> chunk_request(const Request &req,
     return wire::chunk_message(stream_id, body, max_payload);
 }
 
-namespace {
-
-/// Fixed Request-body prefix: tag(1) session(8) op(1) rotate(8) matmul(8)
-/// arrival(8) cost_only(1) cost_level(8) backend_hint(1) input_count(1).
-constexpr std::size_t kFixedPrefixBytes = 45;
-/// Per-operand bound for the streaming path (the monolithic path is
-/// implicitly bounded by its envelope length).
-constexpr std::size_t kMaxInputBytes = std::size_t{1} << 26;
-
-}  // namespace
-
-void StreamingRequestParser::finish_fixed() {
-    check(pending_.size() == kFixedPrefixBytes, "wire: bad parser state");
-    wire::Reader r(pending_);
-    check(r.u8() == static_cast<uint8_t>(wire::Tag::Request),
-          "wire: expected Request");
-    request_.session_id = r.u64();
-    const uint8_t op = r.u8();
-    check(op <= static_cast<uint8_t>(Op::Program), "wire: bad op");
-    request_.op = static_cast<Op>(op);
-    request_.rotate_step = static_cast<int>(static_cast<int64_t>(r.u64()));
-    request_.matmul_tiles = r.u64();
-    check(request_.matmul_tiles >= 1 && request_.matmul_tiles <= (1u << 20),
-          "wire: bad matmul tile count");
-    request_.arrival_ns = r.f64();
-    check(std::isfinite(request_.arrival_ns) && request_.arrival_ns >= 0.0,
-          "wire: bad arrival time");
-    const uint8_t cost_only = r.u8();
-    check(cost_only <= 1, "wire: bad flag byte");
-    request_.cost_only = cost_only != 0;
-    request_.cost_only_level = r.u64();
-    check(request_.cost_only_level <= 64, "wire: bad cost-only level");
-    const uint8_t hint = r.u8();
-    check(hint <= static_cast<uint8_t>(BackendHint::Gpu),
-          "wire: bad backend hint");
-    request_.backend = static_cast<BackendHint>(hint);
-    const uint8_t count = r.u8();
-    if (request_.op == Op::Program) {
-        check(count <= 64, "wire: bad input count");
-        check(!request_.cost_only || count == 0,
-              "wire: cost-only request with inputs");
-    } else {
-        check(count <= 3, "wire: bad input count");
-        check(request_.cost_only ? count == 0
-                                 : count == op_arity(request_.op),
-              "wire: input count does not match op");
-    }
-    input_count_ = count;
-    request_.inputs.reserve(input_count_);
-    start_next_input();
-}
-
 void StreamingRequestParser::start_next_input() {
-    if (inputs_parsed_ < input_count_) {
-        state_ = State::InputLen;
-    } else {
-        state_ = State::ProgramLen;
-    }
+    state_ = inputs_parsed_ < input_count_ ? State::InputLen
+                                           : State::ProgramLen;
     need_ = 8;
 }
 
@@ -258,76 +229,53 @@ bool StreamingRequestParser::feed(std::span<const uint8_t> bytes) {
     while (!bytes.empty()) {
         check(state_ != State::Done,
               "wire: trailing bytes after complete request");
-        switch (state_) {
-            case State::Fixed:
-            case State::InputLen:
-            case State::ProgramLen: {
-                const std::size_t take =
-                    std::min(need_ - pending_.size(), bytes.size());
-                pending_.insert(pending_.end(), bytes.begin(),
-                                bytes.begin() + take);
-                bytes = bytes.subspan(take);
-                consumed_ += take;
-                if (pending_.size() < need_) {
-                    break;
-                }
-                if (state_ == State::Fixed) {
-                    finish_fixed();
-                } else if (state_ == State::InputLen) {
-                    wire::Reader r(pending_);
-                    const uint64_t len = r.u64();
+        if (state_ == State::InputBody || state_ == State::ProgramBody) {
+            auto &target = state_ == State::InputBody ? request_.inputs.back()
+                                                      : request_.program;
+            const std::size_t take = std::min(body_remaining_, bytes.size());
+            target.insert(target.end(), bytes.begin(), bytes.begin() + take);
+            bytes = bytes.subspan(take);
+            body_remaining_ -= take;
+        } else {
+            const std::size_t take =
+                std::min(need_ - pending_.size(), bytes.size());
+            pending_.insert(pending_.end(), bytes.begin(),
+                            bytes.begin() + take);
+            bytes = bytes.subspan(take);
+            if (pending_.size() < need_) {
+                break;  // every byte is buffered
+            }
+            wire::Reader r(pending_);
+            if (state_ == State::Fixed) {
+                input_count_ = read_header(r, request_);
+                request_.inputs.reserve(input_count_);
+                start_next_input();
+            } else {
+                const uint64_t len = r.u64();
+                std::vector<uint8_t> *target = &request_.program;
+                if (state_ == State::InputLen) {
                     check(len <= kMaxInputBytes,
                           "wire: oversized operand buffer");
-                    request_.inputs.emplace_back();
-                    // Eagerly reserve at most one chunk's worth: a
-                    // declared-but-never-sent length must not commit
-                    // memory before the bytes actually arrive.
-                    request_.inputs.back().reserve(
-                        std::min<std::size_t>(len, wire::kMaxChunkPayload));
-                    body_remaining_ = len;
+                    target = &request_.inputs.emplace_back();
                     ++inputs_parsed_;
                     state_ = State::InputBody;
-                    if (body_remaining_ == 0) {
-                        start_next_input();
-                    }
                 } else {
-                    wire::Reader r(pending_);
-                    const uint64_t len = r.u64();
-                    check(len <= (1u << 24), "wire: oversized program");
-                    check(request_.op == Op::Program ? len > 0 : len == 0,
-                          "wire: program bytes do not match op");
-                    request_.program.reserve(
-                        std::min<std::size_t>(len, wire::kMaxChunkPayload));
-                    body_remaining_ = len;
-                    state_ = body_remaining_ == 0 ? State::Done
-                                                  : State::ProgramBody;
+                    check_program_size(request_, len);
+                    state_ = State::ProgramBody;
                 }
-                pending_.clear();
-                break;
+                // Eagerly reserve at most one chunk's worth: a
+                // declared-but-never-sent length must not commit memory
+                // before the bytes actually arrive.
+                target->reserve(
+                    std::min<std::size_t>(len, wire::kMaxChunkPayload));
+                body_remaining_ = len;
             }
-            case State::InputBody:
-            case State::ProgramBody: {
-                const std::size_t take =
-                    std::min(body_remaining_, bytes.size());
-                auto &target = state_ == State::InputBody
-                                   ? request_.inputs.back()
-                                   : request_.program;
-                target.insert(target.end(), bytes.begin(),
-                              bytes.begin() + take);
-                bytes = bytes.subspan(take);
-                consumed_ += take;
-                body_remaining_ -= take;
-                if (body_remaining_ == 0) {
-                    if (state_ == State::InputBody) {
-                        start_next_input();
-                    } else {
-                        state_ = State::Done;
-                    }
-                }
-                break;
-            }
-            case State::Done:
-                break;  // unreachable: checked at loop entry
+            pending_.clear();
+        }
+        if (state_ == State::InputBody && body_remaining_ == 0) {
+            start_next_input();
+        } else if (state_ == State::ProgramBody && body_remaining_ == 0) {
+            state_ = State::Done;
         }
     }
     return state_ == State::Done;
@@ -336,6 +284,61 @@ bool StreamingRequestParser::feed(std::span<const uint8_t> bytes) {
 Request StreamingRequestParser::take() {
     check(state_ == State::Done, "wire: request incomplete");
     return std::move(request_);
+}
+
+ChunkAssembler::Fed ChunkAssembler::feed(std::span<const uint8_t> frame) {
+    Fed fed;
+    wire::ChunkView chunk;
+    try {
+        chunk = wire::open_chunk(frame);
+    } catch (const wire::WireError &e) {
+        // The frame's header cannot be trusted, so no stream state can be
+        // charged for it; reject the frame alone.
+        fed.error = e.what();
+        return fed;
+    }
+
+    auto it = streams_.find(chunk.stream_id);
+    if (it == streams_.end()) {
+        if (streams_.size() >= kMaxOpenStreams) {
+            streams_.erase(std::min_element(
+                streams_.begin(), streams_.end(),
+                [](const auto &a, const auto &b) {
+                    return a.second.last_fed < b.second.last_fed;
+                }));
+            fed.evicted = true;
+        }
+        it = streams_.emplace(chunk.stream_id, Stream{}).first;
+        it->second.total = chunk.total_len;
+    }
+    Stream &stream = it->second;
+    stream.last_fed = ++tick_;
+
+    try {
+        if (chunk.seq != stream.next_seq || chunk.offset != stream.received ||
+            chunk.total_len != stream.total) {
+            throw wire::WireError(
+                "wire: chunk out of order or inconsistent with stream");
+        }
+        const bool complete = stream.parser.feed(chunk.payload);
+        stream.next_seq = chunk.seq + 1;
+        stream.received += chunk.payload.size();
+        if (chunk.last) {
+            if (!complete || stream.received != stream.total) {
+                throw wire::WireError(
+                    "wire: stream ended before request was complete");
+            }
+            fed.request = stream.parser.take();
+            streams_.erase(it);
+        } else if (complete) {
+            throw wire::WireError("wire: request complete before final chunk");
+        }
+    } catch (const wire::WireError &e) {
+        // Abort the whole stream: partial per-input state is discarded.
+        streams_.erase(chunk.stream_id);
+        fed.error = e.what();
+    }
+    return fed;
 }
 
 Response load_response(std::span<const uint8_t> buffer) {

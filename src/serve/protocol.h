@@ -7,6 +7,9 @@
 // client round trip moves nothing but validated bytes.
 #pragma once
 
+#include <optional>
+#include <unordered_map>
+
 #include "wire/wire.h"
 
 namespace xehe::serve {
@@ -102,6 +105,14 @@ struct Response {
     double queueing_ns() const noexcept { return dispatch_ns - enqueue_ns; }
 };
 
+/// The field rules every Request satisfies however it arrives (wire
+/// envelope, chunk stream or direct submission): op and backend-hint
+/// range, matmul tiles in [1, 2^20], cost-only level <= 64, a finite
+/// non-negative arrival time, the input count against the op's arity,
+/// and program bytes present exactly for Op::Program.  Throws
+/// wire::WireError naming the first rule broken.
+void validate(const Request &req);
+
 // wire::serialize / serialized_bytes pick these up by ADL.
 void save(wire::Writer &w, const Request &req);
 void save(wire::Writer &w, const Response &resp);
@@ -137,17 +148,14 @@ public:
     /// Consumes `bytes`; returns true once the request is complete.
     /// Trailing bytes beyond a complete request throw.
     bool feed(std::span<const uint8_t> bytes);
-
-    bool done() const noexcept { return state_ == State::Done; }
-    /// Total body bytes consumed so far.
-    std::size_t consumed() const noexcept { return consumed_; }
-
-    /// Moves the parsed request out.  Only valid once done().
+    /// Moves the parsed request out.  Only valid once complete.
     Request take();
 
 private:
     enum class State : uint8_t {
-        Fixed,        ///< tag .. input count (fixed 45-byte prefix)
+        /// tag(1) session(8) op(1) rotate(8) matmul(8) arrival(8)
+        /// cost_only(1) cost_level(8) backend_hint(1) input_count(1)
+        Fixed,
         InputLen,     ///< u64 length of the next operand
         InputBody,    ///< operand bytes -> request_.inputs.back()
         ProgramLen,   ///< u64 program length
@@ -155,7 +163,6 @@ private:
         Done,
     };
 
-    void finish_fixed();
     void start_next_input();
 
     State state_ = State::Fixed;
@@ -164,8 +171,38 @@ private:
     std::size_t input_count_ = 0;
     std::size_t inputs_parsed_ = 0;
     std::size_t body_remaining_ = 0;  ///< of the operand/program being read
-    std::size_t consumed_ = 0;
     Request request_;
+};
+
+/// Reassembles interleaved chunk-frame streams into Requests, checking
+/// each stream's frame order and consistency.  The stream table is bounded
+/// at kMaxOpenStreams by evicting the least-recently-fed stream, so
+/// abandoned streams cannot pin it.
+class ChunkAssembler {
+public:
+    static constexpr std::size_t kMaxOpenStreams = 256;
+
+    /// What one frame did (a frame may both evict and fail).
+    struct Fed {
+        std::optional<Request> request;  ///< completed by this frame
+        bool evicted = false;  ///< a stale stream was dropped for room
+        std::string error;  ///< set: frame rejected, its stream discarded
+    };
+
+    Fed feed(std::span<const uint8_t> frame);
+    /// Streams with at least one accepted chunk that have not completed.
+    std::size_t open_streams() const noexcept { return streams_.size(); }
+
+private:
+    struct Stream {
+        StreamingRequestParser parser;
+        uint32_t next_seq = 0;
+        uint64_t received = 0;
+        uint64_t total = 0;
+        uint64_t last_fed = 0;  ///< tick of the latest frame
+    };
+    std::unordered_map<uint64_t, Stream> streams_;
+    uint64_t tick_ = 0;  ///< monotone staleness clock, one per frame
 };
 
 }  // namespace xehe::serve

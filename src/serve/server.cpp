@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <utility>
 
 #include "he/analyze.h"
 #include "he/compiler.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace xehe::serve {
@@ -39,46 +39,12 @@ constexpr double kHostNodeNs = 40000.0;
 /// Host-side charge for re-staging an evicted expanded keyset (per byte).
 constexpr double kHostKeyLoadNsPerByte = 0.25;
 
-/// Cost-only operand: allocated at level, upload charged, never encrypted
-/// (the paper's N = 32K operating point, as in run_batch_serving).
-core::GpuCiphertext fabricate(core::GpuContext &gpu, std::size_t size,
-                              std::size_t rns, double scale) {
-    auto ct = core::allocate_ciphertext(gpu, size, rns, scale);
-    gpu.queue().transfer(ct.all().size() * sizeof(uint64_t));
-    return ct;
+/// Operand level: the max level, or the requested one for cost-only sweeps.
+std::size_t input_level(const Request &r, const ckks::CkksContext &host) {
+    return r.cost_only && r.cost_only_level != 0
+               ? std::min<std::size_t>(r.cost_only_level, host.max_level())
+               : host.max_level();
 }
-
-/// Registry handles cached once — the admission and dispatch paths must
-/// not pay a registry name lookup per request.
-struct ServeMetrics {
-    obs::Counter &requests;
-    obs::Counter &failed;
-    obs::Counter &overloaded;
-    obs::Counter &invalid_programs;
-    obs::Counter &batches;
-    obs::Counter &fallbacks;
-    obs::Counter &host_requests;
-    obs::Counter &program_cache_hits;
-    obs::Counter &programs_compiled;
-    obs::Histogram &latency_ns;
-
-    static ServeMetrics &instance() {
-        auto &reg = obs::Registry::global();
-        static ServeMetrics m{
-            reg.counter("serve.requests"),
-            reg.counter("serve.failed"),
-            reg.counter("serve.overloaded"),
-            reg.counter("serve.invalid_programs"),
-            reg.counter("serve.batches"),
-            reg.counter("serve.fallbacks"),
-            reg.counter("serve.host_requests"),
-            reg.counter("serve.program_cache_hits"),
-            reg.counter("compile.programs"),
-            reg.histogram("serve.latency_ns"),
-        };
-        return m;
-    }
-};
 
 }  // namespace
 
@@ -115,16 +81,14 @@ InferenceServer::InferenceServer(const ckks::CkksContext &host,
             pool_ = std::make_unique<core::GpuEvaluatorPool>(
                 host, spec, options, config_.queue_count, pool);
         } catch (const he::BackendUnavailable &) {
-            // The probe passed but construction lost the race (or the
-            // factory failed): degrade to host-only instead of refusing
-            // to come up.
+            // The probe passed but construction failed: degrade to
+            // host-only instead of refusing to come up.
             pool_.reset();
         }
     }
     if (pool_) {
         pool_->set_functional(config_.functional);
-        // Lane construction uploads NTT tables; serving time starts at
-        // zero.
+        // Lane construction uploaded NTT tables; serving starts at zero.
         pool_->scheduler().reset_clocks();
         host_lane_ns_.assign(pool_->lane_count(), 0.0);
     } else {
@@ -137,6 +101,7 @@ InferenceServer::InferenceServer(const ckks::CkksContext &host,
                 : static_cast<std::size_t>(std::max(spec.tiles, 1));
         host_lane_ns_.assign(lanes, 0.0);
     }
+    obs_host_lane_tracks_.assign(host_lane_ns_.size(), 0);
     he::BackendEnv env;
     env.context = &host;
     host_bundle_ = registry.create("host", env);
@@ -145,8 +110,6 @@ InferenceServer::InferenceServer(const ckks::CkksContext &host,
 void InferenceServer::set_keys(ckks::RelinKeys relin, ckks::GaloisKeys galois) {
     relin_ = std::move(relin);
     galois_ = std::move(galois);
-    has_relin_ = !relin_.key.keys.empty();
-    has_galois_ = !galois_.keys.empty();
 }
 
 void InferenceServer::register_session_keys(uint64_t session_id,
@@ -155,24 +118,10 @@ void InferenceServer::register_session_keys(uint64_t session_id,
     key_manager_->register_session(session_id, relin, galois);
 }
 
-void InferenceServer::record_failure(uint64_t session_id, Status code,
-                                     std::string error) {
-    Response resp;
-    resp.session_id = session_id;
-    resp.ok = false;
-    resp.code = code;
-    resp.error = std::move(error);
-    parse_failures_.push_back(std::move(resp));
-    ++failed_;
-    ServeMetrics::instance().failed.add();
-    if (code == Status::Overloaded) {
-        ++overloaded_;
-        ServeMetrics::instance().overloaded.add();
-    }
-    if (code == Status::InvalidProgram) {
-        ++invalid_programs_;
-        ServeMetrics::instance().invalid_programs.add();
-    }
+void InferenceServer::reject(uint64_t session_id, Status code,
+                             std::string error) {
+    parse_failures_.push_back(
+        record_failure(counts_, session_id, code, std::move(error)));
 }
 
 void InferenceServer::submit(std::span<const uint8_t> request_bytes) {
@@ -183,61 +132,67 @@ void InferenceServer::submit(std::span<const uint8_t> request_bytes) {
     try {
         submit(load_request(request_bytes));
     } catch (const wire::WireError &e) {
-        record_failure(0, Status::ParseError, e.what());
+        reject(0, Status::ParseError, e.what());
     }
 }
 
 void InferenceServer::submit(Request request) {
-    if (request.op == Op::Program && !admit_program(request)) {
+    try {
+        validate(request);
+    } catch (const wire::WireError &e) {
+        reject(request.session_id, Status::ParseError, e.what());
         return;
     }
-    pending_.push_back(std::move(request));
+    Admitted entry{std::move(request), nullptr};
+    if (entry.request.op == Op::Program && !admit_program(entry)) {
+        return;
+    }
+    pending_.push_back(std::move(entry));
 }
 
-bool InferenceServer::admit_program(const Request &request) {
+bool InferenceServer::admit_program(Admitted &entry) {
+    const Request &request = entry.request;
     obs::Span span("serve.analyze", obs::Category::Serve);
-    he::Program program;
     try {
-        program = he::load_program(request.program, *host_);
-    } catch (const std::exception &) {
-        // Undecodable program bytes: admit, so the execution path
-        // reproduces the legacy wire-error response unchanged.
-        return true;
+        auto program = std::make_shared<he::Program>(
+            he::load_program(request.program, *host_));
+        util::require(program->outputs.size() == 1,
+                      "served programs must have exactly one output");
+        entry.program = std::move(program);
+    } catch (const std::exception &e) {
+        reject(request.session_id, Status::ParseError, e.what());
+        return false;
     }
-    // The level the server will assume is known at the front door; input
-    // sizes and scales are the client's to choose.  Cost-only operands
-    // are fabricated (size 2, kScale, exactly input_level), so their
-    // facts are exact; functional inputs stay unknown, and without the
-    // compiler the execution level is whatever the client shipped.
-    std::size_t input_level = host_->max_level();
-    if (request.cost_only && request.cost_only_level != 0) {
-        input_level = std::min<std::size_t>(request.cost_only_level,
-                                            host_->max_level());
-    }
+    // The execution level is known at the front door; input sizes and
+    // scales are the client's.  Cost-only operands are fabricated (size 2,
+    // kScale, exactly input_level), so their facts are exact; without the
+    // compiler the level is whatever the client shipped.  These facts are
+    // at least as exact as the compiler's, so no later re-check is needed.
     he::InputFacts facts;
     facts.size = request.cost_only ? 2 : 0;
     facts.level = config_.compile_programs || request.cost_only
-                      ? input_level
+                      ? input_level(request, *host_)
                       : 0;
     facts.scale =
         request.cost_only && !config_.compile_programs ? kScale : 0.0;
     he::AnalyzerOptions aopts;
     aopts.assume_alignment = config_.compile_programs;
-    // load_program just validated structurally; don't walk it twice.
+    // load_program just validated structurally, and admission acts on
+    // ok() and the first error only.
     aopts.assume_validated = true;
-    // Admission acts on ok() and the first error; warnings are waste.
     aopts.errors_only = true;
     const he::ProgramAnalyzer analyzer(*host_, std::move(aopts));
-    const he::AnalysisReport report = analyzer.analyze(program, facts);
+    const he::AnalysisReport report = analyzer.analyze(*entry.program, facts);
     if (span.active()) {
-        span.set_detail(std::to_string(program.nodes.size()) + " nodes, " +
-                        std::to_string(report.error_count()) + " errors");
+        span.set_detail(std::to_string(entry.program->nodes.size()) +
+                        " nodes, " + std::to_string(report.error_count()) +
+                        " errors");
     }
     if (report.ok()) {
         return true;
     }
-    record_failure(request.session_id, Status::InvalidProgram,
-                   "serve: program rejected: " + report.summary());
+    reject(request.session_id, Status::InvalidProgram,
+           "serve: program rejected: " + report.summary());
     return false;
 }
 
@@ -246,63 +201,15 @@ void InferenceServer::submit_chunk(std::span<const uint8_t> frame) {
     if (span.active()) {
         span.set_detail(std::to_string(frame.size()) + " bytes");
     }
-    wire::ChunkView chunk;
-    try {
-        chunk = wire::open_chunk(frame);
-    } catch (const wire::WireError &e) {
-        // The frame's header cannot be trusted, so no stream state can be
-        // charged for it; reject the frame alone.
-        record_failure(0, Status::ParseError, e.what());
-        return;
+    ChunkAssembler::Fed fed = streams_.feed(frame);
+    if (fed.evicted) {
+        reject(0, Status::Overloaded, "serve: evicted stale chunk stream");
     }
-
-    auto it = streams_.find(chunk.stream_id);
-    if (it == streams_.end()) {
-        if (streams_.size() >= kMaxOpenStreams) {
-            // At the cap, evict the least-recently-fed stream: a client
-            // that opens streams and never finishes them must not pin
-            // the stream table and lock new streams out forever.
-            auto stale = streams_.begin();
-            for (auto s = streams_.begin(); s != streams_.end(); ++s) {
-                if (s->second.last_fed < stale->second.last_fed) {
-                    stale = s;
-                }
-            }
-            streams_.erase(stale);
-            record_failure(0, Status::Overloaded,
-                           "serve: evicted stale chunk stream");
-        }
-        it = streams_.emplace(chunk.stream_id, ChunkStream{}).first;
-        it->second.total = chunk.total_len;
+    if (!fed.error.empty()) {
+        reject(0, Status::ParseError, std::move(fed.error));
     }
-    ChunkStream &stream = it->second;
-    stream.last_fed = ++stream_tick_;
-
-    try {
-        if (chunk.seq != stream.next_seq || chunk.offset != stream.received ||
-            chunk.total_len != stream.total) {
-            throw wire::WireError(
-                "wire: chunk out of order or inconsistent with stream");
-        }
-        const bool complete = stream.parser.feed(chunk.payload);
-        stream.next_seq = chunk.seq + 1;
-        stream.received += chunk.payload.size();
-        if (chunk.last) {
-            if (!complete || stream.received != stream.total) {
-                throw wire::WireError(
-                    "wire: stream ended before request was complete");
-            }
-            Request request = stream.parser.take();
-            streams_.erase(it);
-            submit(std::move(request));
-        } else if (complete) {
-            throw wire::WireError(
-                "wire: request complete before final chunk");
-        }
-    } catch (const wire::WireError &e) {
-        // Abort the whole stream: partial per-input state is discarded.
-        streams_.erase(chunk.stream_id);
-        record_failure(0, Status::ParseError, e.what());
+    if (fed.request) {
+        submit(std::move(*fed.request));
     }
 }
 
@@ -313,8 +220,8 @@ std::vector<Response> InferenceServer::run() {
 
     // Admission order is arrival order (stable for ties: submission order).
     std::stable_sort(pending_.begin(), pending_.end(),
-                     [](const Request &a, const Request &b) {
-                         return a.arrival_ns < b.arrival_ns;
+                     [](const Admitted &a, const Admitted &b) {
+                         return a.request.arrival_ns < b.request.arrival_ns;
                      });
 
     std::size_t i = 0;
@@ -322,10 +229,10 @@ std::vector<Response> InferenceServer::run() {
         // The batch opens when its first request arrives (or when the
         // previous batch dispatched, if the queue is backed up).
         const double batch_open =
-            std::max(admission_clock_ns_, pending_[i].arrival_ns);
+            std::max(admission_clock_ns_, pending_[i].request.arrival_ns);
         std::size_t j = i;
         while (j < pending_.size() && j - i < config_.max_batch &&
-               pending_[j].arrival_ns <= batch_open) {
+               pending_[j].request.arrival_ns <= batch_open) {
             ++j;
         }
         double dispatch_time = batch_open;
@@ -334,9 +241,9 @@ std::vector<Response> InferenceServer::run() {
             // admission window, taking late arrivals.
             const double deadline = batch_open + config_.batch_window_ns;
             while (j < pending_.size() && j - i < config_.max_batch &&
-                   pending_[j].arrival_ns <= deadline) {
+                   pending_[j].request.arrival_ns <= deadline) {
                 dispatch_time = std::max(dispatch_time,
-                                         pending_[j].arrival_ns);
+                                         pending_[j].request.arrival_ns);
                 ++j;
             }
             if (j - i == config_.max_batch) {
@@ -351,29 +258,18 @@ std::vector<Response> InferenceServer::run() {
         }
 
         for (std::size_t k = i; k < j; ++k) {
-            responses.push_back(execute(pending_[k], dispatch_time));
+            responses.push_back(dispatch(pending_[k], dispatch_time));
             const Response &resp = responses.back();
             if (resp.ok) {
-                latencies_ns_.push_back(resp.latency_ns());
+                latency_.add(resp);
                 ServeMetrics::instance().requests.add();
                 ServeMetrics::instance().latency_ns.observe(
                     resp.latency_ns());
-                last_complete_ns_ =
-                    std::max(last_complete_ns_, resp.complete_ns);
-                if (first_enqueue_ns_ < 0.0 ||
-                    resp.enqueue_ns < first_enqueue_ns_) {
-                    first_enqueue_ns_ = resp.enqueue_ns;
-                }
             } else {
-                ++failed_;
-                ServeMetrics::instance().failed.add();
-                if (resp.code == Status::InvalidProgram) {
-                    ++invalid_programs_;
-                    ServeMetrics::instance().invalid_programs.add();
-                }
+                count_failure(counts_, resp.code);
             }
         }
-        ++batches_;
+        ++counts_.batches;
         ServeMetrics::instance().batches.add();
         if (obs::tracing_enabled()) {
             // Batch spans sit beside (not above) their requests: a
@@ -391,11 +287,11 @@ std::vector<Response> InferenceServer::run() {
 }
 
 std::shared_ptr<const he::Program> InferenceServer::compiled_program(
-    uint64_t session_id, std::span<const uint8_t> bytes,
-    std::size_t input_level) {
-    // Session id + assumed input level + the raw program bytes: equal keys
-    // mean byte-equal submissions compiled under identical assumptions, so
-    // a hit can never serve the wrong circuit.
+    const Admitted &entry, std::size_t input_level) {
+    // Session id + input level + program bytes: a hit is a byte-equal
+    // submission compiled under identical assumptions.
+    const uint64_t session_id = entry.request.session_id;
+    const std::vector<uint8_t> &bytes = entry.request.program;
     std::string key;
     key.reserve(2 * sizeof(uint64_t) + bytes.size());
     const uint64_t level64 = input_level;
@@ -410,37 +306,14 @@ std::shared_ptr<const he::Program> InferenceServer::compiled_program(
     }
     ServeMetrics::instance().programs_compiled.add();
 
-    he::Program program = he::load_program(bytes, *host_);
-    util::require(program.outputs.size() == 1,
-                  "served programs must have exactly one output");
-    // Statically-rejected programs must never occupy a cache slot (or
-    // reach the compiler): normally the admission gate already refused
-    // them, but this path is also reachable through direct Request
-    // submission, so the verdict is re-checked before any insertion.
-    {
-        he::AnalyzerOptions aopts;
-        aopts.assume_alignment = true;
-        // load_program above validated structurally already.
-        aopts.assume_validated = true;
-        aopts.errors_only = true;  // only ok()/first error act here
-        he::AnalysisReport report =
-            he::ProgramAnalyzer(*host_, std::move(aopts))
-                .analyze(program, he::InputFacts{0, input_level, 0.0});
-        if (!report.ok()) {
-            // Sequenced before the move: function-argument evaluation
-            // order is unspecified, and summary() reads the diagnostics.
-            std::string what =
-                "serve: program rejected: " + report.summary();
-            throw he::ProgramRejected(std::move(what),
-                                      std::move(report.diagnostics));
-        }
-    }
+    // Admission analyzed this circuit (rejected ones never occupy a slot);
+    // the compiler self-verifies its output.
     he::CompilerOptions copts;
     copts.input_level = input_level;
     copts.input_scale = kScale;  // the serving admission scale
     he::ProgramCompiler compiler(*host_, copts);
     auto compiled = std::make_shared<const he::Program>(
-        compiler.compile(program).program);
+        compiler.compile(*entry.program).program);
 
     constexpr std::size_t kCacheCap = 256;
     if (program_cache_.size() >= kCacheCap) {
@@ -455,45 +328,34 @@ std::size_t InferenceServer::route_cost(const Request &request) const {
         return 2 * static_cast<std::size_t>(request.matmul_tiles);
     }
     if (request.op == Op::Program) {
-        // The circuit is not parsed yet at routing time; its wire size
-        // is a monotone proxy for node count.
+        // Routing runs before execution looks at the circuit; its wire
+        // size is a monotone proxy for node count.
         return request.program.size() / 16;
     }
     return core::routine_program(static_cast<core::Routine>(request.op))
         .nodes.size();
 }
 
-Response InferenceServer::execute(const Request &request,
-                                  double dispatch_time) {
+Response InferenceServer::dispatch(const Admitted &entry,
+                                   double dispatch_time) {
+    const Request &request = entry.request;
     if (!obs::tracing_enabled()) {
-        return execute_routed(request, dispatch_time);
+        return route(entry, dispatch_time);
     }
-    // Reserve the request span's id up front and make it the thread's
-    // context: everything recorded below — lane schedule, key acquire,
-    // compile passes, kernel launches — parents into this span, which is
-    // what connects the exported tree from front door to device.
-    const uint64_t ordinal = obs::next_request_id();
+    // The request's identity, then its reserved span id as context, so
+    // everything recorded below joins the tree from front door to device.
+    obs::ContextScope identity(0, obs::next_request_id(), request.session_id);
     const uint64_t span_id = obs::TraceRecorder::instance().next_id();
     Response resp;
     {
-        obs::ContextScope scope(span_id, ordinal, request.session_id);
-        resp = execute_routed(request, dispatch_time);
+        obs::ContextScope scope(span_id);
+        resp = route(entry, dispatch_time);
     }
-    // Recorded after its own scope popped, so the identity the children
-    // inherited must be attached explicitly here.
-    obs::SpanRecord span;
-    span.id = span_id;
-    span.request = ordinal;
-    span.session = request.session_id;
-    span.clock = obs::Clock::Sim;
-    span.category = obs::Category::Serve;
-    span.name = "serve.request";
-    span.detail = op_name(request.op);
-    span.detail += resp.ok ? " ok" : " failed";
-    span.start_ns = resp.enqueue_ns;
-    span.end_ns = resp.complete_ns;
-    span.track = obs_serve_track();
-    obs::TraceRecorder::instance().record(std::move(span));
+    obs::record_sim_span("serve.request", obs::Category::Serve,
+                         resp.enqueue_ns, resp.complete_ns, obs_serve_track(),
+                         std::string(op_name(request.op)) +
+                             (resp.ok ? " ok" : " failed"),
+                         span_id);
     return resp;
 }
 
@@ -504,416 +366,295 @@ uint32_t InferenceServer::obs_serve_track() {
     return obs_serve_track_;
 }
 
-uint32_t InferenceServer::obs_host_lane_track(std::size_t lane) {
-    if (obs_host_lane_tracks_.size() < host_lane_ns_.size()) {
-        obs_host_lane_tracks_.resize(host_lane_ns_.size(), 0);
+/// What differs between the backends a request can execute on.
+class InferenceServer::Lane {
+public:
+    virtual he::Backend &backend() = 0;
+    /// Starts the request no earlier than `dispatch_time` (a busy lane
+    /// pushes it later: queueing delay); returns the start.
+    virtual double start(double dispatch_time) = 0;
+    /// Charges re-staging `bytes` of evicted expanded key material.
+    virtual void charge_key_load(std::size_t bytes) = 0;
+    /// Charges `nodes` program nodes over `limbs` RNS limbs (a device
+    /// lane's kernels charge themselves).
+    virtual void charge_compute(std::size_t /*nodes*/,
+                                std::size_t /*limbs*/) {}
+    /// Operands of a cost-only request, or nullopt when the lane charges
+    /// cost-only requests without executing them.
+    virtual std::optional<std::vector<he::Cipher>> cost_only_operands(
+        std::size_t /*arity*/, std::size_t /*level*/) {
+        return std::nullopt;
     }
-    if (obs_host_lane_tracks_[lane] == 0) {
-        obs_host_lane_tracks_[lane] = obs::next_track();
-    }
-    return obs_host_lane_tracks_[lane];
-}
+    /// Charges moving a result the response does not carry off the lane.
+    virtual void drop_result(const he::Cipher & /*result*/) {}
+    /// Ends the request; returns its completion time.
+    virtual double finish() = 0;
+    virtual uint32_t track() = 0;  ///< Perfetto track of serve.lane
+    virtual std::string detail() const = 0;
 
-Response InferenceServer::execute_routed(const Request &request,
-                                         double dispatch_time) {
-    // Routing: an explicit hint wins; Auto takes the GPU pool when one
-    // is up, except that cost routing (when configured) keeps small jobs
-    // on host.  Any request that wanted the GPU but cannot have it runs
-    // on host and is counted as a fallback instead of failing.
-    bool use_host = false;
-    bool fallback = false;
-    if (request.backend == BackendHint::Host) {
-        use_host = true;
-    } else if (!pool_) {
-        use_host = true;
-        fallback = true;
-    } else if (request.backend == BackendHint::Auto &&
-               config_.host_route_max_cost > 0 &&
-               route_cost(request) <= config_.host_route_max_cost) {
-        use_host = true;
+protected:
+    ~Lane() = default;  // lanes live on the stack, never deleted as Lane
+};
+
+/// One lane of the GPU evaluator pool, on the simulated device clock.
+class InferenceServer::GpuLane final : public Lane {
+public:
+    /// Throws he::BackendUnavailable, before any clock or key side
+    /// effect, if "gpu" has been pulled out from under the server.
+    GpuLane(InferenceServer &server, uint64_t session_id)
+        : index_(server.pool_->lane_of(session_id)),
+          gpu_(server.pool_->context(index_)),
+          evaluator_(server.pool_->evaluator(index_)) {
+        he::BackendEnv env;
+        env.context = server.host_;
+        env.gpu_context = &gpu_;
+        env.gpu_evaluator = &evaluator_;
+        bundle_ = he::BackendRegistry::instance().create("gpu", env);
+        backend_ = &static_cast<he::GpuBackend &>(bundle_.backend());
     }
-    if (!use_host) {
+
+    he::Backend &backend() override { return *backend_; }
+    double start(double dispatch_time) override {
+        gpu_.queue().advance_to(dispatch_time);
+        return gpu_.queue().clock_ns();
+    }
+    void charge_key_load(std::size_t bytes) override {
+        evaluator_.charge_key_upload(bytes);
+    }
+    std::optional<std::vector<he::Cipher>> cost_only_operands(
+        std::size_t arity, std::size_t level) override {
+        // Allocated at level with the upload charged, never encrypted
+        // (the paper's N = 32K operating point, as in run_batch_serving).
+        std::vector<he::Cipher> operands;
+        for (std::size_t a = 0; a < arity; ++a) {
+            auto ct = core::allocate_ciphertext(gpu_, 2, level, kScale);
+            gpu_.queue().transfer(ct.all().size() * sizeof(uint64_t));
+            operands.push_back(backend_->adopt(std::move(ct)));
+        }
+        return operands;
+    }
+    void drop_result(const he::Cipher &result) override {
+        gpu_.queue().transfer(backend_->native(result).all().size() *
+                              sizeof(uint64_t));
+    }
+    double finish() override { return gpu_.queue().clock_ns(); }
+    uint32_t track() override { return gpu_.queue().obs_track(); }
+    std::string detail() const override {
+        return "lane=" + std::to_string(index_);
+    }
+
+private:
+    std::size_t index_;
+    core::GpuContext &gpu_;
+    core::GpuEvaluator &evaluator_;
+    he::BackendBundle bundle_;
+    he::GpuBackend *backend_ = nullptr;  ///< owned by bundle_
+};
+
+/// A simulated host lane: the host backend evaluates functional requests
+/// for real, and a deterministic synthetic clock keeps latency, batching
+/// and lane contention measurable without a device.  Same session -> lane
+/// placement as the pool, so the topology survives a fallback.
+class InferenceServer::HostLane final : public Lane {
+public:
+    HostLane(InferenceServer &server, uint64_t session_id)
+        : server_(server),
+          index_(session_id % server.host_lane_ns_.size()) {}
+
+    he::Backend &backend() override { return server_.host_bundle_.backend(); }
+    double start(double dispatch_time) override {
+        clock_ = std::max(server_.host_lane_ns_[index_], dispatch_time);
+        return clock_;
+    }
+    void charge_key_load(std::size_t bytes) override {
+        clock_ += kHostKeyLoadNsPerByte * static_cast<double>(bytes);
+    }
+    void charge_compute(std::size_t nodes, std::size_t limbs) override {
+        // Strictly positive, so dispatch < complete for every request.
+        clock_ += kHostNodeNs * static_cast<double>(nodes) *
+                  static_cast<double>(limbs);
+    }
+    double finish() override {
+        server_.host_lane_ns_[index_] = clock_;
+        return clock_;
+    }
+    uint32_t track() override {
+        uint32_t &track = server_.obs_host_lane_tracks_[index_];
+        if (track == 0) {
+            track = obs::next_track();
+        }
+        return track;
+    }
+    std::string detail() const override {
+        return "host lane=" + std::to_string(index_);
+    }
+
+private:
+    InferenceServer &server_;
+    std::size_t index_;
+    double clock_ = 0.0;
+};
+
+Response InferenceServer::route(const Admitted &entry, double dispatch_time) {
+    // An explicit hint wins; Auto takes the GPU pool when one is up, unless
+    // cost routing (when configured) keeps a small job on host.  A request
+    // that wanted the GPU but cannot have it runs on host, counted as a
+    // fallback instead of failing.
+    const Request &request = entry.request;
+    const bool wants_gpu = request.backend != BackendHint::Host;
+    const bool cost_routed = request.backend == BackendHint::Auto &&
+                             config_.host_route_max_cost > 0 &&
+                             route_cost(request) <= config_.host_route_max_cost;
+    bool fallback = wants_gpu && !pool_;
+    if (wants_gpu && pool_ && !cost_routed) {
         try {
-            return execute_gpu(request, dispatch_time);
+            GpuLane lane(*this, request.session_id);
+            return execute(entry, lane, dispatch_time);
         } catch (const he::BackendUnavailable &) {
-            // The registry refused the backend mid-flight (disabled
-            // between admission and dispatch): degrade this request.
+            // Only the lane's construction can throw here (execute maps
+            // every error to a Status): the registry refused the backend
+            // between admission and dispatch, so degrade this request.
             fallback = true;
         }
     }
-    ++host_requests_;
+    ++counts_.host_requests;
     ServeMetrics::instance().host_requests.add();
     if (fallback) {
-        ++fallbacks_;
+        ++counts_.fallbacks;
         ServeMetrics::instance().fallbacks.add();
     }
-    return execute_host(request, dispatch_time);
+    HostLane lane(*this, request.session_id);
+    return execute(entry, lane, dispatch_time);
 }
 
-Response InferenceServer::execute_gpu(const Request &request,
-                                      double dispatch_time) {
+Response InferenceServer::execute(const Admitted &entry, Lane &lane,
+                                  double dispatch_time) {
     Response resp;
-    resp.session_id = request.session_id;
-    resp.enqueue_ns = request.arrival_ns;
-
-    const std::size_t lane = pool_->lane_of(request.session_id);
-    core::GpuContext &gpu = pool_->context(lane);
-    core::GpuEvaluator &evaluator = pool_->evaluator(lane);
-
-    // Through the registry, wrapping this lane's resources — and throwing
-    // the typed BackendUnavailable (before any clock or key side effect)
-    // if "gpu" has been pulled out from under the server.
-    he::BackendEnv env;
-    env.context = host_;
-    env.gpu_context = &gpu;
-    env.gpu_evaluator = &evaluator;
-    const he::BackendBundle bundle =
-        he::BackendRegistry::instance().create("gpu", env);
-    auto &backend = static_cast<he::GpuBackend &>(bundle.backend());
-
-    // Kernels of this request start no earlier than its batch dispatch;
-    // a busy lane pushes the start further (queueing delay).
-    gpu.queue().advance_to(dispatch_time);
-    resp.dispatch_ns = gpu.queue().clock_ns();
-
-    // Lane-schedule span: dispatch to completion on this lane's queue.
-    // Reserved up front and pushed as context so key acquires, compiles
-    // and kernel launches below parent into it; the outer context (the
-    // request span) is captured first to be this span's parent.
-    const obs::TraceContext outer_ctx = obs::current_context();
+    resp.session_id = entry.request.session_id;
+    resp.enqueue_ns = entry.request.arrival_ns;
+    resp.dispatch_ns = lane.start(dispatch_time);
+    // Lane-schedule span, reserved and pushed as context so key, compile
+    // and kernel spans parent into it; recorded after its scope pops, so
+    // it parents into the request span.
     const uint64_t lane_span =
         obs::tracing_enabled() ? obs::TraceRecorder::instance().next_id()
                                : 0;
-    obs::ContextScope lane_scope(lane_span);
-
-    try {
-        // Evaluation keys: the session's own (through the KeyManager's
-        // LRU cache) when registered, else the shared tenant keys.  A
-        // cache miss re-expands from the seed-compressed cold store and
-        // re-uploads the expanded material to the session's lane — the
-        // simulated transfer charge is what makes eviction pressure
-        // visible in the latency tail.
-        const ckks::RelinKeys *relin = has_relin_ ? &relin_ : nullptr;
-        const ckks::GaloisKeys *galois = has_galois_ ? &galois_ : nullptr;
-        std::shared_ptr<const SessionKeys> session_keys;
-        if (key_manager_->has(request.session_id)) {
-            KeyManager::Acquired acq =
-                key_manager_->acquire(request.session_id);
-            session_keys = std::move(acq.keys);
-            relin = &session_keys->relin;
-            galois = &session_keys->galois;
-            if (acq.miss) {
-                evaluator.charge_key_upload(acq.expanded_bytes);
-            }
+    {
+        obs::ContextScope lane_scope(lane_span);
+        try {
+            resp.result = evaluate(entry, lane);
+            resp.ok = true;
+            resp.code = Status::Ok;
+        } catch (const he::ProgramRejected &e) {
+            resp.code = Status::InvalidProgram;
+            resp.error = e.what();
+        } catch (const std::exception &e) {
+            resp.code = Status::ExecError;
+            resp.error = e.what();
         }
-        // Operand level: actual max-level encryptions when functional,
-        // the requested level for cost-only sweeps.
-        std::size_t input_level = host_->max_level();
-        if (request.cost_only && request.cost_only_level != 0) {
-            input_level = std::min<std::size_t>(request.cost_only_level,
-                                                host_->max_level());
-        }
-
-        // An attached circuit is parsed (and validated) first: its input
-        // count is the request's arity.  With compile_programs it goes
-        // through the ProgramCompiler on admission, cached per session so
-        // a re-submitted circuit pays the compile once.
-        std::shared_ptr<const he::Program> client_program;
-        const bool is_program = request.op == Op::Program;
-        if (is_program) {
-            if (config_.compile_programs) {
-                client_program = compiled_program(request.session_id,
-                                                  request.program,
-                                                  input_level);
-            } else {
-                auto raw = he::load_program(request.program, *host_);
-                util::require(raw.outputs.size() == 1,
-                              "served programs must have exactly one output");
-                client_program =
-                    std::make_shared<const he::Program>(std::move(raw));
-            }
-        }
-
-        const bool needs_relin = request.op != Op::Rotate &&
-                                 request.op != Op::MatmulTile && !is_program;
-        util::require(!needs_relin || relin != nullptr,
-                      "relin keys not registered");
-        util::require(request.op != Op::Rotate || galois != nullptr,
-                      "galois keys not registered");
-
-        // Operands: deserialize + upload, or fabricate for cost-only.
-        const std::size_t arity =
-            is_program ? client_program->num_inputs : op_arity(request.op);
-        std::vector<core::GpuCiphertext> inputs;
-        inputs.reserve(arity);
-        if (request.cost_only) {
-            for (std::size_t a = 0; a < arity; ++a) {
-                inputs.push_back(fabricate(gpu, 2, input_level, kScale));
-            }
-        } else {
-            util::require(request.inputs.size() == arity,
-                          "input count does not match op");
-            for (const auto &bytes : request.inputs) {
-                inputs.push_back(
-                    core::upload(gpu, wire::load_ciphertext(bytes, *host_)));
-            }
-        }
-
-        he::Cipher result;
-        if (request.op == Op::MatmulTile) {
-            // One output tile of the encrypted matmul: a chain of fused
-            // multiply-accumulates into one accumulator, strictly ordered
-            // on the session's lane (Section IV-E).
-            core::GpuCiphertext acc = core::allocate_ciphertext(
-                gpu, 3, inputs[0].rns, inputs[0].scale * inputs[1].scale);
-            for (uint64_t t = 0; t < request.matmul_tiles; ++t) {
-                evaluator.multiply_acc(inputs[0], inputs[1], acc);
-            }
-            result = backend.adopt(std::move(acc));
-        } else {
-            // Everything else is a program: either the client's circuit
-            // or the canonical program of the named routine — one
-            // execution path for fixed-function and arbitrary requests.
-            he::Program stepped_rotate;
-            const he::Program *program = nullptr;
-            if (is_program) {
-                program = client_program.get();
-            } else if (request.op == Op::Rotate && request.rotate_step != 1) {
-                stepped_rotate = he::rotate_program(request.rotate_step);
-                program = &stepped_rotate;
-            } else {
-                // Fixed-function requests run the same compiled form the
-                // routine harness does (identity for these programs —
-                // they are already minimal — but one code path).
-                const auto routine = static_cast<core::Routine>(request.op);
-                program = config_.compile_programs
-                              ? &core::routine_program_compiled(routine)
-                              : &core::routine_program(routine);
-            }
-            he::ProgramKeys keys;
-            keys.relin = relin;
-            keys.galois = galois;
-            std::vector<he::Cipher> operands;
-            operands.reserve(inputs.size());
-            for (auto &ct : inputs) {
-                operands.push_back(backend.adopt(std::move(ct)));
-            }
-            result = std::move(
-                he::run_program(*program, backend, operands, keys).front());
-        }
-
-        if (config_.functional) {
-            // Download blocks the lane (the Decrypt-side synchronization
-            // of Fig. 2) and the response carries the result bytes.
-            resp.result =
-                wire::serialize(core::download(gpu, backend.native(result)));
-        } else {
-            gpu.queue().transfer(backend.native(result).all().size() *
-                                 sizeof(uint64_t));
-        }
-        resp.ok = true;
-        resp.code = Status::Ok;
-    } catch (const he::ProgramRejected &e) {
-        resp.ok = false;
-        resp.code = Status::InvalidProgram;
-        resp.error = e.what();
-    } catch (const std::exception &e) {
-        resp.ok = false;
-        resp.code = Status::ExecError;
-        resp.error = e.what();
     }
-    resp.complete_ns = gpu.queue().clock_ns();
+    resp.complete_ns = lane.finish();
     if (lane_span != 0) {
-        obs::SpanRecord span;
-        span.id = lane_span;
-        span.parent = outer_ctx.span;
-        span.clock = obs::Clock::Sim;
-        span.category = obs::Category::Schedule;
-        span.name = "serve.lane";
-        span.detail = "lane=" + std::to_string(lane);
-        span.start_ns = resp.dispatch_ns;
-        span.end_ns = resp.complete_ns;
-        span.track = gpu.queue().obs_track();
-        obs::TraceRecorder::instance().record(std::move(span));
+        obs::record_sim_span("serve.lane", obs::Category::Schedule,
+                             resp.dispatch_ns, resp.complete_ns, lane.track(),
+                             lane.detail(), lane_span);
     }
     return resp;
 }
 
-Response InferenceServer::execute_host(const Request &request,
-                                       double dispatch_time) {
-    Response resp;
-    resp.session_id = request.session_id;
-    resp.enqueue_ns = request.arrival_ns;
-
-    // Same session -> lane placement as the pool, on simulated host lane
-    // clocks: one session's requests stay ordered, distinct sessions
-    // overlap across lanes, and batching/queueing behavior survives the
-    // fallback unchanged.
-    const std::size_t lane = request.session_id % host_lane_ns_.size();
-    double clock = std::max(host_lane_ns_[lane], dispatch_time);
-    resp.dispatch_ns = clock;
-
-    // Same lane-schedule span shape as the GPU path, on a simulated host
-    // lane track — the trace tree looks identical across backends.
-    const obs::TraceContext outer_ctx = obs::current_context();
-    const uint64_t lane_span =
-        obs::tracing_enabled() ? obs::TraceRecorder::instance().next_id()
-                               : 0;
-    obs::ContextScope lane_scope(lane_span);
-
-    he::Backend &backend = host_bundle_.backend();
-    try {
-        // Key acquisition mirrors the GPU path; the re-staging charge of
-        // an evicted keyset lands on the lane clock instead of a device
-        // queue.
-        const ckks::RelinKeys *relin = has_relin_ ? &relin_ : nullptr;
-        const ckks::GaloisKeys *galois = has_galois_ ? &galois_ : nullptr;
-        std::shared_ptr<const SessionKeys> session_keys;
-        if (key_manager_->has(request.session_id)) {
-            KeyManager::Acquired acq =
-                key_manager_->acquire(request.session_id);
-            session_keys = std::move(acq.keys);
-            relin = &session_keys->relin;
-            galois = &session_keys->galois;
-            if (acq.miss) {
-                clock += kHostKeyLoadNsPerByte *
-                         static_cast<double>(acq.expanded_bytes);
-            }
+std::vector<uint8_t> InferenceServer::evaluate(const Admitted &entry,
+                                               Lane &lane) {
+    const Request &request = entry.request;
+    // Evaluation keys: the session's own (through the KeyManager's LRU
+    // cache) when registered, else the shared tenant keys.  Re-staging the
+    // keys of a cache miss makes eviction pressure visible in the tail.
+    he::ProgramKeys keys;
+    keys.relin = relin_.key.keys.empty() ? nullptr : &relin_;
+    keys.galois = galois_.keys.empty() ? nullptr : &galois_;
+    std::shared_ptr<const SessionKeys> session_keys;
+    if (key_manager_->has(request.session_id)) {
+        KeyManager::Acquired acq = key_manager_->acquire(request.session_id);
+        session_keys = std::move(acq.keys);
+        keys.relin = &session_keys->relin;
+        keys.galois = &session_keys->galois;
+        if (acq.miss) {
+            lane.charge_key_load(acq.expanded_bytes);
         }
-
-        std::size_t input_level = host_->max_level();
-        if (request.cost_only && request.cost_only_level != 0) {
-            input_level = std::min<std::size_t>(request.cost_only_level,
-                                                host_->max_level());
-        }
-
-        std::shared_ptr<const he::Program> client_program;
-        const bool is_program = request.op == Op::Program;
-        if (is_program) {
-            if (config_.compile_programs) {
-                client_program = compiled_program(request.session_id,
-                                                  request.program,
-                                                  input_level);
-            } else {
-                auto raw = he::load_program(request.program, *host_);
-                util::require(raw.outputs.size() == 1,
-                              "served programs must have exactly one output");
-                client_program =
-                    std::make_shared<const he::Program>(std::move(raw));
-            }
-        }
-
-        const bool needs_relin = request.op != Op::Rotate &&
-                                 request.op != Op::MatmulTile && !is_program;
-        util::require(!needs_relin || relin != nullptr,
-                      "relin keys not registered");
-        util::require(request.op != Op::Rotate || galois != nullptr,
-                      "galois keys not registered");
-
-        // Deterministic lane-time charge: nodes x per-node cost x limb
-        // count.  Strictly positive, so dispatch < complete holds for
-        // every served request.
-        std::size_t nodes = 1;
-        if (request.op == Op::MatmulTile) {
-            nodes = 2 * static_cast<std::size_t>(request.matmul_tiles);
-        } else if (is_program) {
-            nodes = std::max<std::size_t>(client_program->nodes.size(), 1);
-        } else {
-            nodes = std::max<std::size_t>(
-                core::routine_program(static_cast<core::Routine>(request.op))
-                    .nodes.size(),
-                1);
-        }
-        clock += kHostNodeNs * static_cast<double>(nodes) *
-                 static_cast<double>(input_level + 1);
-
-        if (!request.cost_only) {
-            const std::size_t arity = is_program ? client_program->num_inputs
-                                                 : op_arity(request.op);
-            util::require(request.inputs.size() == arity,
-                          "input count does not match op");
-            std::vector<he::Cipher> operands;
-            operands.reserve(arity);
-            for (const auto &bytes : request.inputs) {
-                operands.push_back(
-                    backend.upload(wire::load_ciphertext(bytes, *host_)));
-            }
-
-            he::Cipher result;
-            if (request.op == Op::MatmulTile) {
-                // The GPU path's t-fold multiply-accumulate of a*b is the
-                // size-3 product added to itself tiles-1 more times.
-                const he::Cipher product =
-                    backend.multiply(operands[0], operands[1]);
-                result = product;
-                for (uint64_t t = 1; t < request.matmul_tiles; ++t) {
-                    result = backend.add(result, product);
-                }
-            } else {
-                he::Program stepped_rotate;
-                const he::Program *program = nullptr;
-                if (is_program) {
-                    program = client_program.get();
-                } else if (request.op == Op::Rotate &&
-                           request.rotate_step != 1) {
-                    stepped_rotate = he::rotate_program(request.rotate_step);
-                    program = &stepped_rotate;
-                } else {
-                    const auto routine =
-                        static_cast<core::Routine>(request.op);
-                    program = config_.compile_programs
-                                  ? &core::routine_program_compiled(routine)
-                                  : &core::routine_program(routine);
-                }
-                he::ProgramKeys keys;
-                keys.relin = relin;
-                keys.galois = galois;
-                result = std::move(
-                    he::run_program(*program, backend, operands, keys)
-                        .front());
-            }
-            if (config_.functional) {
-                resp.result = wire::serialize(backend.download(result));
-            }
-        }
-        resp.ok = true;
-        resp.code = Status::Ok;
-    } catch (const he::ProgramRejected &e) {
-        resp.ok = false;
-        resp.code = Status::InvalidProgram;
-        resp.error = e.what();
-    } catch (const std::exception &e) {
-        resp.ok = false;
-        resp.code = Status::ExecError;
-        resp.error = e.what();
     }
-    host_lane_ns_[lane] = clock;
-    resp.complete_ns = clock;
-    if (lane_span != 0) {
-        obs::SpanRecord span;
-        span.id = lane_span;
-        span.parent = outer_ctx.span;
-        span.clock = obs::Clock::Sim;
-        span.category = obs::Category::Schedule;
-        span.name = "serve.lane";
-        span.detail = "host lane=" + std::to_string(lane);
-        span.start_ns = resp.dispatch_ns;
-        span.end_ns = resp.complete_ns;
-        span.track = obs_host_lane_track(lane);
-        obs::TraceRecorder::instance().record(std::move(span));
+    const std::size_t level = input_level(request, *host_);
+
+    // A client circuit runs in compiled form when compile_programs is on,
+    // cached per session so a re-submitted circuit pays the compile once.
+    const bool is_program = request.op == Op::Program;
+    std::shared_ptr<const he::Program> program = entry.program;
+    if (is_program && config_.compile_programs) {
+        program = compiled_program(entry, level);
     }
-    return resp;
+    const bool needs_relin = request.op != Op::Rotate &&
+                             request.op != Op::MatmulTile && !is_program;
+    util::require(!needs_relin || keys.relin != nullptr,
+                  "relin keys not registered");
+    util::require(request.op != Op::Rotate || keys.galois != nullptr,
+                  "galois keys not registered");
+    lane.charge_compute(
+        std::max<std::size_t>(
+            is_program ? program->nodes.size() : route_cost(request), 1),
+        level + 1);
+
+    // Operands: deserialize + upload, or the lane's cost-only stand-ins.
+    he::Backend &backend = lane.backend();
+    const std::size_t arity =
+        is_program ? program->num_inputs : op_arity(request.op);
+    std::optional<std::vector<he::Cipher>> operands;
+    if (request.cost_only) {
+        operands = lane.cost_only_operands(arity, level);
+    } else {
+        util::require(request.inputs.size() == arity,
+                      "input count does not match op");
+        operands.emplace();
+        for (const auto &bytes : request.inputs) {
+            operands->push_back(
+                backend.upload(wire::load_ciphertext(bytes, *host_)));
+        }
+    }
+    if (!operands) {
+        return {};  // charged, not executed
+    }
+
+    he::Cipher result;
+    if (request.op == Op::MatmulTile) {
+        // One output tile of the encrypted matmul, strictly ordered on the
+        // session's lane (Section IV-E).
+        result = backend.multiply_acc((*operands)[0], (*operands)[1],
+                                      request.matmul_tiles);
+    } else {
+        // Everything else is a program: the client's circuit or the
+        // routine's canonical program, compiled as the routine harness
+        // runs it (identity: these programs are already minimal).
+        he::Program stepped_rotate;
+        const he::Program *run = program.get();
+        if (request.op == Op::Rotate && request.rotate_step != 1) {
+            stepped_rotate = he::rotate_program(request.rotate_step);
+            run = &stepped_rotate;
+        } else if (!is_program) {
+            const auto routine = static_cast<core::Routine>(request.op);
+            run = config_.compile_programs
+                      ? &core::routine_program_compiled(routine)
+                      : &core::routine_program(routine);
+        }
+        result = std::move(
+            he::run_program(*run, backend, *operands, keys).front());
+    }
+    if (!config_.functional) {
+        lane.drop_result(result);
+        return {};
+    }
+    // Download blocks a device lane (the Decrypt-side sync of Fig. 2).
+    return wire::serialize(backend.download(result));
 }
 
 LatencyStats InferenceServer::stats() const {
-    LatencyStats stats;
-    stats.requests = latencies_ns_.size();
-    stats.failed = failed_;
-    stats.overloaded = overloaded_;
-    stats.invalid_programs = invalid_programs_;
-    stats.batches = batches_;
-    stats.fallbacks = fallbacks_;
-    stats.host_requests = host_requests_;
+    LatencyStats stats = counts_;
     stats.keys = key_manager_->stats();
 
     // Publish the device-side aggregates that only exist at stats points
@@ -934,31 +675,7 @@ LatencyStats InferenceServer::stats() const {
         reg.gauge("xgpu.cache.peak_live_bytes")
             .set(static_cast<double>(peak));
     }
-
-    if (latencies_ns_.empty()) {
-        return stats;
-    }
-    std::vector<double> sorted = latencies_ns_;
-    std::sort(sorted.begin(), sorted.end());
-    // Exact nearest-rank percentiles (obs::percentile is the shared
-    // implementation); the registry histogram above is the bounded
-    // export-side view of the same distribution.
-    stats.p50_ms = obs::percentile(sorted, 0.50) * 1e-6;
-    stats.p95_ms = obs::percentile(sorted, 0.95) * 1e-6;
-    stats.p99_ms = obs::percentile(sorted, 0.99) * 1e-6;
-    stats.max_ms = sorted.back() * 1e-6;
-    double sum = 0.0;
-    for (const double v : sorted) {
-        sum += v;
-    }
-    stats.mean_ms = sum / static_cast<double>(sorted.size()) * 1e-6;
-    const double window_ns = last_complete_ns_ - std::max(first_enqueue_ns_,
-                                                          0.0);
-    stats.makespan_ms = window_ns * 1e-6;
-    stats.throughput_rps = window_ns > 0.0
-                               ? static_cast<double>(stats.requests) /
-                                     (window_ns * 1e-9)
-                               : 0.0;
+    latency_.summarize(stats);
     return stats;
 }
 

@@ -3,18 +3,17 @@
 // the multi-queue scheduler into a client/server system.
 //
 // Clients submit wire-serialized Requests (monolithic envelopes or bounded
-// chunk-frame streams); the server parses them into an admission queue,
-// forms dynamic batches (dispatch when the batch fills or when the
-// admission window expires), deserializes the operand ciphertexts, and
-// runs each request on its session's lane of a GpuEvaluatorPool — so one
-// session's chain stays in-order while distinct sessions overlap across
-// tiles (Section III-D applied per request).  Per-session evaluation keys
-// live behind a serve::KeyManager: a byte-budgeted LRU cache of expanded
-// keysets over a seed-compressed cold store, so sessions may far outnumber
-// resident keys.  Every response carries enqueue/dispatch/complete
-// timestamps off the simulated clock; the server aggregates them into
-// p50/p95/p99 latency and throughput, the serving metrics makespan-only
-// reporting cannot express.
+// chunk-frame streams); the server validates them, decodes and analyzes
+// client programs once at admission, forms dynamic batches (dispatch when
+// the batch fills or the admission window expires), and runs each request
+// on its session's lane — one session's chain stays in-order while
+// distinct sessions overlap across tiles (Section III-D per request).
+// Every request takes one execution path written against he::Backend; a
+// GPU pool lane and a simulated host lane differ only in what their Lane
+// supplies.  Per-session evaluation keys live behind a serve::KeyManager
+// (byte-budgeted LRU over a seed-compressed cold store), so sessions may
+// far outnumber resident keys.  Responses carry enqueue/dispatch/complete
+// timestamps off the simulated clock, aggregated into LatencyStats.
 #pragma once
 
 #include <memory>
@@ -23,8 +22,7 @@
 
 #include "he/program.h"
 #include "he/registry.h"
-#include "serve/key_manager.h"
-#include "serve/protocol.h"
+#include "serve/metrics.h"
 #include "xehe/evaluator_pool.h"
 
 namespace xehe::serve {
@@ -72,36 +70,6 @@ struct ServerConfig {
     void validate() const;
 };
 
-/// Latency/throughput aggregate over every request served so far.
-struct LatencyStats {
-    std::size_t requests = 0;   ///< completed successfully
-    std::size_t failed = 0;     ///< includes overloaded rejections
-    std::size_t overloaded = 0; ///< typed backpressure rejections
-    /// Programs rejected by static verification (he::ProgramAnalyzer) —
-    /// at admission or at compile time — before any lane dispatch, so
-    /// no device time was charged.  Included in `failed`.
-    std::size_t invalid_programs = 0;
-    std::size_t batches = 0;
-    /// Requests that wanted the GPU (Auto or Gpu hint) but ran on the
-    /// host backend because no GPU backend was available — graceful
-    /// degradation, not failure.
-    std::size_t fallbacks = 0;
-    /// Requests executed on the host backend for any reason (explicit
-    /// hint, cost routing, or fallback).
-    std::size_t host_requests = 0;
-    double p50_ms = 0.0;
-    double p95_ms = 0.0;
-    double p99_ms = 0.0;
-    double mean_ms = 0.0;
-    double max_ms = 0.0;
-    /// Serving window: first enqueue to last completion (simulated).
-    double makespan_ms = 0.0;
-    double throughput_rps = 0.0;  ///< requests / makespan
-    /// Key-cache counters (see serve::KeyStats): how the resident-key
-    /// budget behaved under this load.
-    KeyStats keys;
-};
-
 class InferenceServer {
 public:
     /// `key_manager` (optional) shares one key cache across servers — the
@@ -115,9 +83,7 @@ public:
                     std::shared_ptr<KeyManager> key_manager = nullptr,
                     xgpu::ThreadPool *pool = nullptr);
 
-    /// Registers the shared tenant evaluation keys used by sessions that
-    /// did not register their own (as in run_batch_serving: one scheme,
-    /// many sessions).
+    /// Shared tenant evaluation keys for sessions without their own.
     void set_keys(ckks::RelinKeys relin, ckks::GaloisKeys galois);
 
     /// Registers per-session keys with the KeyManager; they are held
@@ -135,22 +101,21 @@ public:
     const ServerConfig &config() const noexcept { return config_; }
     const KeyManager &key_manager() const noexcept { return *key_manager_; }
 
-    /// Admission from bytes: parses the envelope and enqueues.  A buffer
-    /// that fails validation is answered immediately with a failed
-    /// Response instead of crashing the server.
+    /// Admission.  A request that fails validation (wire or
+    /// serve::validate) is answered with a typed ParseError; a program
+    /// the analyzer rejects, with InvalidProgram.  Neither reaches a lane.
     void submit(std::span<const uint8_t> request_bytes);
     void submit(Request request);
 
     /// Admission from one chunk frame of a streamed request (see
-    /// wire::chunk_message / serve::chunk_request).  Chunks of different
-    /// streams may interleave; a stream whose frames arrive corrupted,
-    /// out of order, or inconsistent is aborted with a failed Response
-    /// and its partial state discarded.  The request enqueues when its
-    /// last chunk completes the stream.
+    /// ChunkAssembler): a bad frame aborts its stream with a ParseError;
+    /// the request enqueues when its last chunk completes the stream.
     void submit_chunk(std::span<const uint8_t> frame);
 
     /// Streams with at least one accepted chunk that have not completed.
-    std::size_t open_streams() const noexcept { return streams_.size(); }
+    std::size_t open_streams() const noexcept {
+        return streams_.open_streams();
+    }
     /// Requests admitted and not yet drained by run().
     std::size_t pending_requests() const noexcept { return pending_.size(); }
 
@@ -160,6 +125,8 @@ public:
     std::vector<Response> run();
 
     LatencyStats stats() const;
+    /// The completed-request latencies behind stats().
+    const LatencyWindow &latency_window() const noexcept { return latency_; }
 
     /// Compiled-program cache occupancy and hit count (for tests and
     /// capacity monitoring).
@@ -171,38 +138,39 @@ public:
     }
 
 private:
-    /// Wraps execute_routed() in the request's trace identity: reserves a
-    /// span id, makes it the thread's parent context (so lane, key,
-    /// compile and kernel spans all link to it) and records the
-    /// serve.request span over [enqueue, complete] once routing returns.
-    Response execute(const Request &request, double dispatch_time);
-    /// Routing + dispatch (the pre-observability execute()).
-    Response execute_routed(const Request &request, double dispatch_time);
-    /// The GPU execution path (requires pool_); throws
-    /// he::BackendUnavailable before any side effect if the "gpu"
-    /// registry entry vanished, so execute() can fall back to host.
-    Response execute_gpu(const Request &request, double dispatch_time);
-    /// The host execution path: real HostBackend evaluation for
-    /// functional requests, plus a deterministic synthetic lane-time
-    /// model so latency/batching behavior stays measurable without a
-    /// device clock.
-    Response execute_host(const Request &request, double dispatch_time);
+    class Lane;
+    class GpuLane;
+    class HostLane;
+
+    /// An admitted request, with its client circuit (Op::Program) as
+    /// decoded and analyzed at admission.
+    struct Admitted {
+        Request request;
+        std::shared_ptr<const he::Program> program;
+    };
+
+    /// route() inside the request's trace identity, recording the
+    /// serve.request span that lane, key, compile and kernel spans join.
+    Response dispatch(const Admitted &entry, double dispatch_time);
+    /// Picks the backend (hint, cost routing, GPU pool, host fallback).
+    Response route(const Admitted &entry, double dispatch_time);
+    /// The one execution path, on whichever backend `lane` wraps: lane
+    /// timing, the typed Status of any error, and the serve.lane span.
+    Response execute(const Admitted &entry, Lane &lane, double dispatch_time);
+    /// Keys, program, operands and evaluation; returns the serialized
+    /// result (empty on cost-only servers).
+    std::vector<uint8_t> evaluate(const Admitted &entry, Lane &lane);
     /// Cheap routing cost proxy for BackendHint::Auto requests.
     std::size_t route_cost(const Request &request) const;
-    /// The compiled form of a client program, from the per-session cache
-    /// when the same session already shipped these exact bytes (compiled
-    /// under the same assumed input level).
+    /// The compiled form of an admitted client program, cached per
+    /// session, program bytes and assumed input level.
     std::shared_ptr<const he::Program> compiled_program(
-        uint64_t session_id, std::span<const uint8_t> bytes,
-        std::size_t input_level);
-    /// Static admission gate for Op::Program requests: analyzes the
-    /// shipped circuit (he::ProgramAnalyzer) against the level the
-    /// server will execute it at.  Returns true to enqueue; on a
-    /// must-fail verdict records a Status::InvalidProgram failure and
-    /// returns false — the request never reaches a lane.  Undecodable
-    /// program bytes admit (execution reproduces the legacy error).
-    bool admit_program(const Request &request);
-    void record_failure(uint64_t session_id, Status code, std::string error);
+        const Admitted &entry, std::size_t input_level);
+    /// Decodes and analyzes (he::ProgramAnalyzer) an Op::Program request
+    /// at the level it will execute at; false when it was rejected.
+    bool admit_program(Admitted &entry);
+    /// Answers a request with a typed failure before it reaches a lane.
+    void reject(uint64_t session_id, Status code, std::string error);
 
     const ckks::CkksContext *host_;
     ServerConfig config_;
@@ -217,56 +185,29 @@ private:
     /// lane_count(); all-zero and unused while requests run on the GPU).
     std::vector<double> host_lane_ns_;
     std::shared_ptr<KeyManager> key_manager_;
-    ckks::RelinKeys relin_;
+    ckks::RelinKeys relin_;  ///< shared tenant keys (empty: none)
     ckks::GaloisKeys galois_;
-    bool has_relin_ = false;
-    bool has_galois_ = false;
 
-    /// Compiled client circuits, keyed by the session id plus the raw
-    /// program bytes (collision-free: equal keys mean byte-equal
-    /// submissions from the same tenant).  Bounded with clear-on-overflow
-    /// so a tenant cycling circuits cannot grow the server unboundedly.
+    /// Compiled client circuits (see compiled_program), bounded with
+    /// clear-on-overflow so a tenant cycling circuits cannot grow it.
     std::unordered_map<std::string,
                        std::shared_ptr<const he::Program>> program_cache_;
     std::size_t program_cache_hits_ = 0;
 
-    /// In-flight chunked streams, bounded (kMaxOpenStreams) so a client
-    /// opening streams and never finishing them cannot grow the server.
-    struct ChunkStream {
-        StreamingRequestParser parser;
-        uint32_t next_seq = 0;
-        uint64_t received = 0;
-        uint64_t total = 0;
-        uint64_t last_fed = 0;  ///< admission tick of the latest frame
-    };
-    static constexpr std::size_t kMaxOpenStreams = 256;
-    std::unordered_map<uint64_t, ChunkStream> streams_;
-    /// Monotone admission tick for stream staleness: at the open-stream
-    /// cap the least-recently-fed stream is evicted (with a typed
-    /// failure) instead of rejecting new streams forever.
-    uint64_t stream_tick_ = 0;
+    ChunkAssembler streams_;
 
-    std::vector<Request> pending_;
+    std::vector<Admitted> pending_;
     std::vector<Response> parse_failures_;
     double admission_clock_ns_ = 0.0;
 
-    // Lifetime aggregates for stats().
-    std::vector<double> latencies_ns_;
-    std::size_t failed_ = 0;
-    std::size_t overloaded_ = 0;
-    std::size_t invalid_programs_ = 0;
-    std::size_t batches_ = 0;
-    std::size_t fallbacks_ = 0;
-    std::size_t host_requests_ = 0;
-    double first_enqueue_ns_ = -1.0;
-    double last_complete_ns_ = 0.0;
+    LatencyStats counts_;  ///< lifetime counters; stats() adds the rest
+    LatencyWindow latency_;
 
     // Lazily allocated Perfetto tracks: one for serve.request/serve.batch
     // spans, one per simulated host lane (GPU lanes use their queue's).
     uint32_t obs_serve_track_ = 0;
     std::vector<uint32_t> obs_host_lane_tracks_;
     uint32_t obs_serve_track();
-    uint32_t obs_host_lane_track(std::size_t lane);
 };
 
 }  // namespace xehe::serve

@@ -1,11 +1,10 @@
 #include "serve/sharded_server.h"
 
 #include <algorithm>
-#include <cmath>
+#include <iterator>
 #include <thread>
 #include <utility>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace xehe::serve {
@@ -21,8 +20,6 @@ uint64_t splitmix64(uint64_t x) {
     x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
     return x ^ (x >> 31);
 }
-
-constexpr std::size_t kMaxFrontStreams = 256;
 
 }  // namespace
 
@@ -108,17 +105,9 @@ void ShardedServer::register_session_keys(uint64_t session_id,
 bool ShardedServer::admit(Request request) {
     const std::size_t shard = shard_of(request.session_id);
     if (credits_[shard] == 0) {
-        Response resp;
-        resp.session_id = request.session_id;
-        resp.ok = false;
-        resp.code = Status::Overloaded;
-        resp.error = "serve: shard out of admission credits";
-        rejections_.push_back(std::move(resp));
-        ++overloaded_;
-        ++failed_;
-        obs::Registry::global().counter("serve.overloaded").add();
-        obs::Registry::global().counter("serve.failed").add();
-        return false;
+        return reject(Status::Overloaded,
+                      "serve: shard out of admission credits",
+                      request.session_id);
     }
     --credits_[shard];
     shards_[shard]->submit(std::move(request));
@@ -131,102 +120,38 @@ bool ShardedServer::submit(Request request) {
 }
 
 bool ShardedServer::submit(std::span<const uint8_t> request_bytes) {
+    Request request;
     try {
-        Request request = load_request(request_bytes);
-        util::MutexLock lock(mutex_);
-        return admit(std::move(request));
+        request = load_request(request_bytes);
     } catch (const wire::WireError &e) {
-        Response resp;
-        resp.ok = false;
-        resp.code = Status::ParseError;
-        resp.error = e.what();
         util::MutexLock lock(mutex_);
-        rejections_.push_back(std::move(resp));
-        ++failed_;
-        obs::Registry::global().counter("serve.failed").add();
-        return false;
+        return reject(Status::ParseError, e.what());
     }
+    util::MutexLock lock(mutex_);
+    return admit(std::move(request));
 }
 
-bool ShardedServer::reject(Status code, std::string error) {
-    Response resp;
-    resp.ok = false;
-    resp.code = code;
-    resp.error = std::move(error);
-    rejections_.push_back(std::move(resp));
-    ++failed_;
-    obs::Registry::global().counter("serve.failed").add();
-    if (code == Status::Overloaded) {
-        ++overloaded_;
-        obs::Registry::global().counter("serve.overloaded").add();
-    }
+bool ShardedServer::reject(Status code, std::string error,
+                           uint64_t session_id) {
+    rejections_.push_back(
+        record_failure(rejected_, session_id, code, std::move(error)));
     return false;
 }
 
 bool ShardedServer::submit_chunk(std::span<const uint8_t> frame) {
-    // Mirrors InferenceServer::submit_chunk, but assembly happens before
-    // routing: a chunk stream's session id is only known once the fixed
-    // request prefix parses, so credits are charged when the completed
-    // request reaches its shard, not per frame.
     util::MutexLock lock(mutex_);
     obs::Span span("wire.chunk", obs::Category::Wire);
     if (span.active()) {
         span.set_detail(std::to_string(frame.size()) + " bytes");
     }
-    wire::ChunkView chunk;
-    try {
-        chunk = wire::open_chunk(frame);
-    } catch (const wire::WireError &e) {
-        return reject(Status::ParseError, e.what());
+    ChunkAssembler::Fed fed = streams_.feed(frame);
+    if (fed.evicted) {
+        reject(Status::Overloaded, "serve: evicted stale chunk stream");
     }
-
-    auto it = streams_.find(chunk.stream_id);
-    if (it == streams_.end()) {
-        if (streams_.size() >= kMaxFrontStreams) {
-            // Evict the least-recently-fed stream: abandoned streams
-            // must not pin the front-door table and reject every new
-            // stream forever.
-            auto stale = streams_.begin();
-            for (auto s = streams_.begin(); s != streams_.end(); ++s) {
-                if (s->second.last_fed < stale->second.last_fed) {
-                    stale = s;
-                }
-            }
-            streams_.erase(stale);
-            reject(Status::Overloaded, "serve: evicted stale chunk stream");
-        }
-        it = streams_.emplace(chunk.stream_id, FrontChunkStream{}).first;
-        it->second.total = chunk.total_len;
+    if (!fed.error.empty()) {
+        return reject(Status::ParseError, std::move(fed.error));
     }
-    FrontChunkStream &stream = it->second;
-    stream.last_fed = ++stream_tick_;
-
-    try {
-        if (chunk.seq != stream.next_seq || chunk.offset != stream.received ||
-            chunk.total_len != stream.total) {
-            throw wire::WireError(
-                "wire: chunk out of order or inconsistent with stream");
-        }
-        const bool complete = stream.parser.feed(chunk.payload);
-        stream.next_seq = chunk.seq + 1;
-        stream.received += chunk.payload.size();
-        if (chunk.last) {
-            if (!complete || stream.received != stream.total) {
-                throw wire::WireError(
-                    "wire: stream ended before request was complete");
-            }
-            Request request = stream.parser.take();
-            streams_.erase(it);
-            return admit(std::move(request));
-        }
-        if (complete) {
-            throw wire::WireError("wire: request complete before final chunk");
-        }
-        return true;
-    } catch (const wire::WireError &e) {
-        streams_.erase(chunk.stream_id);
-        return reject(Status::ParseError, e.what());
-    }
+    return !fed.request || admit(std::move(*fed.request));
 }
 
 std::vector<Response> ShardedServer::run() {
@@ -264,30 +189,21 @@ std::vector<Response> ShardedServer::run() {
         }
     }
 
-    util::MutexLock lock(mutex_);
-    for (std::size_t s = 0; s < per_shard.size(); ++s) {
-        for (Response &resp : per_shard[s]) {
-            if (resp.ok) {
-                latencies_ns_.push_back(resp.latency_ns());
-                last_complete_ns_ =
-                    std::max(last_complete_ns_, resp.complete_ns);
-                if (first_enqueue_ns_ < 0.0 ||
-                    resp.enqueue_ns < first_enqueue_ns_) {
-                    first_enqueue_ns_ = resp.enqueue_ns;
-                }
-            }
-            responses.push_back(std::move(resp));
-        }
+    for (auto &shard_responses : per_shard) {
+        std::move(shard_responses.begin(), shard_responses.end(),
+                  std::back_inserter(responses));
     }
+    util::MutexLock lock(mutex_);
     credits_.assign(shards_.size(), config_.credits_per_shard);
     return responses;
 }
 
 LatencyStats ShardedServer::stats() const {
     util::MutexLock lock(mutex_);
-    LatencyStats merged;
-    merged.failed = failed_;
-    merged.overloaded = overloaded_;
+    LatencyStats merged = rejected_;
+    // Shards drain concurrently, so the serving window spans the earliest
+    // enqueue to the latest completion over every shard.
+    LatencyWindow window;
     for (const auto &shard : shards_) {
         const LatencyStats s = shard->stats();
         merged.failed += s.failed;
@@ -306,31 +222,9 @@ LatencyStats ShardedServer::stats() const {
         merged.keys.peak_resident_bytes += s.keys.peak_resident_bytes;
         merged.keys.budget_bytes += s.keys.budget_bytes;
         merged.keys.cold_bytes += s.keys.cold_bytes;
+        window.merge(shard->latency_window());
     }
-    merged.requests = latencies_ns_.size();
-    if (latencies_ns_.empty()) {
-        return merged;
-    }
-    std::vector<double> sorted = latencies_ns_;
-    std::sort(sorted.begin(), sorted.end());
-    merged.p50_ms = obs::percentile(sorted, 0.50) * 1e-6;
-    merged.p95_ms = obs::percentile(sorted, 0.95) * 1e-6;
-    merged.p99_ms = obs::percentile(sorted, 0.99) * 1e-6;
-    merged.max_ms = sorted.back() * 1e-6;
-    double sum = 0.0;
-    for (const double v : sorted) {
-        sum += v;
-    }
-    merged.mean_ms = sum / static_cast<double>(sorted.size()) * 1e-6;
-    // Shards drain concurrently, so the serving window spans the earliest
-    // enqueue to the latest completion over every shard.
-    const double window_ns =
-        last_complete_ns_ - std::max(first_enqueue_ns_, 0.0);
-    merged.makespan_ms = window_ns * 1e-6;
-    merged.throughput_rps =
-        window_ns > 0.0
-            ? static_cast<double>(merged.requests) / (window_ns * 1e-9)
-            : 0.0;
+    window.summarize(merged);
     return merged;
 }
 

@@ -99,8 +99,8 @@ public:
 
     /// Merged view across shards: request/failure/overload counts and key
     /// counters are summed, latency percentiles are recomputed over every
-    /// completed request, and the makespan spans first enqueue to last
-    /// completion over all shards.
+    /// shard's completed requests, and the makespan spans first enqueue
+    /// to last completion over all shards.
     LatencyStats stats() const;
 
 private:
@@ -108,41 +108,26 @@ private:
     /// Records a front-door rejection (always returns false).  A member
     /// rather than a lambda so the thread-safety analysis can see the
     /// lock precondition.
-    bool reject(Status code, std::string error) REQUIRES(mutex_);
+    bool reject(Status code, std::string error, uint64_t session_id = 0)
+        REQUIRES(mutex_);
 
     ShardedConfig config_;
     std::vector<std::pair<uint64_t, std::size_t>> ring_;  ///< (hash, shard)
     std::vector<std::unique_ptr<xgpu::ThreadPool>> pools_;
     std::vector<std::unique_ptr<InferenceServer>> shards_;
 
-    /// Serializes admission (credits, rejections, chunk reassembly) and
-    /// the lifetime aggregates against concurrent submitters; run()'s
-    /// per-shard drain threads never touch guarded state.  Held across
-    /// the routed shard's submit() so per-shard admission (including the
-    /// program-analysis gate) stays single-threaded.
+    /// Serializes admission (credits, rejections, chunk reassembly)
+    /// against concurrent submitters; run()'s per-shard drain threads
+    /// never touch guarded state.  Held across the routed shard's submit()
+    /// so per-shard admission (including the program-analysis gate) stays
+    /// single-threaded.
     mutable util::Mutex mutex_;
     std::vector<std::size_t> credits_ GUARDED_BY(mutex_);
     std::vector<Response> rejections_ GUARDED_BY(mutex_);
-
-    struct FrontChunkStream {
-        StreamingRequestParser parser;
-        uint32_t next_seq = 0;
-        uint64_t received = 0;
-        uint64_t total = 0;
-        uint64_t last_fed = 0;  ///< admission tick of the latest frame
-    };
-    std::unordered_map<uint64_t, FrontChunkStream> streams_
-        GUARDED_BY(mutex_);
-    /// Staleness tick: at the open-stream cap the least-recently-fed
-    /// stream is evicted instead of locking out new streams forever.
-    uint64_t stream_tick_ GUARDED_BY(mutex_) = 0;
-
-    // Lifetime aggregates (completed requests across every run()).
-    std::vector<double> latencies_ns_ GUARDED_BY(mutex_);
-    std::size_t overloaded_ GUARDED_BY(mutex_) = 0;
-    std::size_t failed_ GUARDED_BY(mutex_) = 0;
-    double first_enqueue_ns_ GUARDED_BY(mutex_) = -1.0;
-    double last_complete_ns_ GUARDED_BY(mutex_) = 0.0;
+    /// Front-door chunk reassembly: a stream's session (and so its
+    /// shard) is known only once its request completes.
+    ChunkAssembler streams_ GUARDED_BY(mutex_);
+    LatencyStats rejected_ GUARDED_BY(mutex_);  ///< front-door rejections
 };
 
 }  // namespace xehe::serve

@@ -356,6 +356,86 @@ TEST(HeRegistryConformance, RandomProgramDagsBitIdenticalAcrossBackends) {
     }
 }
 
+TEST(HeRegistryConformance, ServedOpsBitIdenticalOnHostAndGpuLanes) {
+    // One server, the same ciphertext bytes submitted twice per case —
+    // pinned to a host lane and to a GPU lane — must come back
+    // byte-identical for every Op: the invariant that lets both backends
+    // share one execution path.
+    if (!BackendRegistry::instance().available("gpu")) {
+        GTEST_SKIP() << "gpu backend unavailable; both sides would be host";
+    }
+    RegistryRig rig;
+    const int steps[] = {1, 3};
+    rig.galois = rig.host.keygen.create_galois_keys(steps);
+    serve::InferenceServer server(rig.host.context, xgpu::device1(),
+                                  core::GpuOptions{}, serve::ServerConfig{});
+    ASSERT_TRUE(server.gpu_pool_active());
+    server.set_keys(rig.relin, rig.galois);
+
+    he::ProgramBuilder builder(2);
+    const auto prod = builder.relinearize(
+        builder.multiply(builder.input(0), builder.input(1)));
+    const auto sq = builder.relinearize(builder.square(builder.input(0)));
+    builder.output(builder.add(builder.rotate(prod, 1), sq));
+    const auto circuit = wire::serialize(builder.build());
+
+    struct Case {
+        serve::Op op;
+        std::size_t arity;
+        int rotate_step = 1;
+        uint64_t tiles = 1;
+    };
+    const Case cases[] = {
+        {serve::Op::MulLin, 2},
+        {serve::Op::MulLinRS, 2},
+        {serve::Op::SqrLinRS, 1},
+        {serve::Op::MulLinRSModSwAdd, 3},
+        {serve::Op::Rotate, 1, 1},
+        {serve::Op::Rotate, 1, 3},
+        {serve::Op::MatmulTile, 2, 1, 1},
+        {serve::Op::MatmulTile, 2, 1, 2},
+        {serve::Op::MatmulTile, 2, 1, 5},
+        {serve::Op::Program, 2},
+    };
+    uint64_t session = 0;
+    for (const Case &c : cases) {
+        serve::Request req;
+        req.op = c.op;
+        req.rotate_step = c.rotate_step;
+        req.matmul_tiles = c.tiles;
+        if (c.op == serve::Op::Program) {
+            req.program = circuit;
+        }
+        for (std::size_t i = 0; i < c.arity; ++i) {
+            req.inputs.push_back(wire::serialize(
+                rig.host.enc(rig.host.values(session + 100 * i))));
+        }
+        for (const auto hint :
+             {serve::BackendHint::Host, serve::BackendHint::Gpu}) {
+            req.session_id = session++;
+            req.backend = hint;
+            server.submit(req);
+        }
+    }
+
+    const auto responses = server.run();
+    ASSERT_EQ(responses.size(), 2 * std::size(cases));
+    std::vector<std::vector<uint8_t>> results(responses.size());
+    for (const auto &resp : responses) {
+        ASSERT_TRUE(resp.ok) << resp.error;
+        ASSERT_FALSE(resp.result.empty());
+        results.at(resp.session_id) = resp.result;
+    }
+    for (std::size_t k = 0; k < std::size(cases); ++k) {
+        EXPECT_EQ(results[2 * k], results[2 * k + 1])
+            << serve::op_name(cases[k].op) << " case " << k
+            << ": host and GPU lanes disagree";
+    }
+    const auto stats = server.stats();
+    EXPECT_EQ(stats.host_requests, std::size(cases));
+    EXPECT_EQ(stats.fallbacks, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Serving fallback: degrade to host, count it, stay bit-exact
 // ---------------------------------------------------------------------------

@@ -171,6 +171,76 @@ TEST(Serve, BadRequestsFailWithoutPoisoningTheServer) {
     EXPECT_EQ(stats.failed, 2u);
 }
 
+TEST(Serve, ZeroTileMatmulIsRejectedOnBothBackends) {
+    // Regression: a directly submitted MatmulTile with matmul_tiles = 0
+    // used to skip the wire's field checks and come back ok — a*b from
+    // the host lane, an encryption of zero from the GPU lane.
+    ServeBench b;
+    auto server = b.server();
+    const auto ct = wire::serialize(b.host.enc(b.host.values(61)));
+    for (const auto hint :
+         {serve::BackendHint::Host, serve::BackendHint::Gpu}) {
+        Request req;
+        req.op = Op::MatmulTile;
+        req.matmul_tiles = 0;
+        req.backend = hint;
+        req.inputs = {ct, ct};
+        server.submit(req);
+    }
+    const auto responses = server.run();
+    ASSERT_EQ(responses.size(), 2u);
+    for (const auto &resp : responses) {
+        EXPECT_FALSE(resp.ok);
+        EXPECT_EQ(resp.code, serve::Status::ParseError) << resp.error;
+        EXPECT_TRUE(resp.result.empty());
+    }
+    EXPECT_EQ(server.stats().failed, 2u);
+}
+
+TEST(Serve, DirectSubmitEnforcesTheWireFieldRules) {
+    // Every field rule the wire decoder applies also guards submit(Request):
+    // each request below breaks exactly one and must be refused typed,
+    // before it can occupy a lane.
+    ServeBench b;
+    auto server = b.server();
+    const auto ct = wire::serialize(b.host.enc(b.host.values(62)));
+    const auto valid = [&] {
+        Request req;
+        req.op = Op::MulLin;
+        req.inputs = {ct, ct};
+        return req;
+    };
+    std::vector<Request> broken(9, valid());
+    broken[0].op = Op::MatmulTile;
+    broken[0].matmul_tiles = uint64_t{1} << 40;  // a lane busy forever
+    broken[1].op = static_cast<Op>(9);
+    broken[2].backend = static_cast<serve::BackendHint>(3);
+    broken[3].cost_only_level = 65;
+    broken[4].arrival_ns = -1.0;
+    broken[5].inputs.pop_back();  // arity mismatch
+    broken[6].program = {1, 2, 3};  // program bytes on a fixed op
+    broken[7].cost_only = true;  // cost-only with operand bytes
+    broken[8].op = Op::Program;  // program op without program bytes
+    for (Request &req : broken) {
+        server.submit(std::move(req));
+    }
+    server.submit(valid());
+    EXPECT_EQ(server.pending_requests(), 1u);
+
+    const auto responses = server.run();
+    ASSERT_EQ(responses.size(), broken.size() + 1);
+    std::size_t ok = 0;
+    for (const auto &resp : responses) {
+        if (resp.ok) {
+            ++ok;
+            continue;
+        }
+        EXPECT_EQ(resp.code, serve::Status::ParseError) << resp.error;
+        EXPECT_EQ(resp.error.rfind("wire: ", 0), 0u) << resp.error;
+    }
+    EXPECT_EQ(ok, 1u);
+}
+
 TEST(Serve, MissingKeysReportedPerRequest) {
     ServeBench b;
     InferenceServer server(b.host.context, xgpu::device1(),
