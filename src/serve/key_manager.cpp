@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <limits>
 
 #include "obs/metrics.h"
@@ -55,19 +56,93 @@ std::size_t expanded_key_bytes(const ckks::RelinKeys &relin,
 }
 
 KeyManager::KeyManager(const ckks::CkksContext &context,
-                       std::size_t budget_bytes)
-    : context_(&context), budget_bytes_(budget_bytes) {
+                       std::size_t budget_bytes, xgpu::ThreadPool *pool)
+    : context_(&context), budget_bytes_(budget_bytes),
+      pool_(pool != nullptr ? pool : &xgpu::ThreadPool::global()) {
     util::require(budget_bytes_ > 0, "key budget must be positive");
     stats_.budget_bytes = budget_bytes_;
+}
+
+KeyManager::ColdKSwitchKey KeyManager::make_cold(
+    const ckks::KSwitchKey &key, std::size_t &cold_bytes) const {
+    const std::size_t n = context_->n();
+    const std::size_t rns = context_->key_rns();
+    util::require(key.keys.size() == context_->max_level(),
+                  "keys: key-switch key count must equal max_level");
+    ColdKSwitchKey cold;
+    cold.reserve(key.keys.size());
+    for (const ckks::Ciphertext &ct : key.keys) {
+        util::require(ct.size == 2, "keys: key ciphertext size must be 2");
+        util::require(ct.rns == rns, "keys: key ciphertext rns != key_rns");
+        util::require(ct.n == n && ct.data.size() == 2 * rns * n,
+                      "keys: key ciphertext degree mismatch");
+        ColdCiphertext c;
+        // A seeded c1 is regenerated from its seed on expansion; only an
+        // unseeded one has to be kept.
+        const std::size_t stored = ct.a_seeded ? rns * n : 2 * rns * n;
+        c.words.assign(ct.data.begin(), ct.data.begin() + stored);
+        c.scale = ct.scale;
+        c.ntt_form = ct.ntt_form;
+        c.a_seeded = ct.a_seeded;
+        c.a_seed = ct.a_seeded ? ct.a_seed : 0;
+        cold_bytes += c.words.size() * sizeof(uint64_t) +
+                      (c.a_seeded ? sizeof(c.a_seed) : 0);
+        cold.push_back(std::move(c));
+    }
+    return cold;
+}
+
+std::shared_ptr<SessionKeys> KeyManager::expand(const Entry &entry) const {
+    // Lay out every destination first (map nodes and vector slots stay
+    // put), then fill them: each key ciphertext expands from its own seed,
+    // so the fills are independent tasks.
+    auto keys = std::make_shared<SessionKeys>();
+    std::vector<std::pair<const ColdCiphertext *, ckks::Ciphertext *>> jobs;
+    const auto lay_out = [&](const ColdKSwitchKey &from, ckks::KSwitchKey &to) {
+        to.keys.resize(from.size());
+        for (std::size_t i = 0; i < from.size(); ++i) {
+            jobs.emplace_back(&from[i], &to.keys[i]);
+        }
+    };
+    lay_out(entry.relin, keys->relin.key);
+    for (const auto &[elt, cold] : entry.galois) {
+        lay_out(cold, keys->galois.keys[elt]);
+    }
+
+    const std::size_t n = context_->n();
+    const std::size_t rns = context_->key_rns();
+    const std::function<void(std::size_t)> fill = [&](std::size_t j) {
+        const ColdCiphertext &cold = *jobs[j].first;
+        ckks::Ciphertext &ct = *jobs[j].second;
+        ct.n = n;
+        ct.size = 2;
+        ct.rns = rns;
+        ct.scale = cold.scale;
+        ct.ntt_form = cold.ntt_form;
+        ct.a_seeded = cold.a_seeded;
+        ct.a_seed = cold.a_seed;
+        ct.data.reserve(2 * rns * n);
+        ct.data.assign(cold.words.begin(), cold.words.end());
+        if (cold.a_seeded) {
+            ct.data.resize(2 * rns * n);
+            util::expand_uniform_seeded(ct.poly(1), context_->key_modulus(), n,
+                                        cold.a_seed);
+        }
+    };
+    pool_->parallel_for(jobs.size(), fill);
+    return keys;
 }
 
 void KeyManager::register_session(uint64_t session_id,
                                   const ckks::RelinKeys &relin,
                                   const ckks::GaloisKeys &galois) {
-    // Serialize outside the lock: wire encoding is the expensive part.
+    // Build the cold form outside the lock: copying c0 is the expensive
+    // part.
     Entry entry;
-    entry.relin_wire = wire::serialize(relin);
-    entry.galois_wire = wire::serialize(galois);
+    entry.relin = make_cold(relin.key, entry.cold_bytes);
+    for (const auto &[elt, key] : galois.keys) {
+        entry.galois.emplace_back(elt, make_cold(key, entry.cold_bytes));
+    }
 
     util::MutexLock lock(mutex_);
     entries_.insert_or_assign(session_id, std::move(entry));
@@ -78,7 +153,7 @@ void KeyManager::register_session(uint64_t session_id,
     resident_bytes_ = 0;
     for (const auto &[id, e] : entries_) {
         (void)id;
-        stats_.cold_bytes += e.relin_wire.size() + e.galois_wire.size();
+        stats_.cold_bytes += e.cold_bytes;
         if (e.expanded) {
             resident_bytes_ += e.expanded_bytes;
         }
@@ -103,7 +178,7 @@ void KeyManager::make_room(std::size_t needed, uint64_t keep) {
         }
         Entry &e = entries_.at(victim);
         resident_bytes_ -= e.expanded_bytes;
-        e.expanded.reset();  // cold store (wire bytes) stays
+        e.expanded.reset();  // the cold store stays
         ++stats_.evictions;
         KeyMetrics::instance().evictions.add();
     }
@@ -129,18 +204,16 @@ KeyManager::Acquired KeyManager::acquire(uint64_t session_id) {
         return out;
     }
 
-    // Miss: re-expand from the seed-compressed cold store.  The load
-    // re-runs the seeded uniform expansion, so the result is bit-exact
-    // against the originally registered keys.  Kept under the lock for
-    // deterministic LRU accounting; re-expansion time is measured and
-    // surfaced so the cost is visible, not hidden.
+    // Miss: re-expand from the cold store.  The seeded uniform expansion
+    // re-runs exactly, so the result is bit-exact against the originally
+    // registered keys.  Kept under the lock for deterministic LRU
+    // accounting; re-expansion time is measured and surfaced so the cost
+    // is visible, not hidden.
     const auto t0 = std::chrono::steady_clock::now();
     std::shared_ptr<SessionKeys> keys;
     {
         obs::Span expand_span("keys.reexpand", obs::Category::Keys);
-        keys = std::make_shared<SessionKeys>();
-        keys->relin = wire::load_relin_keys(entry.relin_wire, *context_);
-        keys->galois = wire::load_galois_keys(entry.galois_wire, *context_);
+        keys = expand(entry);
     }
     const auto t1 = std::chrono::steady_clock::now();
     stats_.reexpand_ms +=

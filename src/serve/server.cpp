@@ -74,7 +74,7 @@ InferenceServer::InferenceServer(const ckks::CkksContext &host,
       key_manager_(key_manager
                        ? std::move(key_manager)
                        : std::make_shared<KeyManager>(
-                             host, config.key_budget_bytes)) {
+                             host, config.key_budget_bytes, pool)) {
     he::BackendRegistry &registry = he::BackendRegistry::instance();
     if (registry.available("gpu")) {
         try {

@@ -11,9 +11,10 @@
 // Every request takes one execution path written against he::Backend; a
 // GPU pool lane and a simulated host lane differ only in what their Lane
 // supplies.  Per-session evaluation keys live behind a serve::KeyManager
-// (byte-budgeted LRU over a seed-compressed cold store), so sessions may
-// far outnumber resident keys.  Responses carry enqueue/dispatch/complete
-// timestamps off the simulated clock, aggregated into LatencyStats.
+// (byte-budgeted LRU over a cold store of c0 words and seeds), so
+// sessions may far outnumber resident keys.  Responses carry
+// enqueue/dispatch/complete timestamps off the simulated clock,
+// aggregated into LatencyStats.
 #pragma once
 
 #include <memory>
@@ -75,8 +76,9 @@ public:
     /// `key_manager` (optional) shares one key cache across servers — the
     /// sharded front end passes per-shard managers it owns; standalone
     /// servers build their own from `config.key_budget_bytes`.  `pool`
-    /// (optional) pins simulated kernel execution to a private host
-    /// thread pool so independent servers may run on concurrent threads
+    /// (optional) pins simulated kernel execution — and the seed
+    /// expansion of a self-built key cache — to a private host thread
+    /// pool so independent servers may run on concurrent threads
     /// (ThreadPool::parallel_for is not reentrant across callers).
     InferenceServer(const ckks::CkksContext &host, xgpu::DeviceSpec spec,
                     core::GpuOptions options, ServerConfig config = {},
@@ -87,7 +89,8 @@ public:
     void set_keys(ckks::RelinKeys relin, ckks::GaloisKeys galois);
 
     /// Registers per-session keys with the KeyManager; they are held
-    /// seed-compressed and expanded on demand under the byte budget.
+    /// cold (c0 plus seeds) and expanded on demand under the byte budget.
+    /// A malformed keyset throws std::invalid_argument here, not later.
     void register_session_keys(uint64_t session_id,
                                const ckks::RelinKeys &relin,
                                const ckks::GaloisKeys &galois);

@@ -64,12 +64,15 @@ ShardedServer::ShardedServer(const ckks::CkksContext &host,
         // (parallel_for is single-caller, so concurrent shards must not
         // share one) and key cache (sessions never move between shards,
         // so key state shards with them — and LRU order stays
-        // deterministic regardless of shard thread interleaving).
+        // deterministic regardless of shard thread interleaving).  The
+        // key cache re-expands on the shard's pool, which only the
+        // shard's own thread drives.
         pools_.push_back(std::make_unique<xgpu::ThreadPool>(
             config_.pool_workers_per_shard));
         shards_.push_back(std::make_unique<InferenceServer>(
             host, spec, options, config_.shard,
-            std::make_shared<KeyManager>(host, config_.key_budget_bytes),
+            std::make_shared<KeyManager>(host, config_.key_budget_bytes,
+                                         pools_.back().get()),
             pools_.back().get()));
     }
     credits_.assign(config_.shard_count, config_.credits_per_shard);

@@ -51,11 +51,12 @@ private:
 ///
 /// This is the expansion behind wire seed compression: the uniform `a`
 /// component of fresh keys and symmetric ciphertexts travels as its seed
-/// and is regenerated on load, so the expansion must be reproducible
-/// everywhere.  It therefore uses rejection sampling on raw mt19937_64
-/// words (the engine's output sequence is fully specified by the standard)
-/// instead of std::uniform_int_distribution, whose algorithm is
-/// implementation-defined and may differ across standard libraries.
+/// and is regenerated on load (and on a serve::KeyManager miss), so the
+/// expansion must be reproducible everywhere.  It therefore uses rejection
+/// sampling on raw mt19937_64 words (the engine's output sequence is fully
+/// specified by the standard) instead of std::uniform_int_distribution,
+/// whose algorithm is implementation-defined and may differ across
+/// standard libraries.
 inline void expand_uniform_seeded(std::span<uint64_t> out,
                                   std::span<const Modulus> moduli,
                                   std::size_t n, uint64_t seed) {

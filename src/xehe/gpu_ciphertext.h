@@ -37,10 +37,13 @@ struct GpuCiphertext {
 GpuCiphertext allocate_ciphertext(GpuContext &gpu, std::size_t size,
                                   std::size_t rns, double scale);
 
-/// Uploads a host ciphertext (charges the transfer).
+/// Uploads a host ciphertext (charges the transfer).  On a cost-only
+/// queue the buffer is size-only and the host copy is skipped.
 GpuCiphertext upload(GpuContext &gpu, const ckks::Ciphertext &ct);
 
-/// Downloads to the host; blocks the pipeline (host synchronization).
+/// Downloads to the host; blocks the pipeline (host synchronization).  On
+/// a cost-only queue the result is all zeros of the right shape, with the
+/// same transfer charged.
 ckks::Ciphertext download(GpuContext &gpu, const GpuCiphertext &ct);
 
 }  // namespace xehe::core

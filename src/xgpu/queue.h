@@ -175,8 +175,14 @@ public:
     const Profiler &profiler() const noexcept { return profiler_; }
 
     /// When false, kernels are only costed, not executed (used by the big
-    /// parameter sweeps in bench/; tests always run functionally).
-    void set_functional(bool functional) noexcept { functional_ = functional; }
+    /// parameter sweeps in bench/ and cost-only serving), and the memory
+    /// cache hands out size-only buffers: they carry no payload, since no
+    /// kernel reads them.  Going back to functional throws
+    /// std::invalid_argument while such a buffer is still live.
+    void set_functional(bool functional) {
+        cache_.set_size_only(!functional);
+        functional_ = functional;
+    }
     bool functional() const noexcept { return functional_; }
 
     /// Submits a kernel; returns its simulated duration in ns and advances

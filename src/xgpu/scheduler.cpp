@@ -69,7 +69,7 @@ void Scheduler::reset_clocks() noexcept {
     }
 }
 
-void Scheduler::set_functional(bool functional) noexcept {
+void Scheduler::set_functional(bool functional) {
     for (auto &q : queues_) {
         q->set_functional(functional);
     }

@@ -72,7 +72,7 @@ public:
     Profiler aggregate_profiler() const;
 
     void reset_clocks() noexcept;
-    void set_functional(bool functional) noexcept;
+    void set_functional(bool functional);
 
 private:
     // unique_ptr: Queue is not movable (owns a MemoryCache tied to a spec)

@@ -244,6 +244,36 @@ TEST(GpuEvaluator, MatmulFusedAndUnfusedAgree) {
     }
 }
 
+// On a cost-only context, upload and download skip the host copy (the
+// buffers are size-only) but charge the same transfer time, and download
+// returns an all-zero ciphertext of the right shape.
+TEST(GpuEvaluator, CostOnlyUploadDownloadChargeTransfersWithoutPayload) {
+    GpuBench bench(1024, 2, small_gpu_options());
+    const auto ct = bench.encrypt_random(3);
+    xr::GpuContext cost_only(bench.context, xg::device1(), small_gpu_options());
+    cost_only.set_functional(false);
+    bench.gpu.queue().reset_clock();
+    cost_only.queue().reset_clock();
+
+    const auto on_device = xr::upload(cost_only, ct);
+    const auto reference = xr::upload(bench.gpu, ct);
+    EXPECT_EQ(on_device.data.size(), ct.data.size());
+    EXPECT_EQ(cost_only.queue().clock_ns(), bench.gpu.queue().clock_ns());
+
+    const auto back = xr::download(cost_only, on_device);
+    xr::download(bench.gpu, reference);
+    EXPECT_EQ(cost_only.queue().clock_ns(), bench.gpu.queue().clock_ns());
+    EXPECT_EQ(back.n, ct.n);
+    EXPECT_EQ(back.size, ct.size);
+    EXPECT_EQ(back.rns, ct.rns);
+    EXPECT_EQ(back.scale, ct.scale);
+    EXPECT_EQ(back.ntt_form, ct.ntt_form);
+    EXPECT_EQ(back.data, std::vector<uint64_t>(ct.data.size(), 0));
+    // Size-only: the upload target is the cache's shared reserved base.
+    EXPECT_EQ(on_device.data.data(),
+              cost_only.queue().cache().allocate(1).data());
+}
+
 TEST(GpuEvaluator, MemoryCacheReducesAllocations) {
     xr::MatmulConfig config;
     config.m = 3;

@@ -1,6 +1,7 @@
 // Production-scale serving: the byte-budgeted session key cache (LRU
-// eviction order, bit-exact re-expansion from the seed-compressed cold
-// store, budget invariants), the chunked request path (round-trip equal to
+// eviction order, bit-exact re-expansion from the cold store on the
+// process-wide or a private pool, budget invariants, malformed keysets
+// refused at registration), the chunked request path (round-trip equal to
 // monolithic, truncation/bit-flip/reorder rejection), consistent-hash
 // session sharding with credit backpressure (typed Overloaded rejections,
 // bit-exactness against a single server, the threaded drain the TSan CI
@@ -94,28 +95,163 @@ TEST(KeyManager, EvictsLeastRecentlyUsedUnderBudget) {
     EXPECT_LT(stats.cold_bytes, 2 * b.keyset_bytes);
 }
 
+/// Field-by-field equality of two key ciphertexts.
+void expect_same_ciphertext(const ckks::Ciphertext &got,
+                            const ckks::Ciphertext &want) {
+    EXPECT_EQ(got.data, want.data);
+    EXPECT_EQ(got.n, want.n);
+    EXPECT_EQ(got.size, want.size);
+    EXPECT_EQ(got.rns, want.rns);
+    EXPECT_EQ(got.scale, want.scale);
+    EXPECT_EQ(got.ntt_form, want.ntt_form);
+    EXPECT_EQ(got.a_seed, want.a_seed);
+    EXPECT_EQ(got.a_seeded, want.a_seeded);
+}
+
+void expect_same_kswitch(const ckks::KSwitchKey &got,
+                         const ckks::KSwitchKey &want) {
+    ASSERT_EQ(got.keys.size(), want.keys.size());
+    for (std::size_t i = 0; i < want.keys.size(); ++i) {
+        SCOPED_TRACE(i);
+        expect_same_ciphertext(got.keys[i], want.keys[i]);
+    }
+}
+
+void expect_same_keys(const serve::SessionKeys &got,
+                      const ckks::RelinKeys &relin,
+                      const ckks::GaloisKeys &galois) {
+    expect_same_kswitch(got.relin.key, relin.key);
+    ASSERT_EQ(got.galois.keys.size(), galois.keys.size());
+    for (const auto &[elt, key] : galois.keys) {
+        SCOPED_TRACE(elt);
+        ASSERT_TRUE(got.galois.has(elt));
+        expect_same_kswitch(got.galois.key(elt), key);
+    }
+}
+
+/// FNV-1a over every expanded word of a keyset (relin, then galois keys in
+/// element order), each word folded in little-endian byte order.
+uint64_t keyset_hash(const serve::SessionKeys &keys) {
+    uint64_t h = 0xcbf29ce484222325ULL;
+    const auto fold = [&h](const ckks::KSwitchKey &key) {
+        for (const auto &ct : key.keys) {
+            for (const uint64_t w : ct.data) {
+                for (int byte = 0; byte < 8; ++byte) {
+                    h ^= (w >> (8 * byte)) & 0xff;
+                    h *= 0x100000001b3ULL;
+                }
+            }
+        }
+    };
+    fold(keys.relin.key);
+    for (const auto &[elt, key] : keys.galois.keys) {
+        (void)elt;
+        fold(key);
+    }
+    return h;
+}
+
+// A re-expansion after eviction rebuilds the registered keys exactly —
+// every field of every relin and galois key ciphertext — and matches
+// what the wire round trip of those keys loads, on the process-wide pool
+// and on a private one.
 TEST(KeyManager, ReexpansionAfterEvictionIsBitExact) {
     ScaleBench b;
-    KeyManager manager(b.host.context, b.keyset_bytes);  // one keyset fits
-    manager.register_session(7, b.relin, b.galois);
-    manager.register_session(8, b.relin, b.galois);
+    const ckks::RelinKeys wire_relin =
+        wire::load_relin_keys(wire::serialize(b.relin), b.host.context);
+    const ckks::GaloisKeys wire_galois =
+        wire::load_galois_keys(wire::serialize(b.galois), b.host.context);
 
-    const auto first = manager.acquire(7);
-    const auto snapshot = first.keys->relin.key.keys;  // deep copy
-    EXPECT_TRUE(first.miss);
-    EXPECT_EQ(first.expanded_bytes, b.keyset_bytes);
+    xgpu::ThreadPool pool(2);
+    const std::vector<xgpu::ThreadPool *> expanders = {nullptr, &pool};
+    for (xgpu::ThreadPool *expander : expanders) {
+        SCOPED_TRACE(expander == nullptr ? "process-wide pool"
+                                         : "private pool");
+        // One keyset fits.
+        KeyManager manager(b.host.context, b.keyset_bytes, expander);
+        manager.register_session(7, b.relin, b.galois);
+        manager.register_session(8, b.relin, b.galois);
 
-    manager.acquire(8);  // evicts 7
-    EXPECT_FALSE(manager.resident(7));
+        const auto first = manager.acquire(7);
+        EXPECT_TRUE(first.miss);
+        EXPECT_EQ(first.expanded_bytes, b.keyset_bytes);
 
-    const auto again = manager.acquire(7);
-    EXPECT_TRUE(again.miss);
-    ASSERT_EQ(again.keys->relin.key.keys.size(), snapshot.size());
-    for (std::size_t i = 0; i < snapshot.size(); ++i) {
-        EXPECT_EQ(again.keys->relin.key.keys[i].data, snapshot[i].data);
+        manager.acquire(8);  // evicts 7
+        EXPECT_FALSE(manager.resident(7));
+
+        const auto again = manager.acquire(7);
+        EXPECT_TRUE(again.miss);
+        expect_same_keys(*again.keys, b.relin, b.galois);
+        expect_same_keys(*again.keys, wire_relin, wire_galois);
+        EXPECT_GT(manager.stats().reexpand_ms, 0.0);
     }
-    ASSERT_TRUE(again.keys->galois.has(3));  // step 1 galois element exists
-    EXPECT_GT(manager.stats().reexpand_ms, 0.0);
+}
+
+// Pins the expanded words of one N = 1024 keyset: any change to the
+// seeded sampler (engine, rejection bound, reduction) or to key
+// generation fails here loudly rather than silently re-keying tenants.
+TEST(KeyManager, ExpandedKeysetMatchesGoldenHash) {
+    ScaleBench b;
+    KeyManager manager(b.host.context, b.keyset_bytes);
+    manager.register_session(1, b.relin, b.galois);
+    const auto acq = manager.acquire(1);
+    ASSERT_TRUE(acq.miss);
+    EXPECT_EQ(keyset_hash(*acq.keys), 0xc1b03c6c9b571ff0ULL);
+}
+
+// A keyset the cold store cannot hold is refused at registration with
+// std::invalid_argument, before it can fail a request on its first miss;
+// the session stays unregistered.
+TEST(KeyManager, MalformedKeysetRejectedAtRegistration) {
+    ScaleBench b;
+    KeyManager manager(b.host.context, b.keyset_bytes);
+    const auto expect_refused = [&](const ckks::RelinKeys &relin,
+                                    const ckks::GaloisKeys &galois) {
+        EXPECT_THROW(manager.register_session(1, relin, galois),
+                     std::invalid_argument);
+        EXPECT_FALSE(manager.has(1));
+    };
+    const auto relin_with = [&](auto mutate) {
+        ckks::RelinKeys relin = b.relin;
+        mutate(relin.key);
+        return relin;
+    };
+    const auto galois_with = [&](auto mutate) {
+        ckks::GaloisKeys galois = b.galois;
+        mutate(galois.keys.begin()->second);
+        return galois;
+    };
+    const auto drop_key = [](ckks::KSwitchKey &key) { key.keys.pop_back(); };
+    const auto wrong_rns = [](ckks::KSwitchKey &key) {
+        ckks::Ciphertext &ct = key.keys[0];
+        ct.resize(ct.n, 2, ct.rns - 1);
+    };
+    const auto wrong_size = [](ckks::KSwitchKey &key) {
+        ckks::Ciphertext &ct = key.keys[1];
+        ct.resize(ct.n, 3, ct.rns);
+    };
+    const auto wrong_degree = [](ckks::KSwitchKey &key) {
+        ckks::Ciphertext &ct = key.keys[0];
+        ct.resize(ct.n / 2, 2, ct.rns);
+    };
+
+    // Key count != max_level.
+    expect_refused(relin_with(drop_key), b.galois);
+    expect_refused(b.relin, galois_with(drop_key));
+    // rns != key_rns.
+    expect_refused(relin_with(wrong_rns), b.galois);
+    expect_refused(b.relin, galois_with(wrong_rns));
+    // size != 2.
+    expect_refused(relin_with(wrong_size), b.galois);
+    expect_refused(b.relin, galois_with(wrong_size));
+    // Wrong degree.
+    expect_refused(relin_with(wrong_degree), b.galois);
+    expect_refused(b.relin, galois_with(wrong_degree));
+
+    // The well-formed keyset still registers and serves.
+    manager.register_session(1, b.relin, b.galois);
+    EXPECT_TRUE(manager.has(1));
+    expect_same_keys(*manager.acquire(1).keys, b.relin, b.galois);
 }
 
 TEST(KeyManager, OversizeKeysetIsServedButNeverCached) {
@@ -416,6 +552,79 @@ TEST(ServeScale, ShardedResultsMatchSingleServerBitExact) {
     }
     EXPECT_EQ(sharded.stats().requests, 8u);
     EXPECT_EQ(sharded.stats().overloaded, 0u);
+}
+
+// Both shards of a cost-only server re-expand keys on every request (a
+// one-keyset budget, alternating sessions), each on its own pool, on
+// concurrent drain threads — the TSan CI lane watches this.  Responses and
+// key counters must match serving each shard's traffic serially through a
+// standalone server, whose key cache expands on the process-wide pool.
+TEST(ServeScale, ConcurrentShardReexpansionMatchesSerial) {
+    ScaleBench b;
+    ShardedConfig cfg;
+    cfg.shard_count = 2;
+    cfg.key_budget_bytes = b.keyset_bytes;
+    cfg.shard.functional = false;
+    ShardedServer sharded(b.host.context, xgpu::device1(), core::GpuOptions{},
+                          cfg);
+
+    // Two sessions per shard, so each shard alternates between them.
+    std::vector<std::vector<uint64_t>> sessions(cfg.shard_count);
+    uint64_t id = 0;
+    while (sessions[0].size() < 2 || sessions[1].size() < 2) {
+        auto &mine = sessions[sharded.shard_of(++id)];
+        if (mine.size() < 2) {
+            mine.push_back(id);
+        }
+    }
+
+    std::vector<std::vector<Response>> serial(cfg.shard_count);
+    serve::KeyStats serial_keys;
+    for (std::size_t s = 0; s < cfg.shard_count; ++s) {
+        ServerConfig shard_cfg = cfg.shard;
+        shard_cfg.key_budget_bytes = cfg.key_budget_bytes;
+        InferenceServer reference(b.host.context, xgpu::device1(),
+                                  core::GpuOptions{}, shard_cfg);
+        for (const uint64_t id : sessions[s]) {
+            sharded.register_session_keys(id, b.relin, b.galois);
+            reference.register_session_keys(id, b.relin, b.galois);
+        }
+        for (int round = 0; round < 6; ++round) {
+            const uint64_t id = sessions[s][round % 2];
+            const double arrival = 1e6 * round;
+            ASSERT_TRUE(sharded.submit(b.cost_request(id, arrival)));
+            reference.submit(b.cost_request(id, arrival));
+        }
+        serial[s] = reference.run();
+        const serve::KeyStats k = reference.stats().keys;
+        serial_keys.sessions += k.sessions;
+        serial_keys.hits += k.hits;
+        serial_keys.misses += k.misses;
+        serial_keys.evictions += k.evictions;
+        serial_keys.cold_bytes += k.cold_bytes;
+        serial_keys.peak_resident_bytes += k.peak_resident_bytes;
+    }
+
+    const auto got = sharded.run();
+    ASSERT_EQ(got.size(), 12u);
+    // run() concatenates the shards' responses in shard order.
+    std::size_t next = 0;
+    for (std::size_t s = 0; s < cfg.shard_count; ++s) {
+        ASSERT_EQ(serial[s].size(), 6u);
+        for (const Response &want : serial[s]) {
+            const Response &resp = got[next++];
+            ASSERT_TRUE(resp.ok) << resp.error;
+            EXPECT_EQ(wire::serialize(resp), wire::serialize(want));
+        }
+    }
+    const serve::KeyStats keys = sharded.stats().keys;
+    EXPECT_EQ(keys.misses, 12u);  // every acquisition re-expanded
+    EXPECT_EQ(keys.sessions, serial_keys.sessions);
+    EXPECT_EQ(keys.hits, serial_keys.hits);
+    EXPECT_EQ(keys.misses, serial_keys.misses);
+    EXPECT_EQ(keys.evictions, serial_keys.evictions);
+    EXPECT_EQ(keys.cold_bytes, serial_keys.cold_bytes);
+    EXPECT_EQ(keys.peak_resident_bytes, serial_keys.peak_resident_bytes);
 }
 
 TEST(ServeScale, BurstBeyondCreditsGetsTypedOverload) {

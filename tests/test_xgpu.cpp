@@ -182,6 +182,114 @@ TEST(MemoryCache, MoveSemantics) {
     EXPECT_EQ(cache.stats().frees, 1u) << "assignment releases old storage";
 }
 
+namespace {
+
+/// One fixed allocate/free script: fresh allocations, recycled hits
+/// (smaller requests into larger blocks), a zero-word request, moves and
+/// a buffer kept live across the rest.
+xg::MemoryCache::Stats replay_alloc_script(xg::Queue &queue) {
+    xg::MemoryCache &cache = queue.cache();
+    auto held = cache.allocate(4096);
+    {
+        auto a = cache.allocate(1000);
+        auto b = cache.allocate(2000);
+        auto empty = cache.allocate(0);
+        xg::DeviceBuffer moved = std::move(a);
+    }
+    for (int round = 0; round < 3; ++round) {
+        auto c = cache.allocate(1500);  // hit: the 2000-word block
+        auto d = cache.allocate(800);   // hit: the 1000-word block
+        auto e = cache.allocate(3000);  // miss on round 0, then a hit
+    }
+    held = cache.allocate(64);  // releases the 4096-word block
+    return cache.stats();
+}
+
+void expect_same_stats(const xg::MemoryCache::Stats &a,
+                       const xg::MemoryCache::Stats &b) {
+    EXPECT_EQ(a.requests, b.requests);
+    EXPECT_EQ(a.device_allocs, b.device_allocs);
+    EXPECT_EQ(a.cache_hits, b.cache_hits);
+    EXPECT_EQ(a.frees, b.frees);
+    EXPECT_EQ(a.sim_alloc_ns, b.sim_alloc_ns);
+    EXPECT_EQ(a.live_bytes, b.live_bytes);
+    EXPECT_EQ(a.peak_live_bytes, b.peak_live_bytes);
+}
+
+}  // namespace
+
+// A cost-only queue's buffers carry no payload, but the cache accounts
+// for them exactly as for real ones: the simulated allocation charges and
+// the live/peak bytes do not depend on whether storage exists.
+TEST(MemoryCache, SizeOnlyBuffersKeepStatsIdentical) {
+    xg::Queue functional(xg::device1());
+    xg::Queue cost_only(xg::device1());
+    cost_only.set_functional(false);
+    const auto want = replay_alloc_script(functional);
+    const auto got = replay_alloc_script(cost_only);
+    expect_same_stats(got, want);
+    EXPECT_GT(want.cache_hits, 0u);
+    EXPECT_GT(want.live_bytes, 0u);
+    functional.charge_alloc_time();
+    cost_only.charge_alloc_time();
+    EXPECT_EQ(cost_only.clock_ns(), functional.clock_ns());
+    // Every buffer the script handed out is gone, the zero-word one too.
+    EXPECT_NO_THROW(cost_only.set_functional(true));
+}
+
+// Size-only buffers have a size and a non-null base (sub-spans are well
+// defined) but no storage: every one shares the cache's single reserved
+// region, however many are live.
+TEST(MemoryCache, SizeOnlyBufferHasSizeButNoStorage) {
+    xg::Queue queue(xg::device1());
+    queue.set_functional(false);
+    auto fresh = queue.cache().allocate(1000);
+    EXPECT_EQ(fresh.size(), 1000u);
+    ASSERT_NE(fresh.data(), nullptr);
+    EXPECT_EQ(fresh.span().data(), fresh.data());
+    {
+        auto recycled = queue.cache().allocate(10);
+        xg::DeviceBuffer moved = std::move(recycled);
+        EXPECT_EQ(moved.size(), 10u);
+        EXPECT_EQ(moved.data(), fresh.data());
+    }
+    auto hit = queue.cache().allocate(5);  // the freed 10-word block
+    EXPECT_EQ(queue.cache().stats().cache_hits, 1u);
+    EXPECT_EQ(hit.size(), 5u);
+    EXPECT_EQ(hit.data(), fresh.data());
+    auto none = queue.cache().allocate(0);
+    EXPECT_EQ(none.data(), nullptr);
+}
+
+// A queue may go back to functional only once no size-only buffer is
+// live; from then on it hands out zeroed real storage, recycled blocks
+// included.
+TEST(MemoryCache, BackToFunctionalHandsOutZeroedStorage) {
+    xg::Queue queue(xg::device1());
+    {
+        auto real = queue.cache().allocate(256);
+        real[7] = 99;  // dirties a block the size-only phase recycles
+    }
+    queue.set_functional(false);
+    auto live = queue.cache().allocate(128);
+    auto none = queue.cache().allocate(0);  // holds nothing to return
+    EXPECT_THROW(queue.set_functional(true), std::invalid_argument);
+    EXPECT_FALSE(queue.functional());
+
+    live = xg::DeviceBuffer();  // returns the last size-only buffer
+    queue.set_functional(true);
+    EXPECT_TRUE(queue.functional());
+    auto recycled = queue.cache().allocate(200);  // block was size-only
+    auto fresh = queue.cache().allocate(300);
+    EXPECT_EQ(queue.cache().stats().cache_hits, 2u);
+    for (const xg::DeviceBuffer *b : {&recycled, &fresh}) {
+        ASSERT_NE(b->data(), nullptr);
+        for (std::size_t i = 0; i < b->size(); ++i) {
+            ASSERT_EQ((*b)[i], 0u) << i;
+        }
+    }
+}
+
 TEST(Queue, TimelineAdvancesAndProfilerRecords) {
     xg::Queue queue(xg::device1());
     xg::KernelStats s;
