@@ -1,7 +1,5 @@
 #include "ckks/evaluator.h"
 
-#include <cmath>
-
 namespace xehe::ckks {
 
 namespace {
@@ -51,8 +49,7 @@ void Evaluator::check_compatible(const Ciphertext &a,
                                  const Ciphertext &b) const {
     util::require(a.n == b.n && a.rns == b.rns, "ciphertext level mismatch");
     util::require(a.ntt_form && b.ntt_form, "expected NTT form");
-    const double ratio = a.scale / b.scale;
-    util::require(std::abs(ratio - 1.0) < 1e-6, "scale mismatch");
+    util::require(scales_match(a.scale, b.scale), "scale mismatch");
 }
 
 Ciphertext Evaluator::add(const Ciphertext &a, const Ciphertext &b) const {
@@ -94,7 +91,7 @@ Ciphertext Evaluator::negate(const Ciphertext &a) const {
 
 Ciphertext Evaluator::add_plain(const Ciphertext &a, const Plaintext &p) const {
     util::require(a.rns == p.rns && a.n == p.n, "level mismatch");
-    util::require(std::abs(a.scale / p.scale - 1.0) < 1e-6, "scale mismatch");
+    util::require(scales_match(a.scale, p.scale), "scale mismatch");
     Ciphertext out = a;
     const auto moduli =
         std::span<const Modulus>(context_->key_modulus()).subspan(0, a.rns);

@@ -5,6 +5,7 @@
 // GPU NTT dispatcher consumes.
 #pragma once
 
+#include <cmath>
 #include <vector>
 
 #include "ckks/context.h"
@@ -65,6 +66,15 @@ struct Ciphertext {
         return {data.data() + (p * rns + r) * n, n};
     }
 };
+
+/// The evaluators' scale gate: add, sub and add_plain accept two scales
+/// only within kScaleGate relative of each other.  The one copy of the
+/// test — the evaluators, the compiler's planner and the analyzer all
+/// call it, so their point decisions agree bitwise.
+inline constexpr double kScaleGate = 1e-6;
+inline bool scales_match(double a, double b) {
+    return std::abs(a / b - 1.0) < kScaleGate;
+}
 
 namespace poly {
 

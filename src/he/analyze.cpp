@@ -1,7 +1,6 @@
 #include "he/analyze.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <limits>
 
@@ -13,78 +12,23 @@ namespace xehe::he {
 
 namespace {
 
-/// The evaluators' relative scale-equality gate at Add/Sub/AddPlain.
-constexpr double kScaleEqualTol = 1e-6;
 /// Size bound for inputs the caller knows nothing about.
 constexpr std::size_t kSizeUnknownMax = 64;
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-bool size_can_be(const ValueFacts &f, std::size_t s) {
-    return f.size_min <= s && s <= f.size_max;
-}
-
-bool sizes_disjoint(const ValueFacts &a, const ValueFacts &b) {
-    return a.size_max < b.size_min || b.size_max < a.size_min;
-}
 
 bool levels_disjoint(const ValueFacts &a, const ValueFacts &b) {
     return a.level_max < b.level_min || b.level_max < a.level_min;
 }
 
-/// The evaluators' acceptance test on two concrete scales — the same
-/// double expression, so point-interval decisions match bitwise.
-bool scales_accept(double a, double b) {
-    return std::abs(a / b - 1.0) < kScaleEqualTol;
-}
-
 /// True when no scale in `a`'s interval can pass the gate against any
-/// scale in `b`'s interval (a must-fail).
+/// scale in `b`'s interval (a must-fail).  Point intervals take the
+/// evaluators' own test, so point decisions match bitwise.
 bool scale_must_mismatch(const ValueFacts &a, const ValueFacts &b) {
     if (a.scale_exact() && b.scale_exact()) {
-        return !scales_accept(a.scale_lo, b.scale_lo);
+        return !ckks::scales_match(a.scale_lo, b.scale_lo);
     }
-    return a.scale_hi < b.scale_lo * (1.0 - kScaleEqualTol) ||
-           a.scale_lo > b.scale_hi * (1.0 + kScaleEqualTol);
+    return a.scale_hi < b.scale_lo * (1.0 - ckks::kScaleGate) ||
+           a.scale_lo > b.scale_hi * (1.0 + ckks::kScaleGate);
 }
-
-/// Interval product that avoids 0 * inf = NaN at the unknown extremes.
-double interval_mul(double x, double y) {
-    return (x == 0.0 || y == 0.0) ? 0.0 : x * y;
-}
-
-/// Level facts of a result conditional on the op having succeeded:
-/// dropping one prime requires the input to sit at >= 2.
-std::size_t drop_min(std::size_t level_min) {
-    return std::max<std::size_t>(level_min, 2) - 1;
-}
-
-/// Per-op facts the walk needs before the op switch, folded into one
-/// table load: predicate chains over a random op stream mispredict, and
-/// the walk pays them once per node.
-struct OpTraits {
-    uint8_t binary;      ///< op_code_arity(op) == 2
-    uint8_t tolerates3;  ///< size-3 operand is a warning, not an error
-    uint8_t mult;        ///< counts toward multiplicative depth
-};
-
-constexpr OpTraits traits_of(OpCode op) {
-    OpTraits t{};
-    t.binary = op_code_arity(op) == 2;
-    // Hard size-2/size-3 requirements (errors, not warnings).
-    t.tolerates3 = !(op == OpCode::Multiply || op == OpCode::Square ||
-                     op == OpCode::Relinearize || op == OpCode::Rotate ||
-                     op == OpCode::Conjugate);
-    t.mult = op == OpCode::Multiply || op == OpCode::Square;
-    return t;
-}
-
-constexpr auto kOpTraits = [] {
-    std::array<OpTraits, kMaxOpCode + 1> table{};
-    for (std::size_t i = 0; i < table.size(); ++i) {
-        table[i] = traits_of(static_cast<OpCode>(i));
-    }
-    return table;
-}();
 
 /// Out-of-line and cold: diagnostics are the exceptional path, and the
 /// in-situ cost of an admission analyze (right after a compile evicted
@@ -92,16 +36,11 @@ constexpr auto kOpTraits = [] {
 /// inlined at every check site would double the walk's code size.
 __attribute__((cold, noinline)) void
 push_diag(std::vector<Diagnostic> &diags, Severity sev, DiagKind kind,
-          uint32_t node, OpCode op, const char *msg) {
-    diags.push_back(Diagnostic{sev, kind, node, op, msg});
-}
-
-/// Same, for the few messages that append a number.
-__attribute__((cold, noinline)) void
-push_diag_num(std::vector<Diagnostic> &diags, Severity sev, DiagKind kind,
-              uint32_t node, OpCode op, const char *msg, long long num) {
-    diags.push_back(Diagnostic{sev, kind, node, op,
-                               msg + std::to_string(num)});
+          uint32_t node, OpCode op, const char *msg,
+          std::optional<long long> num) {
+    diags.push_back(Diagnostic{
+        sev, kind, node, op,
+        num ? msg + std::to_string(*num) : std::string(msg)});
 }
 
 }  // namespace
@@ -128,18 +67,54 @@ InputFacts facts_of(const Cipher &cipher) {
     return {cipher.size(), cipher.level(), cipher.scale()};
 }
 
+std::vector<ValueFacts> leaf_facts(const Program &p,
+                                   std::span<const InputFacts> inputs,
+                                   std::size_t max_level) {
+    // Caller-supplied facts are size_t/double; clamp into the narrow
+    // fact fields.
+    const auto clamp8 = [](std::size_t x) {
+        return static_cast<uint8_t>(std::min<std::size_t>(x, 0xff));
+    };
+    // Sized once up front (32-byte facts keep the zero-fill cheap); a
+    // walk then writes each node slot in place, and operand references
+    // stay stable with no per-node growth bookkeeping.
+    std::vector<ValueFacts> vals(p.value_count());
+    for (uint32_t v = 0; v < p.num_inputs; ++v) {
+        const InputFacts &in = inputs[inputs.size() == 1 ? 0 : v];
+        ValueFacts &f = vals[v];
+        f.size_min = in.size > 0 ? clamp8(in.size) : 1;
+        f.size_max = in.size > 0 ? clamp8(in.size) : kSizeUnknownMax;
+        f.level_min = in.level > 0 ? clamp8(in.level) : 1;
+        f.level_max = in.level > 0 ? clamp8(in.level) : clamp8(max_level);
+        f.scale_lo = in.scale > 0.0 ? in.scale : 0.0;
+        f.scale_hi = in.scale > 0.0 ? in.scale
+                                    : std::numeric_limits<double>::infinity();
+    }
+    for (std::size_t c = 0; c < p.constants.size(); ++c) {
+        ValueFacts &f = vals[p.num_inputs + c];
+        f.size_min = f.size_max = 1;
+        f.level_min = f.level_max = clamp8(p.constants[c].rns);
+        f.scale_lo = f.scale_hi = p.constants[c].scale;
+    }
+    return vals;
+}
+
 void AnalyzerOptions::set_keys(const ProgramKeys &keys) {
     relin_keys = keys.relin != nullptr;
     relin_levels = keys.relin ? keys.relin->key.keys.size() : 0;
     galois_keys = keys.galois != nullptr;
     std::vector<uint64_t> elts;
+    std::optional<std::size_t> shortest;
     if (keys.galois != nullptr) {
         elts.reserve(keys.galois->keys.size());
         for (const auto &[elt, key] : keys.galois->keys) {
             elts.push_back(elt);
+            shortest = std::min(shortest.value_or(key.keys.size()),
+                                key.keys.size());
         }
     }
     galois_elts = std::move(elts);
+    galois_levels = shortest;
 }
 
 bool AnalysisReport::ok() const noexcept {
@@ -175,7 +150,7 @@ std::string AnalysisReport::summary() const {
     std::string s;
     if (e->node != Diagnostic::kProgram) {
         s = "node " + std::to_string(e->node) + " (" +
-            op_code_name(e->op) + "): ";
+            op_semantics(e->op).name + "): ";
     }
     return s + diag_kind_name(e->kind) + ": " + e->message;
 }
@@ -184,18 +159,8 @@ ProgramAnalyzer::ProgramAnalyzer(const ckks::CkksContext &context,
                                  AnalyzerOptions options)
     : context_(&context), options_(std::move(options)) {}
 
-AnalysisReport ProgramAnalyzer::analyze(const Program &p,
-                                        std::size_t input_level,
-                                        double input_scale) const {
-    const InputFacts uniform{2, input_level, input_scale};
-    return analyze_impl(p, std::span<const InputFacts>(&uniform, 1), true);
-}
-
 AnalysisReport ProgramAnalyzer::analyze(const Program &p) const {
-    return analyze(
-        p, context_->max_level(),
-        static_cast<double>(
-            context_->key_modulus()[context_->max_level() - 1].value()));
+    return analyze(p, default_input_facts(*context_));
 }
 
 AnalysisReport ProgramAnalyzer::analyze(
@@ -241,41 +206,14 @@ AnalysisReport ProgramAnalyzer::analyze_impl(
         return report;
     }
 
-    const std::size_t max_level = context_->max_level();
     const uint32_t const_base = p.num_inputs;
     const uint32_t node_base =
         const_base + static_cast<uint32_t>(p.constants.size());
     const bool aligned = options_.assume_alignment;
     const ckks::GaloisTool galois_tool(context_->n());
 
-    // Caller-supplied facts are size_t/double; clamp into the narrow
-    // fact fields.  Sound: every in-range quantity (sizes <= 3, levels
-    // <= the chain length) compares identically against the clamp.
-    const auto clamp8 = [](std::size_t x) {
-        return static_cast<uint8_t>(std::min<std::size_t>(x, 0xff));
-    };
-
-    // Sized once up front (32-byte facts keep the zero-fill cheap); the
-    // walk then writes each slot in place, and operand references stay
-    // stable with no per-node growth bookkeeping.
     std::vector<ValueFacts> &vals = report.values;
-    vals.resize(p.value_count());
-    for (uint32_t v = 0; v < p.num_inputs; ++v) {
-        const InputFacts &in = inputs[broadcast ? 0 : v];
-        ValueFacts &f = vals[v];
-        f.size_min = in.size > 0 ? clamp8(in.size) : 1;
-        f.size_max = in.size > 0 ? clamp8(in.size) : kSizeUnknownMax;
-        f.level_min = in.level > 0 ? clamp8(in.level) : 1;
-        f.level_max = in.level > 0 ? clamp8(in.level) : clamp8(max_level);
-        f.scale_lo = in.scale > 0.0 ? in.scale : 0.0;
-        f.scale_hi = in.scale > 0.0 ? in.scale : kInf;
-    }
-    for (std::size_t c = 0; c < p.constants.size(); ++c) {
-        ValueFacts &f = vals[const_base + c];
-        f.size_min = f.size_max = 1;
-        f.level_min = f.level_max = clamp8(p.constants[c].rns);
-        f.scale_lo = f.scale_hi = p.constants[c].scale;
-    }
+    vals = leaf_facts(p, inputs, context_->max_level());
     // Liveness: which node results transitively feed an output.  Dead
     // nodes still *execute* (the raw interpreter runs every node), but
     // the compiler's DCE removes them, so in assume_alignment mode they
@@ -290,22 +228,11 @@ AnalysisReport ProgramAnalyzer::analyze_impl(
     // safe.
     bool liveness_done = false;
     const auto compute_liveness = [&]() {
-        if (liveness_done) {
-            return;
-        }
-        liveness_done = true;
-        for (const uint32_t o : p.outputs) {
-            vals[o].live = true;
-        }
-        for (std::size_t i = p.nodes.size(); i-- > 0;) {
-            if (!vals[node_base + i].live) {
-                continue;
-            }
-            const Program::Node &n = p.nodes[i];
-            vals[n.a].live = true;
-            if (kOpTraits[static_cast<uint8_t>(n.op)].binary != 0) {
-                vals[n.b].live = true;
-            }
+        if (!liveness_done) {
+            liveness_done = true;
+            mark_live(p, [&](std::size_t v) -> bool & {
+                return vals[v].live;
+            });
         }
     };
     if (!options_.errors_only) {
@@ -324,353 +251,151 @@ AnalysisReport ProgramAnalyzer::analyze_impl(
         return rotate_elt;
     };
 
-    const ValueFacts no_operand{};
     for (std::size_t i = 0; i < p.nodes.size(); ++i) {
         const Program::Node &node = p.nodes[i];
         const uint32_t nid = static_cast<uint32_t>(i);
-        const OpTraits traits = kOpTraits[static_cast<uint8_t>(node.op)];
-        const bool binary = traits.binary != 0;
         // References, not copies: operands strictly precede the result
-        // slot (validate() guarantees node.a, node.b < node_base + i),
-        // so writing `out` in place never aliases A or B.
+        // slot (validate() guarantees node.a, node.b < node_base + i), so
+        // writing `out` in place never aliases them.
         const ValueFacts &A = vals[node.a];
-        const ValueFacts &B = binary ? vals[node.b] : no_operand;
         ValueFacts &out = vals[node_base + i];
         const auto live_now = [&]() {
             compute_liveness();
             return out.live;
         };
-
-        // A must-fail that survives compilation: emitted in both modes
-        // (in assume_alignment only for live nodes — DCE strips the rest).
-        // All three emitters take const char* and defer the std::string
-        // to the cold push_diag helpers, so the hot walk carries only a
-        // test and a call per check site.
-        const auto error = [&](DiagKind kind, const char *msg) {
-            if (aligned && !live_now()) {
-                return;
-            }
-            push_diag(report.diagnostics, Severity::Error, kind, nid,
-                      node.op, msg);
-        };
-        const auto error_num = [&](DiagKind kind, const char *msg,
-                                   long long num) {
-            if (aligned && !live_now()) {
-                return;
-            }
-            push_diag_num(report.diagnostics, Severity::Error, kind, nid,
+        // A must-fail the planner repairs (level/scale alignment,
+        // strippable drops) is an error in strict mode only; any other is
+        // an error in both modes, in assume_alignment only on live nodes
+        // (DCE strips the rest).  The message stays a const char* until
+        // the cold push_diag, so the hot walk carries only a test and a
+        // call per check site.
+        const auto error = [&](bool repairable, DiagKind kind,
+                               const char *msg,
+                               std::optional<long long> num = {}) {
+            if (!aligned || (!repairable && live_now())) {
+                push_diag(report.diagnostics, Severity::Error, kind, nid,
                           node.op, msg, num);
-        };
-        // A must-fail the planner can repair (level/scale alignment,
-        // strippable mod-switches): raw-interpretation mode only.
-        const auto strict_error = [&](DiagKind kind, const char *msg) {
-            if (aligned) {
-                return;
             }
-            push_diag(report.diagnostics, Severity::Error, kind, nid,
-                      node.op, msg);
-        };
-        const auto strict_error_num = [&](DiagKind kind, const char *msg,
-                                          long long num) {
-            if (aligned) {
-                return;
-            }
-            push_diag_num(report.diagnostics, Severity::Error, kind, nid,
-                          node.op, msg, num);
         };
         const auto warn = [&](DiagKind kind, const char *msg) {
-            if (options_.errors_only) {
-                return;
+            if (!options_.errors_only) {
+                push_diag(report.diagnostics, Severity::Warning, kind, nid,
+                          node.op, msg, {});
             }
-            push_diag(report.diagnostics, Severity::Warning, kind, nid,
-                      node.op, msg);
         };
-
         if (!out.live) {
             // With errors_only the live bits may still be lazily unset,
             // but warn() drops DeadNode there anyway.
             warn(DiagKind::DeadNode, "result never reaches an output");
         }
-        if (traits.tolerates3 != 0 &&
-            (A.size_min >= 3 ||
-             (binary && !p.is_constant(node.b) && B.size_min >= 3))) {
-            warn(DiagKind::OversizeCipher,
-                 "size-3 ciphertext flows on without relinearization");
-        }
 
-        // Default result facts: unary pass-through of the first operand.
-        out.size_min = A.size_min;
-        out.size_max = A.size_max;
-        out.level_min = A.level_min;
-        out.level_max = A.level_max;
-        out.scale_lo = A.scale_lo;
-        out.scale_hi = A.scale_hi;
-        out.depth = 1 + std::max(A.depth, binary ? B.depth : 0);
-        out.mult_depth =
-            std::max(A.mult_depth, binary ? B.mult_depth : 0) + traits.mult;
+        // Every check reads the op's row, a compile-time constant inside
+        // the visitor, so each folds to the op's own code.
+        visit_op(node.op, [&](auto code) {
+            constexpr const OpSemantics &row =
+                op_semantics(decltype(code)::value);
+            const bool binary = row.arity == 2;
+            const ValueFacts &B = binary ? vals[node.b] : A;
 
-        // Binary cipher ops whose success implies equal operand levels:
-        // intersect (strict) or planner-aligned min-combine.
-        const auto combine_levels = [&]() {
-            if (aligned) {
-                out.level_min = std::min(A.level_min, B.level_min);
-                out.level_max = std::min(A.level_max, B.level_max);
-                return;
+            // Sizes are never repaired.  Ops without a size-2/3 contract
+            // pass a size-3 ciphertext on (advisory).
+            if ((row.size == SizeRule::Any || row.size == SizeRule::Equal) &&
+                (A.size_min >= 3 ||
+                 (binary && !row.const_operand && B.size_min >= 3))) {
+                warn(DiagKind::OversizeCipher,
+                     "size-3 ciphertext flows on without relinearization");
             }
-            const std::size_t lo = std::max(A.level_min, B.level_min);
-            const std::size_t hi = std::min(A.level_max, B.level_max);
-            if (lo <= hi) {
-                out.level_min = lo;
-                out.level_max = hi;
+            if (size_must_fail(row, A, B)) {
+                error(false, DiagKind::SizeMismatch,
+                      "operand sizes violate the op's contract; "
+                      "relinearize first");
             }
-        };
-        // Plain ops: success pins the cipher to the constant's level.
-        // The planner can lower a cipher down to the constant but never
-        // raise it, and a level-0 constant is unreachable.
-        const auto check_plain_level = [&](const ckks::Plaintext &plain) {
-            if (plain.n != context_->n()) {
-                error(DiagKind::LevelMismatch,
-                      "plaintext ring dimension mismatch");
+            // Levels: the planner lowers operands and strips alignment
+            // drops, but can never raise a level or drop the last prime.
+            switch (row.level) {
+                case LevelRule::Same: break;
+                case LevelRule::Drop:
+                    if (A.level_max < 2) {
+                        error(row.alignment, DiagKind::LevelUnderflow,
+                              "cannot drop a prime at the last level");
+                    }
+                    break;
+                case LevelRule::MatchConst:
+                    if (p.constants[node.b - const_base].n !=
+                        context_->n()) {
+                        error(false, DiagKind::LevelMismatch,
+                              "plaintext ring dimension mismatch");
+                    }
+                    if (aligned &&
+                        (B.level_min < 1 || B.level_min > A.level_max)) {
+                        error(false, DiagKind::LevelMismatch,
+                              "cipher can never reach the constant's level ",
+                              B.level_min);
+                    }
+                    [[fallthrough]];
+                case LevelRule::Equal:
+                    if (levels_disjoint(A, B)) {
+                        error(true, DiagKind::LevelMismatch,
+                              "operand levels can never agree");
+                    }
+                    break;
+                case LevelRule::AddendAbove:
+                    if (B.level_max < A.level_min + 1 ||
+                        B.level_min > A.level_max + 1) {
+                        error(true, DiagKind::LevelMismatch,
+                              "addend must sit exactly one level above the "
+                              "accumulator");
+                    }
+                    break;
             }
-            if (aligned) {
-                if (plain.rns < 1 || plain.rns > A.level_max) {
-                    error_num(DiagKind::LevelMismatch,
-                              "cipher can never reach the constant's "
-                              "level ",
-                              static_cast<long long>(plain.rns));
+            if (row.scale_gate && scale_must_mismatch(A, B)) {
+                error(true, DiagKind::ScaleMismatch,
+                      "operand scales can never pass the evaluators' 1e-6 "
+                      "gate");
+            }
+            // Keys: a key switch at level l needs a key at least l deep.
+            // A rotation by the identity element switches no key at all.
+            if (row.key != KeyNeed::None) {
+                const bool relin = row.key == KeyNeed::Relin;
+                const uint64_t elt = relin ? 0
+                                     : row.key == KeyNeed::Galois
+                                         ? elt_of(node.imm)
+                                         : galois_tool.conjugation_elt();
+                const auto &levels =
+                    relin ? options_.relin_levels : options_.galois_levels;
+                const auto &elts = options_.galois_elts;
+                if ((relin ? options_.relin_keys : options_.galois_keys) ==
+                    false) {
+                    error(false, DiagKind::MissingKey,
+                          relin ? "program needs relinearization keys"
+                                : "program needs galois keys");
+                } else if (!relin && elt != 1 && elts.has_value() &&
+                           std::find(elts->begin(), elts->end(), elt) ==
+                               elts->end()) {
+                    error(false, DiagKind::MissingRotation,
+                          "no galois key for element ",
+                          static_cast<long long>(elt));
+                } else if (elt != 1 && levels.has_value() &&
+                           A.level_min > *levels) {
+                    error(false, DiagKind::MissingKey,
+                          "key-switching key too short for level ",
+                          A.level_min);
                 }
-            } else if (levels_disjoint(A, B)) {
-                strict_error_num(DiagKind::LevelMismatch,
-                                 "cipher level can never match the "
-                                 "constant's level ",
-                                 static_cast<long long>(plain.rns));
             }
-            out.level_min = out.level_max =
-                std::max<std::size_t>(plain.rns, 1);
-        };
 
-        switch (node.op) {
-            case OpCode::Add:
-            case OpCode::Sub: {
-                if (sizes_disjoint(A, B)) {
-                    error(DiagKind::SizeMismatch,
-                          "operand sizes can never agree; relinearize "
-                          "before adding");
+            transfer(row, A, B, out, *context_, aligned);
+            if (row.scale == ScaleRule::DivDropped &&
+                options_.snap_scale > 0.0 && out.scale_exact() &&
+                out.scale_lo > 0.0) {
+                const double ratio = out.scale_lo / options_.snap_scale;
+                if (std::abs(ratio - 1.0) > options_.snap_tolerance &&
+                    std::abs(1.0 / ratio - 1.0) > options_.snap_tolerance) {
+                    warn(DiagKind::ScaleDrift,
+                         "rescale result drifts outside the snap range of "
+                         "the session scale");
                 }
-                if (levels_disjoint(A, B)) {
-                    strict_error(DiagKind::LevelMismatch,
-                                 "operand levels can never agree");
-                }
-                if (scale_must_mismatch(A, B)) {
-                    strict_error(DiagKind::ScaleMismatch,
-                                 "operand scales can never pass the "
-                                 "evaluator's 1e-6 gate");
-                }
-                const std::size_t smin = std::max(A.size_min, B.size_min);
-                const std::size_t smax = std::min(A.size_max, B.size_max);
-                if (smin <= smax) {
-                    out.size_min = smin;
-                    out.size_max = smax;
-                }
-                combine_levels();
-                if (aligned) {
-                    // The planner may adopt either side's scale.
-                    out.scale_lo = std::min(A.scale_lo, B.scale_lo);
-                    out.scale_hi = std::max(A.scale_hi, B.scale_hi);
-                }  // strict: the result carries the first operand's scale
-                break;
             }
-            case OpCode::Negate:
-                break;
-            case OpCode::AddPlain: {
-                const ckks::Plaintext &plain =
-                    p.constants[node.b - const_base];
-                check_plain_level(plain);
-                if (scale_must_mismatch(A, B)) {
-                    strict_error(DiagKind::ScaleMismatch,
-                                 "cipher scale can never match the "
-                                 "constant's within 1e-6");
-                }
-                break;
-            }
-            case OpCode::MultiplyPlain: {
-                const ckks::Plaintext &plain =
-                    p.constants[node.b - const_base];
-                check_plain_level(plain);
-                out.scale_lo = interval_mul(A.scale_lo, plain.scale);
-                out.scale_hi = interval_mul(A.scale_hi, plain.scale);
-                break;
-            }
-            case OpCode::Multiply: {
-                if (!size_can_be(A, 2) || !size_can_be(B, 2)) {
-                    error(DiagKind::SizeMismatch,
-                          "multiply expects size-2 operands; relinearize "
-                          "first");
-                }
-                if (levels_disjoint(A, B)) {
-                    strict_error(DiagKind::LevelMismatch,
-                                 "operand levels can never agree");
-                }
-                out.size_min = out.size_max = 3;
-                combine_levels();
-                out.scale_lo = interval_mul(A.scale_lo, B.scale_lo);
-                out.scale_hi = interval_mul(A.scale_hi, B.scale_hi);
-                break;
-            }
-            case OpCode::Square: {
-                if (!size_can_be(A, 2)) {
-                    error(DiagKind::SizeMismatch,
-                          "square expects a size-2 operand; relinearize "
-                          "first");
-                }
-                out.size_min = out.size_max = 3;
-                out.scale_lo = interval_mul(A.scale_lo, A.scale_lo);
-                out.scale_hi = interval_mul(A.scale_hi, A.scale_hi);
-                break;
-            }
-            case OpCode::Relinearize: {
-                if (!size_can_be(A, 3)) {
-                    error(DiagKind::SizeMismatch,
-                          "relinearize expects a size-3 ciphertext");
-                }
-                if (options_.relin_keys == false) {
-                    error(DiagKind::MissingKey,
-                          "program needs relinearization keys");
-                } else if (options_.relin_levels.has_value() &&
-                           A.level_min > *options_.relin_levels) {
-                    error_num(DiagKind::MissingKey,
-                              "relinearization key too short for level ",
-                              A.level_min);
-                }
-                out.size_min = out.size_max = 2;
-                break;
-            }
-            case OpCode::Rescale: {
-                if (A.level_max < 2) {
-                    error(DiagKind::LevelUnderflow,
-                          "cannot rescale at the last level");
-                }
-                out.level_min = drop_min(A.level_min);
-                out.level_max = drop_min(A.level_max);
-                if (A.level_exact() && A.level_min >= 2 &&
-                    std::size_t{A.level_min} - 1 <
-                        context_->key_modulus().size()) {
-                    const double q = static_cast<double>(
-                        context_->key_modulus()[A.level_min - 1].value());
-                    out.scale_lo = A.scale_lo / q;
-                    out.scale_hi = A.scale_hi / q;
-                } else {
-                    out.scale_lo = 0.0;
-                    out.scale_hi = kInf;
-                }
-                if (options_.snap_scale > 0.0 && out.scale_exact() &&
-                    out.scale_lo > 0.0) {
-                    const double ratio = out.scale_lo / options_.snap_scale;
-                    if (std::abs(ratio - 1.0) > options_.snap_tolerance &&
-                        std::abs(1.0 / ratio - 1.0) >
-                            options_.snap_tolerance) {
-                        warn(DiagKind::ScaleDrift,
-                             "rescale result drifts outside the snap "
-                             "range of the session scale");
-                    }
-                }
-                break;
-            }
-            case OpCode::ModSwitch:
-            case OpCode::ModSwitchAdopt: {
-                if (A.level_max < 2) {
-                    strict_error(DiagKind::LevelUnderflow,
-                                 "cannot switch below one prime");
-                }
-                // The planner may strip this node outright, so in
-                // aligned mode the level may not drop at all.
-                out.level_min = drop_min(A.level_min);
-                out.level_max = aligned ? A.level_max : drop_min(A.level_max);
-                if (node.op == OpCode::ModSwitchAdopt) {
-                    // Adopts the ref's scale metadata when it is > 0.
-                    if (B.scale_exact()) {
-                        if (B.scale_lo > 0.0) {
-                            out.scale_lo = B.scale_lo;
-                            out.scale_hi = B.scale_hi;
-                        }
-                    } else {
-                        out.scale_lo = std::min(A.scale_lo, B.scale_lo);
-                        out.scale_hi = std::max(A.scale_hi, B.scale_hi);
-                    }
-                }
-                break;
-            }
-            case OpCode::AdoptScale: {
-                out.scale_lo = B.scale_lo;
-                out.scale_hi = B.scale_hi;
-                break;
-            }
-            case OpCode::ModSwitchAdd: {
-                // a + mod_switch(c): c must sit exactly one level above
-                // a, with matching sizes (the planner additionally
-                // requires size 2 on both).
-                if (aligned) {
-                    if (!size_can_be(A, 2) || !size_can_be(B, 2)) {
-                        error(DiagKind::SizeMismatch,
-                              "expects size-2 operands");
-                    }
-                } else if (sizes_disjoint(A, B)) {
-                    strict_error(DiagKind::SizeMismatch,
-                                 "operand sizes can never agree");
-                }
-                if (!aligned &&
-                    (B.level_max < A.level_min + 1 ||
-                     B.level_min > A.level_max + 1)) {
-                    strict_error(DiagKind::LevelMismatch,
-                                 "addend must sit exactly one level above "
-                                 "the accumulator");
-                }
-                // Result carries the accumulator's metadata.
-                break;
-            }
-            case OpCode::Rotate: {
-                if (!size_can_be(A, 2)) {
-                    error(DiagKind::SizeMismatch,
-                          "rotate expects a size-2 ciphertext");
-                }
-                if (options_.galois_keys == false) {
-                    error(DiagKind::MissingKey,
-                          "program needs galois keys");
-                } else if (options_.galois_elts.has_value()) {
-                    const uint64_t elt = elt_of(node.imm);
-                    if (elt != 1 &&
-                        std::find(options_.galois_elts->begin(),
-                                  options_.galois_elts->end(),
-                                  elt) == options_.galois_elts->end()) {
-                        error_num(DiagKind::MissingRotation,
-                                  "no galois key for rotation step ",
-                                  node.imm);
-                    }
-                }
-                out.size_min = out.size_max = 2;
-                break;
-            }
-            case OpCode::Conjugate: {
-                if (!size_can_be(A, 2)) {
-                    error(DiagKind::SizeMismatch,
-                          "conjugate expects a size-2 ciphertext");
-                }
-                if (options_.galois_keys == false) {
-                    error(DiagKind::MissingKey,
-                          "program needs galois keys");
-                } else if (options_.galois_elts.has_value()) {
-                    const uint64_t elt = galois_tool.conjugation_elt();
-                    if (std::find(options_.galois_elts->begin(),
-                                  options_.galois_elts->end(),
-                                  elt) == options_.galois_elts->end()) {
-                        error(DiagKind::MissingRotation,
-                              "no galois key for conjugation");
-                    }
-                }
-                out.size_min = out.size_max = 2;
-                break;
-            }
-        }
+        });
     }
 
     // Program-level facts and advisories.

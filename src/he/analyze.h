@@ -14,9 +14,12 @@
 // program is guaranteed to throw when executed (the interpreter runs all
 // nodes in order; the first must-fail node reached throws).  With exact
 // input facts (strict mode, point intervals) the analysis is also
-// complete: it mirrors the evaluators' preconditions expression-for-
-// expression (including the |a/b - 1| < 1e-6 scale test on the same
-// doubles), so accept <=> clean execution — the property
+// complete.  It holds no op rules of its own: result facts come from
+// he/semantics.h's transfer() over an interval domain, and each check is
+// derived from the op's row there — the same rows the evaluators'
+// preconditions are stated in, with the scale gate evaluated by the
+// evaluators' own ckks::scales_match on the same doubles.  So accept <=>
+// clean execution, which tests/test_he_analyze.cpp checks op by op and
 // tests/test_he_compiler_fuzz.cpp holds differentially.
 //
 // Two modes:
@@ -74,41 +77,16 @@ struct Diagnostic {
     std::string message;
 };
 
-/// What the caller knows about one program input.  Zero means unknown
-/// (the analyzer widens to the full interval): size in [1, any], level in
-/// [1, max_level], scale in (0, inf).
-struct InputFacts {
-    std::size_t size = 0;
-    std::size_t level = 0;
-    double scale = 0.0;
-};
-
 /// Exact facts of a live handle.
 InputFacts facts_of(const Cipher &cipher);
 
-/// Interval facts the analyzer derives per program value.  Fields are
-/// the narrowest sound types, not size_t: sizes are <= 64, levels fit a
-/// modulus chain (<= 255), depths are bounded by the node limit
-/// (<= 2^16 nodes, so uint32_t), and the walk allocates one ValueFacts
-/// per value, so width is admission-path memory traffic (32 bytes).
-/// Caller-supplied InputFacts are clamped into range on entry — sound,
-/// because every in-range quantity compares identically against the
-/// clamp.
-struct ValueFacts {
-    double scale_lo = 0.0;
-    double scale_hi = 0.0;
-    uint32_t depth = 0;       ///< longest op chain from the leaves
-    uint32_t mult_depth = 0;  ///< multiplies along the deepest path
-    uint8_t size_min = 1;
-    uint8_t size_max = 1;
-    uint8_t level_min = 1;
-    uint8_t level_max = 1;
-    bool live = false;        ///< transitively feeds an output
-
-    bool size_exact() const noexcept { return size_min == size_max; }
-    bool level_exact() const noexcept { return level_min == level_max; }
-    bool scale_exact() const noexcept { return scale_lo == scale_hi; }
-};
+/// Facts of every value of `program`, sized for a forward walk: the
+/// inputs from `inputs` (one per input, or one for all), widened where
+/// unknown; each constant exact at its embedded level and scale; node
+/// slots default-initialized.
+std::vector<ValueFacts> leaf_facts(const Program &program,
+                                   std::span<const InputFacts> inputs,
+                                   std::size_t max_level);
 
 struct AnalyzerOptions {
     /// The program will be compiled with planning before execution; see
@@ -137,9 +115,12 @@ struct AnalyzerOptions {
     std::optional<bool> relin_keys;
     std::optional<std::size_t> relin_levels;
     /// nullopt = unknown.  `galois_elts` lists the *galois elements* (not
-    /// steps) keys exist for, mirroring GaloisKeys::has().
+    /// steps) keys exist for, mirroring GaloisKeys::has(); `galois_levels`
+    /// is the level depth the shortest of them covers (a key set mixing
+    /// lengths is judged by its shortest key).
     std::optional<bool> galois_keys;
     std::optional<std::vector<uint64_t>> galois_elts;
+    std::optional<std::size_t> galois_levels;
 
     /// When > 0, Rescale results outside snap_tolerance of snap_scale get
     /// a ScaleDrift warning (the Session snap range; advisory only).
@@ -197,10 +178,6 @@ public:
     /// with no per-call facts allocation.
     AnalysisReport analyze(const Program &program,
                            const InputFacts &uniform) const;
-    /// Uniform facts: every input a size-2 ciphertext at `input_level`
-    /// with `input_scale` (zero = unknown, as in InputFacts).
-    AnalysisReport analyze(const Program &program, std::size_t input_level,
-                           double input_scale) const;
     /// Planner-default facts: size 2, max level, last-prime scale — the
     /// assumptions ProgramCompiler plans against.
     AnalysisReport analyze(const Program &program) const;

@@ -13,103 +13,41 @@ namespace xehe::he {
 
 namespace {
 
-/// The evaluators accept scales within this relative distance at add /
-/// add_plain; the planner treats such scales as already aligned (so a
-/// raw-valid program plans with zero insertions).
-constexpr double kScaleEqualTol = 1e-6;
-
 [[noreturn]] void fail(std::size_t node, OpCode op, const std::string &what) {
     throw std::invalid_argument("he: compiler: node " + std::to_string(node) +
-                                " (" + op_code_name(op) + "): " + what);
+                                " (" + op_semantics(op).name + "): " + what);
 }
 
-bool is_align_op(OpCode op) {
-    return op == OpCode::ModSwitch || op == OpCode::ModSwitchAdopt ||
-           op == OpCode::AdoptScale;
-}
-
-/// Symbolic ciphertext metadata.  The scale arithmetic mirrors the
-/// backends bitwise (multiply: a.scale * b.scale; rescale: a.scale /
-/// double(dropped prime); binary linear ops: the first operand's scale),
-/// so scale-equality decisions match what the interpreter will see.
-struct Meta {
-    std::size_t size = 2;
-    std::size_t level = 0;
-    double scale = 0.0;
-};
-
-bool scales_equal(double a, double b) {
-    return std::abs(a / b - 1.0) < kScaleEqualTol;
-}
-
-/// Metadata transfer function of one node over already-final operands.
-Meta step(const Program &p, const Program::Node &node, const Meta &a,
-          const Meta &b, const ckks::CkksContext &ctx) {
-    switch (node.op) {
-        case OpCode::Add:
-        case OpCode::Sub:
-        case OpCode::Negate:
-        case OpCode::AddPlain:
-        case OpCode::ModSwitchAdd: return a;
-        case OpCode::MultiplyPlain: {
-            const ckks::Plaintext &plain =
-                p.constants[node.b - p.num_inputs];
-            return {a.size, a.level, a.scale * plain.scale};
-        }
-        case OpCode::Multiply: return {3, a.level, a.scale * b.scale};
-        case OpCode::Square: return {3, a.level, a.scale * a.scale};
-        case OpCode::Relinearize: return {2, a.level, a.scale};
-        case OpCode::Rescale:
-            return {a.size, a.level - 1,
-                    a.scale / static_cast<double>(
-                                  ctx.key_modulus()[a.level - 1].value())};
-        case OpCode::ModSwitch: return {a.size, a.level - 1, a.scale};
-        case OpCode::ModSwitchAdopt: return {a.size, a.level - 1, b.scale};
-        case OpCode::AdoptScale: return {a.size, a.level, b.scale};
-        case OpCode::Rotate:
-        case OpCode::Conjugate: return {2, a.level, a.scale};
-    }
-    return a;
-}
-
-/// Best-effort metadata for every value of `p` (used by canonicalize to
-/// prove Add operands share a scale).  Never throws: inconsistent
+/// Best-effort exact facts for every value of `p` (used by canonicalize
+/// to prove Add operands share a scale).  Never throws: inconsistent
 /// programs — the ones the planner exists to repair — get approximate
-/// metadata, which only makes canonicalization more conservative.
-std::vector<Meta> simulate(const Program &p, const ckks::CkksContext &ctx,
-                           std::size_t input_level, double input_scale) {
-    std::vector<Meta> meta(p.value_count());
-    for (uint32_t v = 0; v < p.num_inputs; ++v) {
-        meta[v] = {2, input_level, input_scale};
-    }
-    for (std::size_t c = 0; c < p.constants.size(); ++c) {
-        meta[p.num_inputs + c] = {1, p.constants[c].rns,
-                                  p.constants[c].scale};
-    }
+/// facts, which only makes canonicalization more conservative.
+std::vector<ValueFacts> simulate(const Program &p,
+                                 const ckks::CkksContext &ctx,
+                                 const InputFacts &input) {
+    std::vector<ValueFacts> facts =
+        leaf_facts(p, {&input, 1}, ctx.max_level());
     const uint32_t node_base =
         p.num_inputs + static_cast<uint32_t>(p.constants.size());
     for (std::size_t i = 0; i < p.nodes.size(); ++i) {
         const Program::Node &node = p.nodes[i];
-        const Meta &a = meta[node.a];
-        const Meta b =
-            op_code_arity(node.op) == 2 ? meta[node.b] : Meta{};
-        if (a.level == 0 ||
-            ((node.op == OpCode::Rescale || node.op == OpCode::ModSwitch ||
-              node.op == OpCode::ModSwitchAdopt) &&
-             a.level < 2)) {
-            meta[node_base + i] = a;  // bottomed out; keep going
+        const OpSemantics &row = op_semantics(node.op);
+        const ValueFacts &a = facts[node.a];
+        ValueFacts &out = facts[node_base + i];
+        if (row.level == LevelRule::Drop && a.level_min < 2) {
+            out = a;  // bottomed out; keep going
             continue;
         }
-        meta[node_base + i] = step(p, node, a, b, ctx);
+        transfer(row, a, row.arity == 2 ? facts[node.b] : a, out, ctx);
     }
-    return meta;
+    return facts;
 }
 
 // ---------------------------------------------------------------------------
 // canonicalize: commutative operand order + Multiply(x, x) -> Square
 // ---------------------------------------------------------------------------
 
-void canonicalize_pass(Program &p, const std::vector<Meta> &meta,
+void canonicalize_pass(Program &p, const std::vector<ValueFacts> &meta,
                        PassReport &report) {
     for (Program::Node &node : p.nodes) {
         if (node.op == OpCode::Multiply && node.a == node.b) {
@@ -129,9 +67,9 @@ void canonicalize_pass(Program &p, const std::vector<Meta> &meta,
             // Add adopts the FIRST operand's scale metadata, so the swap
             // is only bit-safe when both operand scales are provably the
             // same double.
-            const Meta &a = meta[node.a], &b = meta[node.b];
-            if (a.scale == b.scale && a.size == b.size &&
-                a.level == b.level) {
+            const ValueFacts &a = meta[node.a], &b = meta[node.b];
+            if (a.scale_lo == b.scale_lo && a.size_min == b.size_min &&
+                a.level_min == b.level_min) {
                 std::swap(node.a, node.b);
                 ++report.canonicalized;
             }
@@ -157,7 +95,7 @@ Program cse_pass(const Program &p, PassReport &report) {
     for (std::size_t i = 0; i < p.nodes.size(); ++i) {
         Program::Node node = p.nodes[i];
         node.a = remap[node.a];
-        if (op_code_arity(node.op) == 2) {
+        if (op_semantics(node.op).arity == 2) {
             node.b = remap[node.b];
         }
         const std::array<uint64_t, 2> key = {
@@ -189,18 +127,7 @@ Program dce_pass(const Program &p, PassReport &report) {
     const uint32_t node_base =
         const_base + static_cast<uint32_t>(p.constants.size());
     std::vector<char> live(p.value_count(), 0);
-    for (const uint32_t o : p.outputs) {
-        live[o] = 1;
-    }
-    for (std::size_t i = p.nodes.size(); i-- > 0;) {
-        if (!live[node_base + i]) {
-            continue;
-        }
-        live[p.nodes[i].a] = 1;
-        if (op_code_arity(p.nodes[i].op) == 2) {
-            live[p.nodes[i].b] = 1;
-        }
-    }
+    mark_live(p, [&](std::size_t v) -> char & { return live[v]; });
 
     Program out;
     out.num_inputs = p.num_inputs;
@@ -226,7 +153,7 @@ Program dce_pass(const Program &p, PassReport &report) {
         }
         Program::Node node = p.nodes[i];
         node.a = remap[node.a];
-        if (op_code_arity(node.op) == 2) {
+        if (op_semantics(node.op).arity == 2) {
             node.b = remap[node.b];
         }
         remap[node_base + i] =
@@ -247,8 +174,10 @@ Program dce_pass(const Program &p, PassReport &report) {
 class Planner {
 public:
     Planner(const Program &p, const ckks::CkksContext &ctx,
-            const CompilerOptions &opt, PassReport &report)
-        : in_(p), ctx_(ctx), opt_(opt), report_(report) {
+            const InputFacts &input, double snap_tolerance,
+            PassReport &report)
+        : in_(p), ctx_(ctx), input_(input),
+          snap_tolerance_(snap_tolerance), report_(report) {
         node_base_ = in_.num_inputs +
                      static_cast<uint32_t>(in_.constants.size());
     }
@@ -258,25 +187,11 @@ public:
         out_.num_inputs = in_.num_inputs;
         out_.constants = in_.constants;
         remap_.assign(in_.value_count(), 0);
-        meta_.assign(node_base_, Meta{});
-        const std::size_t input_level =
-            opt_.input_level > 0
-                ? std::min(opt_.input_level, ctx_.max_level())
-                : ctx_.max_level();
-        const double input_scale =
-            opt_.input_scale > 0.0
-                ? opt_.input_scale
-                : static_cast<double>(
-                      ctx_.key_modulus()[ctx_.max_level() - 1].value());
-        for (uint32_t v = 0; v < in_.num_inputs; ++v) {
+        for (uint32_t v = 0; v < node_base_; ++v) {
             remap_[v] = v;
-            meta_[v] = {2, input_level, input_scale};
         }
-        for (std::size_t c = 0; c < in_.constants.size(); ++c) {
-            const uint32_t v = in_.num_inputs + static_cast<uint32_t>(c);
-            remap_[v] = v;
-            meta_[v] = {1, in_.constants[c].rns, in_.constants[c].scale};
-        }
+        meta_ = leaf_facts(in_, {&input_, 1}, ctx_.max_level());
+        meta_.resize(node_base_);
         for (std::size_t i = 0; i < in_.nodes.size(); ++i) {
             plan_node(i);
         }
@@ -289,7 +204,7 @@ public:
 
 private:
     /// An alignment node is strippable when nothing observes it except
-    /// scale-checked linear ops (Add/Sub, where alignment is re-derived
+    /// gated cipher-cipher ops (Add/Sub, where alignment is re-derived
     /// against the partner) or further strippable alignment nodes, and
     /// it is not itself an output.  Anything else — a Multiply or
     /// ModSwitchAdd operand, the ref side of an adopt, a Rescale input,
@@ -304,7 +219,7 @@ private:
             }
         }
         for (std::size_t i = in_.nodes.size(); i-- > 0;) {
-            if (!is_align_op(in_.nodes[i].op) || pinned[i]) {
+            if (!op_semantics(in_.nodes[i].op).alignment || pinned[i]) {
                 continue;
             }
             strippable_[i] = 1;
@@ -318,6 +233,7 @@ private:
             changed = false;
             for (std::size_t i = 0; i < in_.nodes.size(); ++i) {
                 const Program::Node &node = in_.nodes[i];
+                const OpSemantics &row = op_semantics(node.op);
                 const auto consume = [&](uint32_t v, bool safe) {
                     if (v < node_base_) {
                         return;
@@ -328,13 +244,9 @@ private:
                         changed = true;
                     }
                 };
-                const bool linear =
-                    node.op == OpCode::Add || node.op == OpCode::Sub;
-                const bool align_primary =
-                    is_align_op(node.op) && strippable_[i];
-                consume(node.a, linear || align_primary);
-                if (op_code_arity(node.op) == 2 &&
-                    !in_.is_constant(node.b)) {
+                const bool linear = row.scale_gate && !row.const_operand;
+                consume(node.a, linear || (row.alignment && strippable_[i]));
+                if (row.arity == 2 && !row.const_operand) {
                     consume(node.b, linear);
                 }
             }
@@ -342,15 +254,16 @@ private:
     }
 
     uint32_t emit(OpCode op, uint32_t a, uint32_t b, int32_t imm) {
+        const OpSemantics &row = op_semantics(op);
         Program::Node node;
         node.op = op;
         node.a = a;
-        node.b = op_code_arity(op) == 2 ? b : 0;
+        node.b = row.arity == 2 ? b : 0;
         node.imm = imm;
-        const Meta mb = op_code_arity(op) == 2 && !out_.is_constant(node.b)
-                            ? meta_[node.b]
-                            : Meta{};
-        meta_.push_back(step(out_, node, meta_[a], mb, ctx_));
+        ValueFacts out;
+        transfer(row, meta_[a], row.arity == 2 ? meta_[b] : meta_[a], out,
+                 ctx_);
+        meta_.push_back(out);
         out_.nodes.push_back(node);
         return node_base_ + static_cast<uint32_t>(out_.nodes.size()) - 1;
     }
@@ -358,8 +271,8 @@ private:
     /// Mod-switches `v` down to `target` (one inserted node per level).
     uint32_t lower(uint32_t v, std::size_t target, std::size_t i,
                    OpCode op) {
-        while (meta_[v].level > target) {
-            if (meta_[v].level < 2) {
+        while (meta_[v].level_min > target) {
+            if (meta_[v].level_min < 2) {
                 fail(i, op, "cannot mod-switch below one prime");
             }
             v = emit(OpCode::ModSwitch, v, 0, 0);
@@ -378,7 +291,7 @@ private:
                 out_.nodes[def].op == OpCode::ModSwitch) {
                 out_.nodes[def].op = OpCode::ModSwitchAdopt;
                 out_.nodes[def].b = ref;
-                meta_[v].scale = meta_[ref].scale;
+                meta_[v].scale_lo = meta_[v].scale_hi = meta_[ref].scale_lo;
                 return v;
             }
         }
@@ -387,6 +300,9 @@ private:
         return adopted;
     }
 
+    /// Re-derives the node's alignment from its row: sizes are checked
+    /// (never repaired), levels repaired by lowering, cipher-cipher scale
+    /// gaps within the snap tolerance by adoption.
     void plan_node(std::size_t i) {
         const Program::Node &node = in_.nodes[i];
         const uint32_t old_value = node_base_ + static_cast<uint32_t>(i);
@@ -396,105 +312,78 @@ private:
             return;
         }
 
+        const OpSemantics &row = op_semantics(node.op);
+        const OpCode op = node.op;
         uint32_t x = remap_[node.a];
-        uint32_t y = op_code_arity(node.op) == 2 ? remap_[node.b] : 0;
+        uint32_t y = row.arity == 2 ? remap_[node.b] : x;
         const std::size_t episode = out_.nodes.size();
-        switch (node.op) {
-            case OpCode::Add:
-            case OpCode::Sub: {
-                if (meta_[x].size != meta_[y].size) {
-                    fail(i, node.op, "operand sizes differ; relinearize "
-                                     "before adding");
-                }
-                if (meta_[x].level > meta_[y].level) {
-                    x = lower(x, meta_[y].level, i, node.op);
-                } else if (meta_[y].level > meta_[x].level) {
-                    y = lower(y, meta_[x].level, i, node.op);
-                }
-                if (!scales_equal(meta_[x].scale, meta_[y].scale)) {
-                    const double ratio = meta_[x].scale / meta_[y].scale;
-                    if (std::abs(ratio - 1.0) > opt_.snap_tolerance &&
-                        std::abs(1.0 / ratio - 1.0) > opt_.snap_tolerance) {
-                        fail(i, node.op,
-                             "operand scale gap (ratio " +
-                                 std::to_string(ratio) +
-                                 ") exceeds the snap tolerance");
-                    }
-                    // Adopt on the side this episode lowered (its nodes
-                    // are fresh), else on the second operand.
-                    if (x >= node_base_ &&
-                        x - node_base_ >= episode) {
-                        x = adopt(x, y, episode);
-                    } else {
-                        y = adopt(y, x, episode);
-                    }
-                }
-                break;
-            }
-            case OpCode::Multiply: {
-                if (meta_[x].size != 2 || meta_[y].size != 2) {
-                    fail(i, node.op, "multiply expects size-2 operands; "
-                                     "relinearize first");
-                }
-                if (meta_[x].level > meta_[y].level) {
-                    x = lower(x, meta_[y].level, i, node.op);
-                } else if (meta_[y].level > meta_[x].level) {
-                    y = lower(y, meta_[x].level, i, node.op);
-                }
-                break;
-            }
-            case OpCode::AddPlain:
-            case OpCode::MultiplyPlain: {
-                const ckks::Plaintext &plain =
-                    out_.constants[y - out_.num_inputs];
-                if (meta_[x].level > plain.rns) {
-                    x = lower(x, plain.rns, i, node.op);
-                } else if (meta_[x].level < plain.rns) {
-                    fail(i, node.op,
-                         "cipher sits below the constant's level");
-                }
-                if (node.op == OpCode::AddPlain &&
-                    !scales_equal(meta_[x].scale, plain.scale)) {
-                    // No cipher ref to adopt from: a plaintext's scale
-                    // cannot be rewritten in place.
-                    fail(i, node.op, "cipher/constant scale gap");
-                }
-                break;
-            }
-            case OpCode::ModSwitchAdd: {
-                if (meta_[x].size != 2 || meta_[y].size != 2) {
-                    fail(i, node.op, "expects size-2 operands");
-                }
-                if (meta_[y].level > meta_[x].level + 1) {
-                    y = lower(y, meta_[x].level + 1, i, node.op);
-                } else if (meta_[y].level != meta_[x].level + 1) {
-                    fail(i, node.op, "addend must sit exactly one level "
-                                     "above the accumulator");
-                }
-                break;
-            }
-            case OpCode::Rescale:
-            case OpCode::ModSwitch:
-            case OpCode::ModSwitchAdopt: {
-                if (meta_[x].level < 2) {
-                    fail(i, node.op, "cannot drop below one prime");
-                }
-                break;
-            }
-            default: break;
+        if (size_must_fail(row, meta_[x], meta_[y])) {
+            fail(i, op, "operand sizes violate the op's contract; "
+                        "relinearize first");
         }
-        remap_[old_value] = emit(node.op, x, y, node.imm);
+        switch (row.level) {
+            case LevelRule::Same: break;
+            case LevelRule::Equal:
+                if (meta_[x].level_min > meta_[y].level_min) {
+                    x = lower(x, meta_[y].level_min, i, op);
+                } else {
+                    y = lower(y, meta_[x].level_min, i, op);
+                }
+                break;
+            case LevelRule::MatchConst:
+                if (meta_[x].level_min < meta_[y].level_min) {
+                    fail(i, op, "cipher sits below the constant's level");
+                }
+                x = lower(x, meta_[y].level_min, i, op);
+                break;
+            case LevelRule::AddendAbove:
+                if (meta_[y].level_min < meta_[x].level_min + 1) {
+                    fail(i, op, "addend must sit exactly one level above "
+                                "the accumulator");
+                }
+                y = lower(y, meta_[x].level_min + 1, i, op);
+                break;
+            case LevelRule::Drop:
+                if (meta_[x].level_min < 2) {
+                    fail(i, op, "cannot drop below one prime");
+                }
+                break;
+        }
+        if (row.scale_gate &&
+            !ckks::scales_match(meta_[x].scale_lo, meta_[y].scale_lo)) {
+            // A plaintext's scale cannot be rewritten in place.
+            if (row.const_operand) {
+                fail(i, op, "cipher/constant scale gap");
+            }
+            const double ratio = meta_[x].scale_lo / meta_[y].scale_lo;
+            if (std::abs(ratio - 1.0) > snap_tolerance_ &&
+                std::abs(1.0 / ratio - 1.0) > snap_tolerance_) {
+                fail(i, op, "operand scale gap (ratio " +
+                                std::to_string(ratio) +
+                                ") exceeds the snap tolerance");
+            }
+            // Adopt on the side this episode lowered (its nodes are
+            // fresh), else on the second operand.
+            if (x >= node_base_ && x - node_base_ >= episode) {
+                x = adopt(x, y, episode);
+            } else {
+                y = adopt(y, x, episode);
+            }
+        }
+        remap_[old_value] = emit(op, x, y, node.imm);
     }
 
     const Program &in_;
     const ckks::CkksContext &ctx_;
-    const CompilerOptions &opt_;
+    const InputFacts input_;
+    const double snap_tolerance_;
     PassReport &report_;
     Program out_;
     uint32_t node_base_ = 0;
     std::vector<char> strippable_;
     std::vector<uint32_t> remap_;
-    std::vector<Meta> meta_;
+    /// Exact facts of every output value (point intervals).
+    std::vector<ValueFacts> meta_;
 };
 
 // ---------------------------------------------------------------------------
@@ -514,12 +403,12 @@ void prefuse_pass(Program &p, PassReport &report) {
         // it too keeps the rule simple: a group member never references
         // another member.
         return in_run(node.a) ||
-               (op_code_arity(node.op) == 2 && in_run(node.b));
+               (op_semantics(node.op).arity == 2 && in_run(node.b));
     };
     std::size_t start = 0;
     for (std::size_t i = 0; i <= p.nodes.size(); ++i) {
         const bool extend = i < p.nodes.size() &&
-                            op_code_is_dyadic(p.nodes[i].op) &&
+                            op_semantics(p.nodes[i].op).dyadic &&
                             !reads_run(p.nodes[i], start, i);
         if (extend) {
             continue;
@@ -529,7 +418,7 @@ void prefuse_pass(Program &p, PassReport &report) {
                 {static_cast<uint32_t>(start), static_cast<uint32_t>(i)});
             report.fused_nodes += i - start;
         }
-        start = (i < p.nodes.size() && op_code_is_dyadic(p.nodes[i].op))
+        start = (i < p.nodes.size() && op_semantics(p.nodes[i].op).dyadic)
                     ? i
                     : i + 1;
     }
@@ -556,67 +445,57 @@ CompiledProgram ProgramCompiler::compile(const Program &program) const {
 
     Program p = program;
     p.fusion_groups.clear();
-    if (options_.canonicalize) {
-        obs::Span pass_span("compile.canonicalize", obs::Category::Compile);
-        std::vector<Meta> meta;
-        if (context_ != nullptr) {
-            const std::size_t input_level =
-                options_.input_level > 0
-                    ? std::min(options_.input_level, context_->max_level())
-                    : context_->max_level();
-            const double input_scale =
-                options_.input_scale > 0.0
-                    ? options_.input_scale
-                    : static_cast<double>(
-                          context_->key_modulus()[context_->max_level() - 1]
-                              .value());
-            meta = simulate(p, *context_, input_level, input_scale);
-        }
-        canonicalize_pass(p, meta, result.report);
+    // Input level and scale are the options' (or the defaults); input
+    // sizes are the caller's.  Canonicalize may assume the usual 2 — an
+    // Add only runs when its operand sizes agree, so a swap proven under
+    // that assumption stays bit-safe — but the planner leaves them
+    // unknown, so it rejects only size defects no input can avoid.
+    InputFacts input;
+    InputFacts planned;
+    if (context_ != nullptr) {
+        input = default_input_facts(*context_, options_.input_level,
+                                    options_.input_scale);
+        planned = input;
+        planned.size = 0;
     }
-    if (options_.cse) {
+    {
+        obs::Span pass_span("compile.canonicalize", obs::Category::Compile);
+        canonicalize_pass(
+            p,
+            context_ != nullptr ? simulate(p, *context_, input)
+                                : std::vector<ValueFacts>{},
+            result.report);
+    }
+    {
         obs::Span pass_span("compile.cse", obs::Category::Compile);
         p = cse_pass(p, result.report);
     }
-    if (options_.dce) {
+    {
         obs::Span pass_span("compile.dce", obs::Category::Compile);
         p = dce_pass(p, result.report);
     }
-    if (options_.plan && context_ != nullptr) {
+    if (context_ != nullptr) {
         obs::Span pass_span("compile.plan", obs::Category::Compile);
-        p = Planner(p, *context_, options_, result.report).run();
-        if (options_.cse) {
-            // Re-derived alignment chains duplicate when one value
-            // aligns for several consumers; merge them.
-            p = cse_pass(p, result.report);
-        }
+        p = Planner(p, *context_, planned, options_.snap_tolerance,
+                    result.report)
+                .run();
+        // Re-derived alignment chains duplicate when one value aligns for
+        // several consumers; merge them.
+        p = cse_pass(p, result.report);
     }
-    if (options_.prefuse) {
+    {
         obs::Span pass_span("compile.prefuse", obs::Category::Compile);
         prefuse_pass(p, result.report);
     }
     p.validate();
-    if (options_.self_verify && options_.plan && context_ != nullptr) {
+    if (context_ != nullptr) {
         // Compiler-bug tripwire: the planner's contract is that its
-        // output raw-interprets cleanly under the facts it planned for
-        // (size left unknown — the planner never verifies input sizes),
+        // output raw-interprets cleanly under the facts it planned for,
         // so any must-fail node here is a pass pipeline defect, not a
         // user error.
         obs::Span pass_span("compile.verify", obs::Category::Compile);
-        const std::size_t input_level =
-            options_.input_level > 0
-                ? std::min(options_.input_level, context_->max_level())
-                : context_->max_level();
-        const double input_scale =
-            options_.input_scale > 0.0
-                ? options_.input_scale
-                : static_cast<double>(
-                      context_->key_modulus()[context_->max_level() - 1]
-                          .value());
-        const std::vector<InputFacts> facts(
-            p.num_inputs, InputFacts{0, input_level, input_scale});
         const AnalysisReport verdict =
-            ProgramAnalyzer(*context_).analyze(p, facts);
+            ProgramAnalyzer(*context_).analyze(p, planned);
         if (!verdict.ok()) {
             throw std::logic_error(
                 "he: compiler: self-verify failed, pass output must-fail: " +

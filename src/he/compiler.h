@@ -14,25 +14,32 @@
 //     canonical operand order makes commutative duplicates structural.
 //  3. DCE — nodes (and constants) no output transitively reads are
 //     dropped.  Outputs are never dropped.
-//  4. plan — the level/scale planner.  Pure alignment nodes (ModSwitch /
-//     ModSwitchAdopt / AdoptScale whose consumers are all cipher-cipher
-//     Add/Sub/Multiply or further alignment nodes, and which are not
-//     outputs) are stripped, and alignment is re-derived at each
-//     consumer from a symbolic (size, level, scale) execution that
-//     mirrors the backends' metadata arithmetic bitwise.  Level gaps
-//     repair with ModSwitch chains; scale gaps within the snap tolerance
-//     repair by adopting the partner's scale (folded into the last
-//     inserted ModSwitch as a ModSwitchAdopt when possible, else an
-//     AdoptScale copy); larger gaps are compile errors — a compiled
-//     program therefore interprets with zero Session multiply-by-one
-//     fixups, and consumes only the levels its data flow forces (a
-//     client circuit that over-switched both operands comes out
-//     shallower).  Requires a bound context; without one the pass is
-//     skipped.
+//  4. plan — the level/scale planner, driven by the op rows of
+//     he/semantics.h.  Pure alignment nodes (rows marked `alignment`:
+//     ModSwitch / ModSwitchAdopt / AdoptScale whose consumers are all
+//     gated cipher-cipher ops — Add/Sub — or further alignment nodes,
+//     and which are not outputs) are stripped, and alignment is
+//     re-derived at each consumer from the row's size, level and scale
+//     rules, tracking metadata with transfer() over exact (point) facts
+//     — the same arithmetic the backends evaluate, bit for bit.  Size
+//     violations are compile errors; level gaps repair with ModSwitch
+//     chains; scale gaps at gated ops within the snap tolerance repair
+//     by adopting the partner's scale (folded into the last inserted
+//     ModSwitch as a ModSwitchAdopt when possible, else an AdoptScale
+//     copy); larger gaps are compile errors — a compiled program
+//     therefore interprets with zero Session multiply-by-one fixups,
+//     and consumes only the levels its data flow forces (a client
+//     circuit that over-switched both operands comes out shallower).
+//     Requires a bound context; without one the pass is skipped.
 //  5. prefuse — maximal runs of consecutive, mutually independent
 //     single-launch dyadic ops are annotated as Program::fusion_groups,
 //     so the interpreter hands the GPU backend pre-planned
 //     FusionBuilder groups instead of launching one kernel per node.
+//
+// Every pass always runs (plan only with a context).  With a context, the
+// output is then checked by ProgramAnalyzer (strict mode, the planner's
+// input facts): a must-fail node there is a compiler bug and throws
+// std::logic_error.
 //
 // Every pass except plan is bit-exact by construction.  plan preserves
 // decoded results; when it inserts or removes nothing
@@ -46,11 +53,6 @@
 namespace xehe::he {
 
 struct CompilerOptions {
-    bool canonicalize = true;
-    bool cse = true;
-    bool dce = true;
-    bool plan = true;
-    bool prefuse = true;
     /// Relative scale distance the planner repairs by adoption (the
     /// session's snap); gaps beyond it are compile errors.
     double snap_tolerance = 0.25;
@@ -60,11 +62,6 @@ struct CompilerOptions {
     /// Scale the planner assumes for every program input.  0 = the
     /// session default (the value of the last data prime).
     double input_scale = 0.0;
-    /// Run ProgramAnalyzer (strict mode, the planner's input facts) over
-    /// every compiled program and throw std::logic_error if any pass
-    /// emitted a must-fail node — a compiler-bug tripwire.  Only applies
-    /// when planning runs (unplanned output is legitimately misaligned).
-    bool self_verify = true;
 };
 
 /// What the pipeline did — per-pass counters plus the bit-exactness
@@ -105,8 +102,8 @@ public:
 
     /// Runs the pipeline.  Throws std::invalid_argument on programs the
     /// planner cannot make raw-executable (scale gaps beyond the snap
-    /// tolerance, size-3 operands where size 2 is required, rescale past
-    /// the last level).
+    /// tolerance, operand sizes off their row's contract, a prime dropped
+    /// at the last level).
     CompiledProgram compile(const Program &program) const;
 
 private:

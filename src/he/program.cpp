@@ -24,40 +24,6 @@ void check(bool condition, const char *what) {
 
 }  // namespace
 
-const char *op_code_name(OpCode op) {
-    switch (op) {
-        case OpCode::Add: return "Add";
-        case OpCode::Sub: return "Sub";
-        case OpCode::Negate: return "Negate";
-        case OpCode::AddPlain: return "AddPlain";
-        case OpCode::MultiplyPlain: return "MultiplyPlain";
-        case OpCode::Multiply: return "Multiply";
-        case OpCode::Square: return "Square";
-        case OpCode::Relinearize: return "Relinearize";
-        case OpCode::Rescale: return "Rescale";
-        case OpCode::ModSwitch: return "ModSwitch";
-        case OpCode::ModSwitchAdopt: return "ModSwitchAdopt";
-        case OpCode::Rotate: return "Rotate";
-        case OpCode::Conjugate: return "Conjugate";
-        case OpCode::ModSwitchAdd: return "ModSwitchAdd";
-        case OpCode::AdoptScale: return "AdoptScale";
-    }
-    return "unknown";
-}
-
-bool op_code_is_dyadic(OpCode op) {
-    switch (op) {
-        case OpCode::Add:
-        case OpCode::Sub:
-        case OpCode::Negate:
-        case OpCode::AddPlain:
-        case OpCode::MultiplyPlain:
-        case OpCode::Square:
-        case OpCode::AdoptScale: return true;
-        default: return false;
-    }
-}
-
 void Program::validate() const {
     check(num_inputs <= kMaxInputs, "too many program inputs");
     check(constants.size() <= kMaxConstants, "too many program constants");
@@ -74,13 +40,12 @@ void Program::validate() const {
         check(static_cast<uint8_t>(node.op) <= kMaxOpCode, "bad opcode");
         check(node.a < defined, "operand references an undefined value");
         check(!is_constant(node.a), "first operand must be a ciphertext");
-        const bool wants_plain = node.op == OpCode::AddPlain ||
-                                 node.op == OpCode::MultiplyPlain;
-        if (op_code_arity(node.op) == 2) {
+        const OpSemantics &row = op_semantics(node.op);
+        if (row.arity == 2) {
             check(node.b < defined, "operand references an undefined value");
-            check(is_constant(node.b) == wants_plain,
-                  wants_plain ? "second operand must be a constant"
-                              : "second operand must be a ciphertext");
+            check(is_constant(node.b) == row.const_operand,
+                  row.const_operand ? "second operand must be a constant"
+                                    : "second operand must be a ciphertext");
         } else {
             check(node.b == 0, "unary op with a second operand");
         }
@@ -114,7 +79,7 @@ void Program::validate() const {
         check(group.first < group.last, "empty fusion group");
         check(group.last <= nodes.size(), "fusion group out of range");
         for (uint32_t i = group.first; i < group.last; ++i) {
-            check(op_code_is_dyadic(nodes[i].op),
+            check(op_semantics(nodes[i].op).dyadic,
                   "fusion group covers a non-dyadic op");
         }
         previous_end = group.last;
@@ -141,39 +106,22 @@ ProgramStats Program::stats() const {
     std::vector<std::size_t> drop(value_count(), 0);
     for (std::size_t i = 0; i < nodes.size(); ++i) {
         const Node &node = nodes[i];
+        const OpSemantics &row = op_semantics(node.op);
         const uint32_t v = node_base + static_cast<uint32_t>(i);
-        const bool binary_cipher =
-            op_code_arity(node.op) == 2 && !is_constant(node.b);
+        const bool binary_cipher = row.arity == 2 && !row.const_operand;
         depth[v] = 1 + std::max(depth[node.a],
                                 binary_cipher ? depth[node.b] : 0);
-        switch (node.op) {
-            case OpCode::Multiply: s.multiplies++; break;
-            case OpCode::Square: s.multiplies++; break;
-            case OpCode::MultiplyPlain: s.plain_multiplies++; break;
-            case OpCode::Relinearize:
-            case OpCode::Rotate:
-            case OpCode::Conjugate: s.key_switches++; break;
-            case OpCode::Rescale: s.rescales++; break;
-            case OpCode::ModSwitch:
-            case OpCode::ModSwitchAdopt:
-            case OpCode::ModSwitchAdd: s.mod_switches++; break;
-            default: break;
+        if (row.stat != nullptr) {
+            ++(s.*row.stat);
         }
-        switch (node.op) {
-            case OpCode::Rescale:
-            case OpCode::ModSwitch:
-            case OpCode::ModSwitchAdopt:
-                drop[v] = drop[node.a] + 1;
-                break;
-            case OpCode::ModSwitchAdd:
-                // Result stays at a's level; the addend c drops one.
-                drop[v] = std::max(drop[node.a], drop[node.b] + 1);
-                break;
-            default:
-                drop[v] = binary_cipher
-                              ? std::max(drop[node.a], drop[node.b])
-                              : drop[node.a];
-                break;
+        if (row.level == LevelRule::Drop) {
+            drop[v] = drop[node.a] + 1;
+        } else if (row.level == LevelRule::AddendAbove) {
+            // Result stays at a's level; the addend c drops one.
+            drop[v] = std::max(drop[node.a], drop[node.b] + 1);
+        } else {
+            drop[v] = binary_cipher ? std::max(drop[node.a], drop[node.b])
+                                    : drop[node.a];
         }
     }
     for (const uint32_t out : outputs) {
@@ -265,7 +213,7 @@ ProgramBuilder::Value ProgramBuilder::node(OpCode op, Value a, Value b) {
     Program::Node node;
     node.op = op;
     node.a = a.index;
-    node.b = op_code_arity(op) == 2 ? b.index : 0;
+    node.b = op_semantics(op).arity == 2 ? b.index : 0;
     program_.nodes.push_back(node);
     return Value{program_.num_inputs +
                  static_cast<uint32_t>(program_.constants.size()) +
@@ -315,7 +263,7 @@ std::vector<Cipher> run_program(const Program &program, Backend &backend,
     std::vector<std::size_t> last_use(program.value_count(), 0);
     for (std::size_t i = 0; i < program.nodes.size(); ++i) {
         last_use[program.nodes[i].a] = i + 1;
-        if (op_code_arity(program.nodes[i].op) == 2) {
+        if (op_semantics(program.nodes[i].op).arity == 2) {
             last_use[program.nodes[i].b] = i + 1;
         }
     }
@@ -426,7 +374,7 @@ std::vector<Cipher> run_program(const Program &program, Backend &backend,
         if (last_use[node.a] == i + 1) {
             release(node.a);
         }
-        if (op_code_arity(node.op) == 2 && last_use[node.b] == i + 1) {
+        if (op_semantics(node.op).arity == 2 && last_use[node.b] == i + 1) {
             release(node.b);
         }
         if (last_use[node_base + i] == 0) {

@@ -19,92 +19,10 @@
 #pragma once
 
 #include "he/backend.h"
+#include "he/semantics.h"
 #include "wire/wire.h"
 
 namespace xehe::he {
-
-enum class OpCode : uint8_t {
-    Add = 0,            ///< (cipher, cipher)
-    Sub = 1,            ///< (cipher, cipher)
-    Negate = 2,         ///< (cipher)
-    AddPlain = 3,       ///< (cipher, constant)
-    MultiplyPlain = 4,  ///< (cipher, constant)
-    Multiply = 5,       ///< (cipher, cipher); operands size 2
-    Square = 6,         ///< (cipher)
-    Relinearize = 7,    ///< (cipher); needs relin keys
-    Rescale = 8,        ///< (cipher)
-    ModSwitch = 9,      ///< (cipher)
-    /// (cipher a, cipher ref): mod-switch `a` one level and adopt `ref`'s
-    /// scale metadata — the routines' approximate-scale bookkeeping
-    /// (`c_down.scale = prod.scale`), with no extra kernel.
-    ModSwitchAdopt = 10,
-    Rotate = 11,     ///< (cipher), imm = step; needs galois keys
-    Conjugate = 12,  ///< (cipher); needs the conjugation galois key
-    /// (cipher a, cipher c): a + mod_switch(c) with c adopting a's scale
-    /// — the MulLinRSModSwAdd tail as one op, which the GPU backend
-    /// executes as a single fused gather+add launch.
-    ModSwitchAdd = 13,
-    /// (cipher a, cipher ref): copy of `a` carrying `ref`'s scale
-    /// metadata — the compiler's scale-snap repair (Backend::set_scale,
-    /// one copy kernel on the GPU backend).  Emitted by
-    /// he::ProgramCompiler; pre-compiler wire readers reject the opcode,
-    /// but the wire format itself is unchanged (no version bump).
-    AdoptScale = 14,
-};
-
-inline constexpr uint8_t kMaxOpCode =
-    static_cast<uint8_t>(OpCode::AdoptScale);
-
-const char *op_code_name(OpCode op);
-/// Operand count of an op (1 or 2).  Inline: the compiler's passes and
-/// the analyzer's fact walk call this once or twice per node.
-constexpr std::size_t op_code_arity(OpCode op) {
-    switch (op) {
-        case OpCode::Add:
-        case OpCode::Sub:
-        case OpCode::AddPlain:
-        case OpCode::MultiplyPlain:
-        case OpCode::Multiply:
-        case OpCode::ModSwitchAdopt:
-        case OpCode::ModSwitchAdd:
-        case OpCode::AdoptScale: return 2;
-        case OpCode::Negate:
-        case OpCode::Square:
-        case OpCode::Relinearize:
-        case OpCode::Rescale:
-        case OpCode::ModSwitch:
-        case OpCode::Rotate:
-        case OpCode::Conjugate: return 1;
-    }
-    return 0;
-}
-/// True for the ops that lower to one elementwise launch on the GPU
-/// backend (no NTT, no key switch) — the ops the compiler's fusion
-/// pre-lowering may place inside a pre-planned dyadic group.
-bool op_code_is_dyadic(OpCode op);
-
-/// Static shape report of a program (Program::stats()): what the
-/// interpreter will do without executing it.  Level figures count prime
-/// drops relative to the inputs, so no context is needed.
-struct ProgramStats {
-    std::size_t nodes = 0;
-    std::size_t constants = 0;
-    std::size_t outputs = 0;
-    std::size_t multiplies = 0;      ///< Multiply + Square
-    std::size_t plain_multiplies = 0;
-    std::size_t key_switches = 0;    ///< Relinearize + Rotate + Conjugate
-    std::size_t rescales = 0;
-    std::size_t mod_switches = 0;    ///< ModSwitch + adopt/add variants
-    /// Longest op chain from any input/constant to an output.
-    std::size_t depth = 0;
-    /// Maximum primes dropped along any input->output path — the level
-    /// budget the circuit consumes.
-    std::size_t levels_consumed = 0;
-    std::size_t fusion_groups = 0;
-    /// Top-level op dispatches the interpreter will make: one per node,
-    /// minus the launches pre-planned dyadic groups merge away.
-    std::size_t planned_launches = 0;
-};
 
 struct Program {
     struct Node {
@@ -157,6 +75,24 @@ struct Program {
     /// launches) — see ProgramStats.
     ProgramStats stats() const;
 };
+
+/// Marks every value some output transitively reads, walking the nodes
+/// backwards; `live(v)` returns a reference to value v's flag.
+template <typename Live>
+void mark_live(const Program &p, Live &&live) {
+    for (const uint32_t o : p.outputs) {
+        live(o) = true;
+    }
+    const std::size_t node_base = p.num_inputs + p.constants.size();
+    for (std::size_t i = p.nodes.size(); i-- > 0;) {
+        if (live(node_base + i)) {
+            live(p.nodes[i].a) = true;
+            if (op_semantics(p.nodes[i].op).arity == 2) {
+                live(p.nodes[i].b) = true;
+            }
+        }
+    }
+}
 
 /// Structural equality: same inputs, constants (shape, scale and data),
 /// nodes and outputs.  Fusion-group annotations are ignored (they are

@@ -1,7 +1,6 @@
 #include "xehe/gpu_evaluator.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace xehe::core {
 
@@ -39,7 +38,7 @@ void GpuEvaluator::submit_dyadic(const char *name, std::size_t elements,
 GpuCiphertext GpuEvaluator::add(const GpuCiphertext &a,
                                 const GpuCiphertext &b) const {
     util::require(a.rns == b.rns && a.size == b.size, "add: shape mismatch");
-    util::require(std::abs(a.scale / b.scale - 1.0) < 1e-6,
+    util::require(ckks::scales_match(a.scale, b.scale),
                   "add: scale mismatch");
     GpuCiphertext out = allocate_ciphertext(*gpu_, a.size, a.rns, a.scale);
     const std::size_t n = a.n;
@@ -73,7 +72,7 @@ void GpuEvaluator::add_inplace(GpuCiphertext &a,
 GpuCiphertext GpuEvaluator::sub(const GpuCiphertext &a,
                                 const GpuCiphertext &b) const {
     util::require(a.rns == b.rns && a.size == b.size, "sub: shape mismatch");
-    util::require(std::abs(a.scale / b.scale - 1.0) < 1e-6,
+    util::require(ckks::scales_match(a.scale, b.scale),
                   "sub: scale mismatch");
     GpuCiphertext out = allocate_ciphertext(*gpu_, a.size, a.rns, a.scale);
     const std::size_t n = a.n;
@@ -107,7 +106,7 @@ GpuCiphertext GpuEvaluator::negate(const GpuCiphertext &a) const {
 GpuCiphertext GpuEvaluator::add_plain(const GpuCiphertext &a,
                                       const ckks::Plaintext &p) const {
     util::require(a.rns == p.rns && a.n == p.n, "add_plain: level mismatch");
-    util::require(std::abs(a.scale / p.scale - 1.0) < 1e-6,
+    util::require(ckks::scales_match(a.scale, p.scale),
                   "add_plain: scale mismatch");
     GpuCiphertext out = allocate_ciphertext(*gpu_, a.size, a.rns, a.scale);
     const std::size_t n = a.n;
@@ -270,6 +269,7 @@ void GpuEvaluator::switch_key_inplace(GpuCiphertext &dest,
     const std::size_t special = ctx_->key_rns() - 1;
     const Modulus &p = ctx_->special_prime();
     util::require(target.size() == l * n, "switch-key target size mismatch");
+    util::require(key.keys.size() >= l, "key-switching key too short");
     const bool fuse = gpu_->options().fuse_dyadic;
 
     // 1. Digits need the coefficient representation.

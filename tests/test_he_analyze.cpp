@@ -4,11 +4,15 @@
 // can repair (level/scale alignment, dead nodes), unknown input facts
 // stay permissive, canonical routine programs analyze clean, and the
 // Session::run admission gate throws typed he::ProgramRejected (with the
-// opt-out falling through to the runtime fault).
+// opt-out falling through to the runtime fault).  A per-op conformance
+// grid holds every row of he/semantics.h to both backends: the strict
+// verdict equals whether they throw, and the result metadata equals the
+// row's transfer function.
 #include "test_common.h"
 
 #include "he/analyze.h"
 #include "he/session.h"
+#include "xgpu/device.h"
 
 namespace xehe::test {
 namespace {
@@ -100,7 +104,7 @@ TEST(HeAnalyze, RescaleAtLastLevelIsLevelUnderflowInBothModes) {
         SCOPED_TRACE(aligned ? "aligned" : "strict");
         ProgramAnalyzer analyzer(rig.context(), rig.keyed_options(aligned));
         const AnalysisReport report =
-            analyzer.analyze(p, /*input_level=*/1, rig.base_scale());
+            analyzer.analyze(p, InputFacts{2, 1, rig.base_scale()});
         ASSERT_FALSE(report.ok());
         const Diagnostic *e = find_kind(report, DiagKind::LevelUnderflow);
         ASSERT_NE(e, nullptr);
@@ -260,14 +264,16 @@ TEST(HeAnalyze, DeadMustFailNodeErrorsStrictButOnlyWarnsAligned) {
 
     // The raw interpreter executes dead nodes, so strict mode rejects.
     ProgramAnalyzer strict(rig.context(), rig.keyed_options(false));
-    const AnalysisReport strict_report = strict.analyze(p, 1, base);
+    const AnalysisReport strict_report =
+        strict.analyze(p, InputFacts{2, 1, base});
     ASSERT_FALSE(strict_report.ok());
     EXPECT_TRUE(has_kind(strict_report, DiagKind::LevelUnderflow));
     EXPECT_TRUE(has_kind(strict_report, DiagKind::DeadNode));
 
     // DCE strips the node before it can fail: warning only.
     ProgramAnalyzer aligned(rig.context(), rig.keyed_options(true));
-    const AnalysisReport aligned_report = aligned.analyze(p, 1, base);
+    const AnalysisReport aligned_report =
+        aligned.analyze(p, InputFacts{2, 1, base});
     EXPECT_TRUE(aligned_report.ok()) << aligned_report.summary();
     const Diagnostic *dead = find_kind(aligned_report, DiagKind::DeadNode);
     ASSERT_NE(dead, nullptr);
@@ -337,10 +343,11 @@ TEST(HeAnalyze, RescaleDriftOffTheSnapScaleWarns) {
     ProgramAnalyzer analyzer(rig.context(), opts);
 
     // base^2 / prime == base: lands exactly on the snap scale.
-    EXPECT_FALSE(
-        has_kind(analyzer.analyze(p, 4, base * base), DiagKind::ScaleDrift));
+    EXPECT_FALSE(has_kind(analyzer.analyze(p, InputFacts{2, 4, base * base}),
+                          DiagKind::ScaleDrift));
     // base * 137 / prime == 137: hopelessly off the snap range.
-    const AnalysisReport drift = analyzer.analyze(p, 4, base * 137.0);
+    const AnalysisReport drift =
+        analyzer.analyze(p, InputFacts{2, 4, base * 137.0});
     EXPECT_TRUE(drift.ok());
     const Diagnostic *w = find_kind(drift, DiagKind::ScaleDrift);
     ASSERT_NE(w, nullptr);
@@ -374,7 +381,7 @@ TEST(HeAnalyze, UnknownInputFactsStayPermissive) {
     // nothing: some level in [1, max] admits the rescale chain.
     const he::Program p = he::mul_lin_rs_program();
     ProgramAnalyzer analyzer(rig.context(), rig.keyed_options());
-    ASSERT_FALSE(analyzer.analyze(p, 1, rig.base_scale()).ok());
+    ASSERT_FALSE(analyzer.analyze(p, InputFacts{2, 1, rig.base_scale()}).ok());
     const std::vector<InputFacts> unknown(p.num_inputs);
     const AnalysisReport report = analyzer.analyze(p, unknown);
     EXPECT_TRUE(report.ok()) << report.summary();
@@ -424,6 +431,173 @@ TEST(HeAnalyze, SessionRunRejectsStaticallyAndOptOutFaultsAtRuntime) {
     } catch (const std::invalid_argument &) {
         // The evaluator's missing-key fault — the un-gated behavior.
     }
+}
+
+/// A ciphertext of the given shape with arbitrary (valid-residue)
+/// contents: the backends' preconditions read only the metadata.
+ckks::Ciphertext shaped_cipher(const ckks::CkksContext &ctx,
+                               std::size_t size, std::size_t level,
+                               double scale, uint64_t &seed) {
+    ckks::Ciphertext ct;
+    ct.resize(ctx.n(), size, level);
+    ct.scale = scale;
+    for (std::size_t p = 0; p < size; ++p) {
+        for (std::size_t r = 0; r < level; ++r) {
+            const auto limb = random_poly(ctx.n(), ctx.key_modulus()[r],
+                                          seed++);
+            std::copy(limb.begin(), limb.end(), ct.component(p, r).begin());
+        }
+    }
+    return ct;
+}
+
+/// One point of the conformance grid: operand shapes and the key set.
+struct GridCase {
+    he::OpCode op;
+    std::size_t size_a, size_b;
+    std::size_t level_a, level_b;
+    double gap;  ///< relative scale offset of the second operand
+    const he::ProgramKeys *keys;
+};
+
+/// Every op over sizes 2/3, equal and off-by-one levels, scales equal /
+/// 1e-7 / 1e-5 apart and, for key-switching ops, keys present / absent /
+/// short.  Dimensions an op does not read are not varied.
+std::vector<GridCase> shape_grid(
+    std::initializer_list<const he::ProgramKeys *> key_sets) {
+    std::vector<GridCase> cases;
+    for (uint8_t code = 0; code <= he::kMaxOpCode; ++code) {
+        const auto op = static_cast<he::OpCode>(code);
+        const he::OpSemantics &row = he::op_semantics(op);
+        const bool binary = row.arity == 2;
+        const std::vector<std::size_t> sizes_b =
+            binary && !row.const_operand ? std::vector<std::size_t>{2, 3}
+                                         : std::vector<std::size_t>{2};
+        const std::vector<int> deltas =
+            binary ? std::vector<int>{-1, 0, 1} : std::vector<int>{0};
+        const std::vector<double> gaps =
+            binary ? std::vector<double>{0.0, 1e-7, 1e-5}
+                   : std::vector<double>{0.0};
+        std::vector<const he::ProgramKeys *> keys = {*key_sets.begin()};
+        if (row.key != he::KeyNeed::None) {
+            keys = key_sets;
+        }
+        for (const std::size_t size_a : {2, 3}) {
+            for (const std::size_t size_b : sizes_b) {
+                for (const std::size_t level_a : {1, 3}) {
+                    for (const int delta : deltas) {
+                        if (delta < 0 && level_a == 1) {
+                            continue;
+                        }
+                        for (const double gap : gaps) {
+                            for (const he::ProgramKeys *k : keys) {
+                                cases.push_back({op, size_a, size_b, level_a,
+                                                 level_a + delta, gap, k});
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    return cases;
+}
+
+TEST(HeAnalyze, EveryOpRowMatchesBothBackendsOverTheShapeGrid) {
+    AnalyzeRig rig;
+    const ckks::CkksContext &ctx = rig.context();
+    ckks::GaloisKeys galois = rig.galois;
+    for (auto &entry : rig.bench.keygen.create_conjugation_keys().keys) {
+        galois.keys.insert(std::move(entry));
+    }
+    // Short keys cover level 1 only.
+    ckks::RelinKeys short_relin = rig.relin;
+    short_relin.key.keys.resize(1);
+    ckks::GaloisKeys short_galois = galois;
+    for (auto &[elt, key] : short_galois.keys) {
+        key.keys.resize(1);
+    }
+    const he::ProgramKeys present{&rig.relin, &galois};
+    const he::ProgramKeys absent{};
+    const he::ProgramKeys truncated{&short_relin, &short_galois};
+
+    he::HostBackend host(ctx);
+    core::GpuContext gpu_context(ctx, xgpu::device1(), core::GpuOptions{});
+    core::GpuEvaluator gpu_evaluator(gpu_context);
+    he::GpuBackend gpu(gpu_context, gpu_evaluator);
+
+    const double base = rig.base_scale();
+    uint64_t seed = 1;
+    std::size_t accepted = 0;
+    std::size_t rejected = 0;
+    for (const GridCase &c : shape_grid({&present, &absent, &truncated})) {
+        const he::OpSemantics &row = he::op_semantics(c.op);
+        const bool binary = row.arity == 2;
+        const double scale_b = base * (1.0 + c.gap);
+        SCOPED_TRACE(std::string(row.name) + " sizes " +
+                     std::to_string(c.size_a) + "/" +
+                     std::to_string(c.size_b) + " levels " +
+                     std::to_string(c.level_a) + "/" +
+                     std::to_string(c.level_b) + " gap " +
+                     std::to_string(c.gap) + " keys " +
+                     (c.keys == &present  ? "present"
+                      : c.keys == &absent ? "absent"
+                                          : "short"));
+
+        // Inputs 0 and 1; a constant operand follows them.
+        he::Program p;
+        p.num_inputs = 2;
+        if (row.const_operand) {
+            p.constants.push_back(
+                rig.bench.encoder.encode(0.25, scale_b, c.level_b));
+        }
+        const uint32_t b = row.const_operand ? 2 : 1;
+        p.nodes.push_back({c.op, 0, binary ? b : 0u,
+                           c.op == he::OpCode::Rotate ? 1 : 0});
+        p.outputs = {2 + static_cast<uint32_t>(p.constants.size())};
+
+        const std::vector<InputFacts> facts = {
+            {c.size_a, c.level_a, base}, {c.size_b, c.level_b, scale_b}};
+        const ckks::Ciphertext ct_a =
+            shaped_cipher(ctx, c.size_a, c.level_a, base, seed);
+        const ckks::Ciphertext ct_b =
+            shaped_cipher(ctx, c.size_b, c.level_b, scale_b, seed);
+
+        AnalyzerOptions opts;
+        opts.set_keys(*c.keys);
+        const AnalysisReport report =
+            ProgramAnalyzer(ctx, opts).analyze(p, facts);
+        const auto leaves = he::leaf_facts(p, facts, ctx.max_level());
+        he::ValueFacts expect;
+        he::transfer(row, leaves[0], binary ? leaves[b] : leaves[0], expect,
+                     ctx);
+
+        for (he::Backend *backend :
+             std::initializer_list<he::Backend *>{&host, &gpu}) {
+            SCOPED_TRACE(backend->name());
+            const std::vector<he::Cipher> inputs = {backend->upload(ct_a),
+                                                    backend->upload(ct_b)};
+            std::vector<he::Cipher> out;
+            try {
+                out = he::run_program(p, *backend, inputs, *c.keys);
+            } catch (const std::invalid_argument &) {
+                // The verdict below compares against the throw.
+            }
+            ASSERT_EQ(report.ok(), !out.empty()) << report.summary();
+            if (!out.empty()) {
+                EXPECT_EQ(out[0].size(), expect.size_min);
+                EXPECT_EQ(out[0].size(), expect.size_max);
+                EXPECT_EQ(out[0].level(), expect.level_min);
+                EXPECT_EQ(out[0].level(), expect.level_max);
+                EXPECT_EQ(out[0].scale(), expect.scale_lo);
+                EXPECT_EQ(out[0].scale(), expect.scale_hi);
+            }
+        }
+        ++(report.ok() ? accepted : rejected);
+    }
+    // Both verdicts occur, or the grid proves nothing.
+    EXPECT_GT(accepted, 100u);
+    EXPECT_GT(rejected, 100u);
 }
 
 }  // namespace

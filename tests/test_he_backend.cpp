@@ -6,6 +6,7 @@
 // relinearize / rescale-waterline / level-and-scale-alignment semantics.
 #include "test_common.h"
 
+#include "he/analyze.h"
 #include "he/session.h"
 #include "xgpu/device.h"
 
@@ -401,6 +402,57 @@ TEST(HeBackend, KeySwitchAndRescaleBitExactAtEveryLevel) {
                                  rig.gpu.download(rig.gpu.rescale(g)),
                                  "rescale");
             ct = rig.host.download(rig.host.mod_switch(h));
+        }
+    }
+}
+
+TEST(HeBackend, TruncatedKeySwitchKeysThrowOnBothBackendsAndAreRejected) {
+    // A key-switching key one level deep, used at the top level: both
+    // backends must refuse it (the GPU key switch used to read past the
+    // key's end), and the strict analyzer must reject it up front.
+    BackendRig rig;
+    he::Session keys(rig.host);
+    ckks::RelinKeys relin = keys.relin_keys();
+    relin.key.keys.resize(1);
+    ckks::GaloisKeys galois = keys.galois_keys();
+    for (auto &[elt, key] : galois.keys) {
+        key.keys.resize(1);
+    }
+    he::ProgramKeys program_keys;
+    program_keys.relin = &relin;
+    program_keys.galois = &galois;
+    he::AnalyzerOptions opts;
+    opts.set_keys(program_keys);
+    const he::ProgramAnalyzer analyzer(rig.context, opts);
+
+    he::ProgramBuilder relin_builder(2);
+    relin_builder.output(relin_builder.relinearize(
+        relin_builder.multiply(relin_builder.input(0),
+                               relin_builder.input(1))));
+    he::ProgramBuilder rotate_builder(2);
+    rotate_builder.output(rotate_builder.rotate(rotate_builder.input(0), 1));
+    he::ProgramBuilder conj_builder(2);
+    conj_builder.output(conj_builder.conjugate(conj_builder.input(0)));
+    const he::Program programs[] = {relin_builder.build(),
+                                    rotate_builder.build(),
+                                    conj_builder.build()};
+
+    const ckks::Ciphertext ct =
+        rig.host.download(keys.encrypt(random_reals(rig.context.slots(), 5)));
+    const std::vector<he::InputFacts> facts(
+        2, he::facts_of(rig.host.upload(ct)));
+    for (const he::Program &p : programs) {
+        SCOPED_TRACE(he::op_semantics(p.nodes.back().op).name);
+        const he::AnalysisReport report = analyzer.analyze(p, facts);
+        ASSERT_FALSE(report.ok());
+        EXPECT_EQ(report.first_error()->kind, he::DiagKind::MissingKey);
+        for (he::Backend *backend :
+             std::initializer_list<he::Backend *>{&rig.host, &rig.gpu}) {
+            SCOPED_TRACE(backend->name());
+            const std::vector<he::Cipher> inputs = {backend->upload(ct),
+                                                    backend->upload(ct)};
+            EXPECT_THROW(he::run_program(p, *backend, inputs, program_keys),
+                         std::invalid_argument);
         }
     }
 }

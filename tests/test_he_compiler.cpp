@@ -446,6 +446,39 @@ TEST(HeCompiler, RoutineProgramsCompileToThemselves) {
     }
 }
 
+TEST(HeCompiler, SizeDefectsAreCompileErrorsNotSelfVerifyFailures) {
+    // Sizes are never repaired, so a size the op's row forbids is the
+    // caller's error (std::invalid_argument), not a compiler bug
+    // (std::logic_error from the self-verify tripwire).  A program input
+    // of unknown size is never a must-fail.
+    CompilerRig rig;
+    const he::ProgramCompiler compiler(rig.host.context);
+    he::ProgramBuilder square3(2);
+    square3.output(
+        square3.square(square3.multiply(square3.input(0), square3.input(1))));
+    he::ProgramBuilder rotate3(2);
+    rotate3.output(rotate3.rotate(
+        rotate3.multiply(rotate3.input(0), rotate3.input(1)), 1));
+    he::ProgramBuilder relin2(2);
+    relin2.output(relin2.relinearize(relin2.relinearize(
+        relin2.multiply(relin2.input(0), relin2.input(1)))));
+    for (he::ProgramBuilder *b : {&square3, &rotate3, &relin2}) {
+        const he::Program p = b->build();
+        SCOPED_TRACE(he::op_semantics(p.nodes.back().op).name);
+        try {
+            compiler.compile(p);
+            ADD_FAILURE() << "compiled a must-fail size defect";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("operand sizes"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    he::ProgramBuilder relin_input(1);
+    relin_input.output(relin_input.relinearize(relin_input.input(0)));
+    EXPECT_NO_THROW(compiler.compile(relin_input.build()));
+}
+
 TEST(HeCompiler, CompiledRoutinesBitIdenticalToRawOnBothBackends) {
     CompilerRig rig;
     const auto ct_a = rig.host.enc(rig.host.values(13));

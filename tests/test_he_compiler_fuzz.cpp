@@ -6,7 +6,8 @@
 // decode-equal always, bit-identical whenever the planner changed
 // nothing (PassReport::bit_exact()), GPU-vs-host agreement on a rotating
 // subset of seeds, and deterministic generation and compilation (same
-// seed, same bytes).  Runs under the ASan/UBSan CI matrix like the rest
+// seed, same bytes); golden digests pin the compiled bytes and the
+// analyzer reports.  Runs under the ASan/UBSan CI matrix like the rest
 // of the suite.
 #include "test_common.h"
 
@@ -506,6 +507,99 @@ TEST(HeCompilerFuzz, StrictAnalyzerMatchesRawInterpreterOnSeedsAndMutants) {
     // is vacuous.
     EXPECT_GT(accepted_mutants, 0u);
     EXPECT_GT(rejected_mutants, 0u);
+}
+
+/// FNV-1a, folded one 64-bit word (or byte run) at a time.
+struct Fnv1a {
+    uint64_t h = 0xcbf29ce484222325ull;
+
+    void bytes(const void *data, std::size_t len) {
+        const auto *p = static_cast<const uint8_t *>(data);
+        for (std::size_t i = 0; i < len; ++i) {
+            h = (h ^ p[i]) * 0x100000001b3ull;
+        }
+    }
+    template <typename T>
+    void value(T v) {
+        bytes(&v, sizeof(v));
+    }
+};
+
+void digest_report(Fnv1a &d, const he::AnalysisReport &report) {
+    d.value(report.diagnostics.size());
+    for (const he::Diagnostic &diag : report.diagnostics) {
+        d.value(diag.severity);
+        d.value(diag.kind);
+        d.value(diag.node);
+    }
+    d.value(report.values.size());
+    for (const he::ValueFacts &f : report.values) {
+        d.value(f.scale_lo);
+        d.value(f.scale_hi);
+        d.value(f.depth);
+        d.value(f.mult_depth);
+        d.value(f.size_min);
+        d.value(f.size_max);
+        d.value(f.level_min);
+        d.value(f.level_max);
+        d.value(f.live);
+    }
+}
+
+// Golden digests of what the compiler emits (the 220 fuzz seeds and the
+// five routine programs, wire-serialized) and what the analyzer
+// concludes (every diagnostic's severity, kind and node, and every
+// value's facts, on the seeds and their mutants, strict and aligned).
+// Any change to either fails here loudly; re-pin only for an intended
+// change.
+TEST(HeCompilerFuzz, CompilerOutputAndAnalyzerVerdictsMatchGoldenDigests) {
+    CkksBench host(1024, 4);
+    ckks::RelinKeys relin = host.keygen.create_relin_keys();
+    const int steps[] = {1};
+    ckks::GaloisKeys galois = host.keygen.create_galois_keys(steps);
+    he::ProgramKeys keys;
+    keys.relin = &relin;
+    keys.galois = &galois;
+    const double input_scale = static_cast<double>(
+        host.context.key_modulus()[host.context.max_level() - 1].value());
+
+    const he::ProgramCompiler compiler(host.context);
+    he::AnalyzerOptions strict_opts;
+    strict_opts.set_keys(keys);
+    he::AnalyzerOptions aligned_opts = strict_opts;
+    aligned_opts.assume_alignment = true;
+    const he::ProgramAnalyzer strict(host.context, strict_opts);
+    const he::ProgramAnalyzer aligned(host.context, aligned_opts);
+
+    Fnv1a compiled;
+    Fnv1a analyzed;
+    const auto compile_into = [&](const he::Program &p) {
+        const std::vector<uint8_t> bytes =
+            wire::serialize(compiler.compile(p).program);
+        compiled.bytes(bytes.data(), bytes.size());
+    };
+    for (uint64_t seed = 1; seed <= 220; ++seed) {
+        const he::Program raw = Generator(host, seed).run();
+        compile_into(raw);
+        const std::vector<he::InputFacts> facts(
+            raw.num_inputs,
+            he::InputFacts{2, host.context.max_level(), input_scale});
+        std::mt19937_64 rng(seed * 0x9E3779B97F4A7C15ull + 1);
+        std::vector<he::Program> programs = make_mutants(raw, rng);
+        programs.insert(programs.begin(), raw);
+        for (const he::Program &p : programs) {
+            digest_report(analyzed, strict.analyze(p, facts));
+            digest_report(analyzed, aligned.analyze(p, facts));
+        }
+    }
+    for (const he::Program &p :
+         {he::mul_lin_program(), he::mul_lin_rs_program(),
+          he::sqr_lin_rs_program(), he::mul_lin_rs_modsw_add_program(),
+          he::rotate_program(1)}) {
+        compile_into(p);
+    }
+    EXPECT_EQ(compiled.h, 0x2bfecee8a7e91fb3ull) << std::hex << compiled.h;
+    EXPECT_EQ(analyzed.h, 0x45d446c7b163f9c0ull) << std::hex << analyzed.h;
 }
 
 }  // namespace
