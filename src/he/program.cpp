@@ -14,7 +14,6 @@ constexpr std::size_t kMaxInputs = 64;
 constexpr std::size_t kMaxConstants = 1024;
 constexpr std::size_t kMaxNodes = 1 << 16;
 constexpr std::size_t kMaxOutputs = 64;
-constexpr int32_t kMaxRotateStep = 1 << 20;
 
 void check(bool condition, const char *what) {
     if (!condition) {
@@ -49,12 +48,9 @@ void Program::validate() const {
         } else {
             check(node.b == 0, "unary op with a second operand");
         }
-        if (node.op == OpCode::Rotate) {
-            check(node.imm >= -kMaxRotateStep && node.imm <= kMaxRotateStep,
-                  "rotation step out of range");
-        } else {
-            check(node.imm == 0, "immediate on a non-rotate op");
-        }
+        check(node.imm >= row.imm_min && node.imm <= row.imm_max,
+              row.imm_max == 0 ? "immediate on an op that takes none"
+                               : "immediate out of range");
     }
     for (const uint32_t out : outputs) {
         check(out < value_count(), "output references an undefined value");
@@ -226,6 +222,14 @@ ProgramBuilder::Value ProgramBuilder::rotate(Value a, int step) {
     return v;
 }
 
+ProgramBuilder::Value ProgramBuilder::multiply_acc(Value a, Value b,
+                                                   uint32_t count) {
+    Value v = node(OpCode::MultiplyAcc, a, b);
+    // A count past INT32_MAX wraps negative; validate() rejects it.
+    program_.nodes.back().imm = static_cast<int32_t>(count);
+    return v;
+}
+
 void ProgramBuilder::output(Value v) {
     program_.outputs.push_back(v.index);
 }
@@ -367,6 +371,10 @@ std::vector<Cipher> run_program(const Program &program, Backend &backend,
             case OpCode::Conjugate:
                 out = backend.conjugate(a, galois());
                 break;
+            case OpCode::MultiplyAcc:
+                out = backend.multiply_acc(a, values[node.b],
+                                           static_cast<uint64_t>(node.imm));
+                break;
         }
         values[node_base + i] = std::move(out);
         // Drop operands this node consumed last, and the result itself if
@@ -435,6 +443,12 @@ Program mul_lin_rs_modsw_add_program() {
 Program rotate_program(int step) {
     ProgramBuilder b(1);
     b.output(b.rotate(b.input(0), step));
+    return b.build();
+}
+
+Program matmul_tile_program(uint32_t count) {
+    ProgramBuilder b(2);
+    b.output(b.multiply_acc(b.input(0), b.input(1), count));
     return b.build();
 }
 

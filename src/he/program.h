@@ -12,10 +12,11 @@
 //
 // Programs serialize through the src/wire envelope (Tag::Program) and are
 // the payload of serve::Op::Program requests: clients ship arbitrary
-// circuits instead of picking from the five hard-coded routines, and the
-// five Section IV-C routines themselves are re-expressed as the canonical
-// programs below (the routine harness and the server interpret those, so
-// there is exactly one execution path).
+// circuits instead of picking from the fixed-function ops.  The five
+// Section IV-C routines and the Section IV-E matmul tile are themselves
+// the canonical programs below; the routine harness interprets those, and
+// the server lowers every fixed-function request to one of them at
+// admission, so there is exactly one execution path.
 #pragma once
 
 #include "he/backend.h"
@@ -29,7 +30,7 @@ struct Program {
         OpCode op = OpCode::Add;
         uint32_t a = 0;  ///< first operand (value index)
         uint32_t b = 0;  ///< second operand; 0 and unused for unary ops
-        int32_t imm = 0; ///< rotation step (Rotate only)
+        int32_t imm = 0; ///< Rotate step, MultiplyAcc count, else 0
     };
 
     /// A contiguous node range [first, last) of mutually independent
@@ -139,6 +140,7 @@ public:
         return node(OpCode::AdoptScale, a, ref);
     }
     Value rotate(Value a, int step);
+    Value multiply_acc(Value a, Value b, uint32_t count);
     Value conjugate(Value a) { return node(OpCode::Conjugate, a); }
 
     void output(Value v);
@@ -168,9 +170,10 @@ std::vector<Cipher> run_program(const Program &program, Backend &backend,
                                 const ProgramKeys &keys = {});
 
 // ---------------------------------------------------------------------------
-// Canonical programs for the five Section IV-C routines.  Interpreted over
-// GpuBackend they are bit-identical to the direct GpuEvaluator routine
-// calls (tests/test_he_program.cpp proves it differentially).
+// Canonical programs of the fixed-function ops: the five Section IV-C
+// routines and the Section IV-E matmul tile.  Interpreted over GpuBackend
+// the routines are bit-identical to the direct GpuEvaluator routine calls
+// (tests/test_he_program.cpp proves it differentially).
 // ---------------------------------------------------------------------------
 
 Program mul_lin_program();             ///< relin(a * b)
@@ -178,6 +181,7 @@ Program mul_lin_rs_program();          ///< rescale(relin(a * b))
 Program sqr_lin_rs_program();          ///< rescale(relin(a^2))
 Program mul_lin_rs_modsw_add_program();///< rescale(relin(a*b)) + modsw(c)
 Program rotate_program(int step);      ///< rotate(a, step)
+Program matmul_tile_program(uint32_t count);  ///< count copies of a*b
 
 // ---------------------------------------------------------------------------
 // Wire serialization (picked up by wire::serialize / load_enveloped via

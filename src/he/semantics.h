@@ -1,19 +1,23 @@
 // he/semantics.h — the op-semantics table of the Program IR.
 //
 // One constexpr row per OpCode states everything the IR's consumers need
-// to know about an op: operand count and kinds, the operand-size
-// contract and result size, how the result's level and scale follow from
-// the operands', whether the evaluators' 1e-6 scale gate applies, which
-// key it needs, and how Program::stats() and the compiler classify it.
+// to know about an op: operand count and kinds, the immediate's range,
+// the operand-size contract and result size, how the result's level and
+// scale follow from the operands', whether the evaluators' 1e-6 scale
+// gate applies, which key it needs, and how Program::stats() and the
+// compiler classify it.
 // The rows mirror the evaluators' preconditions (ckks/evaluator.cpp,
 // xehe/gpu_evaluator.cpp); every other consumer reads the row instead of
 // restating the rule:
-//  * Program::validate() and stats() — arity, constant operand, dyadic,
-//    level drops, the stats bucket;
+//  * Program::validate() and stats() — arity, constant operand,
+//    immediate range, dyadic, level drops, the stats bucket;
 //  * ProgramCompiler — the canonicalize simulation and the planner run
 //    transfer() over exact facts and repair what the row requires;
 //  * ProgramAnalyzer — runs transfer() over interval facts and derives
-//    each must-fail diagnostic from the row.
+//    each must-fail diagnostic from the row;
+//  * the serving front door (serve/server.cpp) — lowers every request,
+//    fixed-function ops included (serve::canonical_program), to a
+//    Program and admits it only if the analyzer finds no must-fail.
 //
 // transfer() is the one metadata transfer function.  It works on
 // interval facts (ValueFacts); exact metadata is the point interval, so
@@ -59,10 +63,20 @@ enum class OpCode : uint8_t {
     /// he::ProgramCompiler; pre-compiler wire readers reject the opcode,
     /// but the wire format itself is unchanged (no version bump).
     AdoptScale = 14,
+    /// (cipher a, cipher b), imm = count: the sum of `count` copies of
+    /// a * b, unrelinearized — the Section IV-E matmul tile, which the
+    /// GPU backend executes as a chain of fused mad_mod launches.  Like
+    /// AdoptScale, new to readers but not to the wire format.
+    MultiplyAcc = 15,
 };
 
 inline constexpr uint8_t kMaxOpCode =
-    static_cast<uint8_t>(OpCode::AdoptScale);
+    static_cast<uint8_t>(OpCode::MultiplyAcc);
+
+/// Immediate bounds: a rotation step in [-2^20, 2^20], an accumulation
+/// count in [1, 2^20] (the serving wire applies the same bounds).
+inline constexpr int32_t kMaxRotateStep = 1 << 20;
+inline constexpr int32_t kMaxAccumulations = 1 << 20;
 
 /// Static shape report of a program (Program::stats()): what the
 /// interpreter will do without executing it.  Level figures count prime
@@ -71,7 +85,7 @@ struct ProgramStats {
     std::size_t nodes = 0;
     std::size_t constants = 0;
     std::size_t outputs = 0;
-    std::size_t multiplies = 0;      ///< Multiply + Square
+    std::size_t multiplies = 0;      ///< Multiply + Square + MultiplyAcc
     std::size_t plain_multiplies = 0;
     std::size_t key_switches = 0;    ///< Relinearize + Rotate + Conjugate
     std::size_t rescales = 0;
@@ -121,6 +135,9 @@ struct OpSemantics {
     const char *name;
     uint8_t arity;        ///< 1 or 2 operands
     bool const_operand;   ///< the second operand is a plaintext constant
+    /// Allowed Node::imm range; [0, 0] for ops without an immediate.
+    int32_t imm_min;
+    int32_t imm_max;
     SizeRule size;
     uint8_t result_size;  ///< 0 = the first operand's size
     LevelRule level;
@@ -138,9 +155,9 @@ struct OpSemantics {
 };
 
 // clang-format off
-/// Indexed by OpCode.  Columns: name, arity, constant operand, size rule,
-/// result size, level rule, scale rule, scale gate, key, dyadic,
-/// multiplicative, alignment, stats bucket.
+/// Indexed by OpCode.  Columns: name, arity, constant operand, immediate
+/// range, size rule, result size, level rule, scale rule, scale gate, key,
+/// dyadic, multiplicative, alignment, stats bucket.
 inline constexpr std::array<OpSemantics, kMaxOpCode + 1> kOpSemantics = [] {
     using S = SizeRule;
     using L = LevelRule;
@@ -148,37 +165,41 @@ inline constexpr std::array<OpSemantics, kMaxOpCode + 1> kOpSemantics = [] {
     using K = KeyNeed;
     using P = ProgramStats;
     return std::array<OpSemantics, kMaxOpCode + 1>{{
-        {"Add", 2, false, S::Equal, 0, L::Equal, C::First, true, K::None,
-         true, false, false, nullptr},
-        {"Sub", 2, false, S::Equal, 0, L::Equal, C::First, true, K::None,
-         true, false, false, nullptr},
-        {"Negate", 1, false, S::Any, 0, L::Same, C::First, false, K::None,
-         true, false, false, nullptr},
-        {"AddPlain", 2, true, S::Any, 0, L::MatchConst, C::First, true,
+        {"Add", 2, false, 0, 0, S::Equal, 0, L::Equal, C::First, true,
          K::None, true, false, false, nullptr},
-        {"MultiplyPlain", 2, true, S::Any, 0, L::MatchConst, C::Product,
-         false, K::None, true, false, false, &P::plain_multiplies},
-        {"Multiply", 2, false, S::Two, 3, L::Equal, C::Product, false,
+        {"Sub", 2, false, 0, 0, S::Equal, 0, L::Equal, C::First, true,
+         K::None, true, false, false, nullptr},
+        {"Negate", 1, false, 0, 0, S::Any, 0, L::Same, C::First, false,
+         K::None, true, false, false, nullptr},
+        {"AddPlain", 2, true, 0, 0, S::Any, 0, L::MatchConst, C::First, true,
+         K::None, true, false, false, nullptr},
+        {"MultiplyPlain", 2, true, 0, 0, S::Any, 0, L::MatchConst,
+         C::Product, false, K::None, true, false, false,
+         &P::plain_multiplies},
+        {"Multiply", 2, false, 0, 0, S::Two, 3, L::Equal, C::Product, false,
          K::None, false, true, false, &P::multiplies},
-        {"Square", 1, false, S::Two, 3, L::Same, C::Product, false, K::None,
-         true, true, false, &P::multiplies},
-        {"Relinearize", 1, false, S::Three, 2, L::Same, C::First, false,
-         K::Relin, false, false, false, &P::key_switches},
-        {"Rescale", 1, false, S::Any, 0, L::Drop, C::DivDropped, false,
+        {"Square", 1, false, 0, 0, S::Two, 3, L::Same, C::Product, false,
+         K::None, true, true, false, &P::multiplies},
+        {"Relinearize", 1, false, 0, 0, S::Three, 2, L::Same, C::First,
+         false, K::Relin, false, false, false, &P::key_switches},
+        {"Rescale", 1, false, 0, 0, S::Any, 0, L::Drop, C::DivDropped, false,
          K::None, false, false, false, &P::rescales},
-        {"ModSwitch", 1, false, S::Any, 0, L::Drop, C::First, false,
+        {"ModSwitch", 1, false, 0, 0, S::Any, 0, L::Drop, C::First, false,
          K::None, false, false, true, &P::mod_switches},
-        {"ModSwitchAdopt", 2, false, S::Any, 0, L::Drop,
+        {"ModSwitchAdopt", 2, false, 0, 0, S::Any, 0, L::Drop,
          C::AdoptRefIfPositive, false, K::None, false, false, true,
          &P::mod_switches},
-        {"Rotate", 1, false, S::Two, 2, L::Same, C::First, false, K::Galois,
-         false, false, false, &P::key_switches},
-        {"Conjugate", 1, false, S::Two, 2, L::Same, C::First, false,
+        {"Rotate", 1, false, -kMaxRotateStep, kMaxRotateStep, S::Two, 2,
+         L::Same, C::First, false, K::Galois, false, false, false,
+         &P::key_switches},
+        {"Conjugate", 1, false, 0, 0, S::Two, 2, L::Same, C::First, false,
          K::Conjugation, false, false, false, &P::key_switches},
-        {"ModSwitchAdd", 2, false, S::Equal, 0, L::AddendAbove, C::First,
-         false, K::None, false, false, false, &P::mod_switches},
-        {"AdoptScale", 2, false, S::Any, 0, L::Same, C::AdoptRef, false,
-         K::None, true, false, true, nullptr},
+        {"ModSwitchAdd", 2, false, 0, 0, S::Equal, 0, L::AddendAbove,
+         C::First, false, K::None, false, false, false, &P::mod_switches},
+        {"AdoptScale", 2, false, 0, 0, S::Any, 0, L::Same, C::AdoptRef,
+         false, K::None, true, false, true, nullptr},
+        {"MultiplyAcc", 2, false, 1, kMaxAccumulations, S::Two, 3, L::Equal,
+         C::Product, false, K::None, false, true, false, &P::multiplies},
     }};
 }();
 // clang-format on

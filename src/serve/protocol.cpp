@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace xehe::serve {
 
@@ -21,7 +22,11 @@ void check(bool condition, const char *what) {
 void check_header(const Request &req, std::size_t input_count) {
     check(static_cast<uint8_t>(req.op) <= static_cast<uint8_t>(Op::Program),
           "wire: bad op");
-    check(req.matmul_tiles >= 1 && req.matmul_tiles <= (1u << 20),
+    // The Program IR's immediate bounds (the fields become node imms).
+    check(req.rotate_step >= -he::kMaxRotateStep &&
+              req.rotate_step <= he::kMaxRotateStep,
+          "wire: bad rotation step");
+    check(req.matmul_tiles >= 1 && req.matmul_tiles <= he::kMaxAccumulations,
           "wire: bad matmul tile count");
     check(std::isfinite(req.arrival_ns) && req.arrival_ns >= 0.0,
           "wire: bad arrival time");
@@ -31,7 +36,7 @@ void check_header(const Request &req, std::size_t input_count) {
           "wire: bad backend hint");
     if (req.op == Op::Program) {
         // The exact arity is the shipped program's input count; the
-        // server checks it after parsing the program with its context.
+        // server's admission checks it after decoding the program.
         // 64 matches the Program IR's own input bound.
         check(input_count <= 64, "wire: bad input count");
         check(!req.cost_only || input_count == 0,
@@ -57,7 +62,10 @@ std::size_t read_header(wire::Reader &r, Request &req) {
           "wire: expected Request");
     req.session_id = r.u64();
     req.op = static_cast<Op>(r.u8());
-    req.rotate_step = static_cast<int>(static_cast<int64_t>(r.u64()));
+    // Saturated into int, so a step past its range still fails the rule.
+    req.rotate_step = static_cast<int>(std::clamp<int64_t>(
+        static_cast<int64_t>(r.u64()), std::numeric_limits<int>::min(),
+        std::numeric_limits<int>::max()));
     req.matmul_tiles = r.u64();
     req.arrival_ns = r.f64();
     const uint8_t cost_only = r.u8();
@@ -105,17 +113,37 @@ const char *backend_hint_name(BackendHint hint) {
     return "unknown";
 }
 
-std::size_t op_arity(Op op) {
-    switch (op) {
-        case Op::MulLin:
-        case Op::MulLinRS:
-        case Op::MatmulTile: return 2;
-        case Op::SqrLinRS:
-        case Op::Rotate: return 1;
-        case Op::MulLinRSModSwAdd: return 3;
-        case Op::Program: return 0;  // dynamic: the program's input count
+std::shared_ptr<const he::Program> canonical_program(const Request &req) {
+    const auto shared = [](he::Program program) {
+        return std::make_shared<const he::Program>(std::move(program));
+    };
+    // The routines' programs never change, so each is built once.
+    static const std::shared_ptr<const he::Program> routines[] = {
+        shared(he::mul_lin_program()), shared(he::mul_lin_rs_program()),
+        shared(he::sqr_lin_rs_program()),
+        shared(he::mul_lin_rs_modsw_add_program())};
+    switch (req.op) {
+        case Op::MulLin: return routines[0];
+        case Op::MulLinRS: return routines[1];
+        case Op::SqrLinRS: return routines[2];
+        case Op::MulLinRSModSwAdd: return routines[3];
+        case Op::Rotate: return shared(he::rotate_program(req.rotate_step));
+        case Op::MatmulTile:
+            return shared(he::matmul_tile_program(
+                static_cast<uint32_t>(req.matmul_tiles)));
+        case Op::Program: break;
     }
-    return 0;
+    throw std::invalid_argument(
+        "serve: a client circuit has no canonical program");
+}
+
+std::size_t op_arity(Op op) {
+    if (op == Op::Program) {
+        return 0;  // dynamic: the program's input count
+    }
+    Request req;
+    req.op = op;
+    return canonical_program(req)->num_inputs;
 }
 
 void save(wire::Writer &w, const Request &req) {

@@ -1,15 +1,19 @@
 // Client/server message types for the encrypted-inference frontend: a
-// Request names one of the five Section IV-C routines (or a matmul tile
-// job) and carries its operand ciphertexts as opaque wire buffers; a
-// Response carries the serialized result plus the request's
-// enqueue/dispatch/complete timestamps off the simulated clock.  Both
-// serialize through the src/wire envelope, so a full client -> server ->
-// client round trip moves nothing but validated bytes.
+// Request names a fixed-function op (a Section IV-C routine or a matmul
+// tile job) or ships a client circuit, with its operand ciphertexts as
+// opaque wire buffers; either way it is one he::Program to the server,
+// and canonical_program() is the one place a fixed-function Op maps to
+// its program.  A Response carries the serialized result plus the
+// request's enqueue/dispatch/complete timestamps off the simulated clock.
+// Both serialize through the src/wire envelope, so a full client ->
+// server -> client round trip moves nothing but validated bytes.
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <unordered_map>
 
+#include "he/program.h"
 #include "wire/wire.h"
 
 namespace xehe::serve {
@@ -43,15 +47,15 @@ enum class BackendHint : uint8_t {
 
 const char *backend_hint_name(BackendHint hint);
 
-/// Operand ciphertexts required by a fixed-function op (1 to 3).  For
-/// Op::Program the arity is the shipped program's input count; this
-/// returns 0.
+/// Operand ciphertexts required by a fixed-function op (1 to 3): its
+/// canonical program's input count; 0 for Op::Program, whose arity is
+/// the shipped program's.
 std::size_t op_arity(Op op);
 
 struct Request {
     uint64_t session_id = 0;
     Op op = Op::MulLin;
-    int rotate_step = 1;          ///< Op::Rotate only
+    int rotate_step = 1;          ///< Op::Rotate only; |step| <= 2^20
     uint64_t matmul_tiles = 1;    ///< Op::MatmulTile: accumulations chained
     /// Arrival time on the simulated clock; admission orders by this.
     double arrival_ns = 0.0;
@@ -107,11 +111,19 @@ struct Response {
 
 /// The field rules every Request satisfies however it arrives (wire
 /// envelope, chunk stream or direct submission): op and backend-hint
-/// range, matmul tiles in [1, 2^20], cost-only level <= 64, a finite
+/// range, a rotation step in [-2^20, 2^20] and matmul tiles in [1, 2^20]
+/// (the Program IR's immediate bounds), cost-only level <= 64, a finite
 /// non-negative arrival time, the input count against the op's arity,
 /// and program bytes present exactly for Op::Program.  Throws
 /// wire::WireError naming the first rule broken.
 void validate(const Request &req);
+
+/// The program a fixed-function request that passed validate() lowers
+/// to: its routine's, rotate_program(rotate_step) or
+/// matmul_tile_program(matmul_tiles).  The four routine programs are
+/// built once and shared.  Throws std::invalid_argument for Op::Program,
+/// whose program is the client's.
+std::shared_ptr<const he::Program> canonical_program(const Request &req);
 
 // wire::serialize / serialized_bytes pick these up by ADL.
 void save(wire::Writer &w, const Request &req);

@@ -11,25 +11,11 @@
 
 namespace xehe::serve {
 
-// The first five Op values name the Section IV-C routines in Routine
-// order, so the server can map a fixed-function request straight onto its
-// canonical program.
-static_assert(static_cast<int>(Op::MulLin) ==
-                  static_cast<int>(core::Routine::MulLin) &&
-              static_cast<int>(Op::MulLinRS) ==
-                  static_cast<int>(core::Routine::MulLinRS) &&
-              static_cast<int>(Op::SqrLinRS) ==
-                  static_cast<int>(core::Routine::SqrLinRS) &&
-              static_cast<int>(Op::MulLinRSModSwAdd) ==
-                  static_cast<int>(core::Routine::MulLinRSModSwAdd) &&
-              static_cast<int>(Op::Rotate) ==
-                  static_cast<int>(core::Routine::Rotate));
-
 namespace {
 
 constexpr double kScale = 1099511627776.0;  // 2^40
 
-/// Deterministic host-lane time model: per program node, per RNS limb.
+/// Deterministic host-lane time model: per work unit, per RNS limb.
 /// The host backend has no device clock, so host-executed requests charge
 /// a synthetic, strictly positive lane time — batching, lane contention
 /// and percentile behavior stay measurable (and deterministic) in
@@ -45,6 +31,20 @@ std::size_t input_level(const Request &r, const ckks::CkksContext &host) {
                ? std::min<std::size_t>(r.cost_only_level, host.max_level())
                : host.max_level();
 }
+
+/// A program's work in host-lane units (at least one): one per node, but
+/// a MultiplyAcc counts each of its `imm` products and sums.
+std::size_t work_units(const he::Program &program) {
+    std::size_t units = 0;
+    for (const he::Program::Node &node : program.nodes) {
+        units += node.op == he::OpCode::MultiplyAcc ? 2 * node.imm : 1;
+    }
+    return std::max<std::size_t>(units, 1);
+}
+
+/// The most work one request may carry: the largest legal MatmulTile's
+/// (bounded immediates alone would let a circuit hold its lane for days).
+constexpr std::size_t kMaxWorkUnits = 2 * he::kMaxAccumulations;
 
 }  // namespace
 
@@ -144,41 +144,48 @@ void InferenceServer::submit(Request request) {
         return;
     }
     Admitted entry{std::move(request), nullptr};
-    if (entry.request.op == Op::Program && !admit_program(entry)) {
-        return;
+    if (admit(entry)) {
+        pending_.push_back(std::move(entry));
     }
-    pending_.push_back(std::move(entry));
 }
 
-bool InferenceServer::admit_program(Admitted &entry) {
+bool InferenceServer::admit(Admitted &entry) {
     const Request &request = entry.request;
+    const bool client = request.op == Op::Program;
     obs::Span span("serve.analyze", obs::Category::Serve);
     try {
-        auto program = std::make_shared<he::Program>(
-            he::load_program(request.program, *host_));
-        util::require(program->outputs.size() == 1,
+        entry.program = client ? std::make_shared<const he::Program>(
+                                     he::load_program(request.program, *host_))
+                               : canonical_program(request);
+        util::require(entry.program->outputs.size() == 1,
                       "served programs must have exactly one output");
-        entry.program = std::move(program);
+        util::require(request.cost_only ||
+                          request.inputs.size() == entry.program->num_inputs,
+                      "input count does not match the program");
     } catch (const std::exception &e) {
         reject(request.session_id, Status::ParseError, e.what());
         return false;
     }
-    // The execution level is known at the front door; input sizes and
-    // scales are the client's.  Cost-only operands are fabricated (size 2,
-    // kScale, exactly input_level), so their facts are exact; without the
-    // compiler the level is whatever the client shipped.  These facts are
-    // at least as exact as the compiler's, so no later re-check is needed.
+    if (work_units(*entry.program) > kMaxWorkUnits) {
+        reject(request.session_id, Status::InvalidProgram,
+               "serve: program rejected: more work than the largest "
+               "matmul tile");
+        return false;
+    }
+    // Cost-only operands are fabricated (size 2, kScale, exactly
+    // input_level), so their facts are exact; otherwise sizes, scales and
+    // (for a program run as lowered) levels are the client's.  Only client
+    // circuits are re-planned, so only they assume alignment.
+    const bool planned = client && config_.compile_programs;
     he::InputFacts facts;
     facts.size = request.cost_only ? 2 : 0;
-    facts.level = config_.compile_programs || request.cost_only
-                      ? input_level(request, *host_)
-                      : 0;
-    facts.scale =
-        request.cost_only && !config_.compile_programs ? kScale : 0.0;
+    facts.level =
+        planned || request.cost_only ? input_level(request, *host_) : 0;
+    facts.scale = request.cost_only && !planned ? kScale : 0.0;
     he::AnalyzerOptions aopts;
-    aopts.assume_alignment = config_.compile_programs;
-    // load_program just validated structurally, and admission acts on
-    // ok() and the first error only.
+    aopts.assume_alignment = planned;
+    // Decoding or building just validated structurally, and admission
+    // acts on ok() and the first error only.
     aopts.assume_validated = true;
     aopts.errors_only = true;
     const he::ProgramAnalyzer analyzer(*host_, std::move(aopts));
@@ -323,19 +330,6 @@ std::shared_ptr<const he::Program> InferenceServer::compiled_program(
     return compiled;
 }
 
-std::size_t InferenceServer::route_cost(const Request &request) const {
-    if (request.op == Op::MatmulTile) {
-        return 2 * static_cast<std::size_t>(request.matmul_tiles);
-    }
-    if (request.op == Op::Program) {
-        // Routing runs before execution looks at the circuit; its wire
-        // size is a monotone proxy for node count.
-        return request.program.size() / 16;
-    }
-    return core::routine_program(static_cast<core::Routine>(request.op))
-        .nodes.size();
-}
-
 Response InferenceServer::dispatch(const Admitted &entry,
                                    double dispatch_time) {
     const Request &request = entry.request;
@@ -375,9 +369,9 @@ public:
     virtual double start(double dispatch_time) = 0;
     /// Charges re-staging `bytes` of evicted expanded key material.
     virtual void charge_key_load(std::size_t bytes) = 0;
-    /// Charges `nodes` program nodes over `limbs` RNS limbs (a device
-    /// lane's kernels charge themselves).
-    virtual void charge_compute(std::size_t /*nodes*/,
+    /// Charges `units` of program work (work_units) over `limbs` RNS
+    /// limbs (a device lane's kernels charge themselves).
+    virtual void charge_compute(std::size_t /*units*/,
                                 std::size_t /*limbs*/) {}
     /// Operands of a cost-only request, or nullopt when the lane charges
     /// cost-only requests without executing them.
@@ -469,9 +463,9 @@ public:
     void charge_key_load(std::size_t bytes) override {
         clock_ += kHostKeyLoadNsPerByte * static_cast<double>(bytes);
     }
-    void charge_compute(std::size_t nodes, std::size_t limbs) override {
+    void charge_compute(std::size_t units, std::size_t limbs) override {
         // Strictly positive, so dispatch < complete for every request.
-        clock_ += kHostNodeNs * static_cast<double>(nodes) *
+        clock_ += kHostNodeNs * static_cast<double>(units) *
                   static_cast<double>(limbs);
     }
     double finish() override {
@@ -502,9 +496,10 @@ Response InferenceServer::route(const Admitted &entry, double dispatch_time) {
     // fallback instead of failing.
     const Request &request = entry.request;
     const bool wants_gpu = request.backend != BackendHint::Host;
-    const bool cost_routed = request.backend == BackendHint::Auto &&
-                             config_.host_route_max_cost > 0 &&
-                             route_cost(request) <= config_.host_route_max_cost;
+    const bool cost_routed =
+        request.backend == BackendHint::Auto &&
+        config_.host_route_max_cost > 0 &&
+        work_units(*entry.program) <= config_.host_route_max_cost;
     bool fallback = wants_gpu && !pool_;
     if (wants_gpu && pool_ && !cost_routed) {
         try {
@@ -585,32 +580,18 @@ std::vector<uint8_t> InferenceServer::evaluate(const Admitted &entry,
 
     // A client circuit runs in compiled form when compile_programs is on,
     // cached per session so a re-submitted circuit pays the compile once.
-    const bool is_program = request.op == Op::Program;
     std::shared_ptr<const he::Program> program = entry.program;
-    if (is_program && config_.compile_programs) {
+    if (request.op == Op::Program && config_.compile_programs) {
         program = compiled_program(entry, level);
     }
-    const bool needs_relin = request.op != Op::Rotate &&
-                             request.op != Op::MatmulTile && !is_program;
-    util::require(!needs_relin || keys.relin != nullptr,
-                  "relin keys not registered");
-    util::require(request.op != Op::Rotate || keys.galois != nullptr,
-                  "galois keys not registered");
-    lane.charge_compute(
-        std::max<std::size_t>(
-            is_program ? program->nodes.size() : route_cost(request), 1),
-        level + 1);
+    lane.charge_compute(work_units(*program), level + 1);
 
     // Operands: deserialize + upload, or the lane's cost-only stand-ins.
     he::Backend &backend = lane.backend();
-    const std::size_t arity =
-        is_program ? program->num_inputs : op_arity(request.op);
     std::optional<std::vector<he::Cipher>> operands;
     if (request.cost_only) {
-        operands = lane.cost_only_operands(arity, level);
+        operands = lane.cost_only_operands(program->num_inputs, level);
     } else {
-        util::require(request.inputs.size() == arity,
-                      "input count does not match op");
         operands.emplace();
         for (const auto &bytes : request.inputs) {
             operands->push_back(
@@ -621,30 +602,8 @@ std::vector<uint8_t> InferenceServer::evaluate(const Admitted &entry,
         return {};  // charged, not executed
     }
 
-    he::Cipher result;
-    if (request.op == Op::MatmulTile) {
-        // One output tile of the encrypted matmul, strictly ordered on the
-        // session's lane (Section IV-E).
-        result = backend.multiply_acc((*operands)[0], (*operands)[1],
-                                      request.matmul_tiles);
-    } else {
-        // Everything else is a program: the client's circuit or the
-        // routine's canonical program, compiled as the routine harness
-        // runs it (identity: these programs are already minimal).
-        he::Program stepped_rotate;
-        const he::Program *run = program.get();
-        if (request.op == Op::Rotate && request.rotate_step != 1) {
-            stepped_rotate = he::rotate_program(request.rotate_step);
-            run = &stepped_rotate;
-        } else if (!is_program) {
-            const auto routine = static_cast<core::Routine>(request.op);
-            run = config_.compile_programs
-                      ? &core::routine_program_compiled(routine)
-                      : &core::routine_program(routine);
-        }
-        result = std::move(
-            he::run_program(*run, backend, *operands, keys).front());
-    }
+    he::Cipher result = std::move(
+        he::run_program(*program, backend, *operands, keys).front());
     if (!config_.functional) {
         lane.drop_result(result);
         return {};

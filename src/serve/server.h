@@ -3,18 +3,19 @@
 // the multi-queue scheduler into a client/server system.
 //
 // Clients submit wire-serialized Requests (monolithic envelopes or bounded
-// chunk-frame streams); the server validates them, decodes and analyzes
-// client programs once at admission, forms dynamic batches (dispatch when
-// the batch fills or the admission window expires), and runs each request
-// on its session's lane — one session's chain stays in-order while
-// distinct sessions overlap across tiles (Section III-D per request).
-// Every request takes one execution path written against he::Backend; a
-// GPU pool lane and a simulated host lane differ only in what their Lane
-// supplies.  Per-session evaluation keys live behind a serve::KeyManager
-// (byte-budgeted LRU over a cold store of c0 words and seeds), so
-// sessions may far outnumber resident keys.  Responses carry
-// enqueue/dispatch/complete timestamps off the simulated clock,
-// aggregated into LatencyStats.
+// chunk-frame streams); the server validates each and lowers it at
+// admission to one he::Program the analyzer accepts (a client circuit
+// decoded, a fixed-function op via serve::canonical_program), forms
+// dynamic batches (dispatch when the batch fills or the admission window
+// expires), and runs each request on its session's lane — one session's
+// chain stays in-order while distinct sessions overlap across tiles
+// (Section III-D per request).  Every request runs through the program
+// interpreter over he::Backend; a GPU pool lane and a simulated host lane
+// differ only in what their Lane supplies.  Per-session evaluation keys
+// live behind a serve::KeyManager (byte-budgeted LRU over a cold store of
+// c0 words and seeds), so sessions may far outnumber resident keys.
+// Responses carry enqueue/dispatch/complete timestamps off the simulated
+// clock, aggregated into LatencyStats.
 #pragma once
 
 #include <memory>
@@ -59,11 +60,11 @@ struct ServerConfig {
     /// injected (the sharded server's configuration wins).
     std::size_t key_budget_bytes = std::size_t{64} << 20;
     /// Cost-model request routing: a BackendHint::Auto request whose
-    /// estimated cost (canonical node count; matmul tiles; program size
-    /// proxy) is <= this threshold runs on the host backend even when
-    /// the GPU pool is up — small jobs skip the device queues.  0
-    /// (default) disables cost routing.  Explicit per-request hints
-    /// always win.
+    /// program's host-lane work units (one per node, 2 x count per
+    /// MultiplyAcc; a client circuit's constants add none) are <= this
+    /// threshold runs on the host backend even when the GPU pool is up —
+    /// small jobs skip the device queues.  0 (default) disables cost
+    /// routing.  Explicit per-request hints always win.
     std::size_t host_route_max_cost = 0;
 
     /// Throws ConfigError on any invalid field; called by every server
@@ -104,9 +105,11 @@ public:
     const ServerConfig &config() const noexcept { return config_; }
     const KeyManager &key_manager() const noexcept { return *key_manager_; }
 
-    /// Admission.  A request that fails validation (wire or
-    /// serve::validate) is answered with a typed ParseError; a program
-    /// the analyzer rejects, with InvalidProgram.  Neither reaches a lane.
+    /// Admission.  A request that fails validation (wire, serve::validate,
+    /// program decode or the program's input count) is answered with a
+    /// typed ParseError; one whose program the analyzer rejects or that
+    /// carries more work than the largest MatmulTile, with InvalidProgram.
+    /// Neither reaches a lane.
     void submit(std::span<const uint8_t> request_bytes);
     void submit(Request request);
 
@@ -145,8 +148,8 @@ private:
     class GpuLane;
     class HostLane;
 
-    /// An admitted request, with its client circuit (Op::Program) as
-    /// decoded and analyzed at admission.
+    /// An admitted request with the program it lowered to (the decoded
+    /// client circuit or the op's canonical program).
     struct Admitted {
         Request request;
         std::shared_ptr<const he::Program> program;
@@ -163,15 +166,13 @@ private:
     /// Keys, program, operands and evaluation; returns the serialized
     /// result (empty on cost-only servers).
     std::vector<uint8_t> evaluate(const Admitted &entry, Lane &lane);
-    /// Cheap routing cost proxy for BackendHint::Auto requests.
-    std::size_t route_cost(const Request &request) const;
     /// The compiled form of an admitted client program, cached per
     /// session, program bytes and assumed input level.
     std::shared_ptr<const he::Program> compiled_program(
         const Admitted &entry, std::size_t input_level);
-    /// Decodes and analyzes (he::ProgramAnalyzer) an Op::Program request
-    /// at the level it will execute at; false when it was rejected.
-    bool admit_program(Admitted &entry);
+    /// Lowers the request to its program and analyzes it at the level it
+    /// will execute at; false when it was rejected.
+    bool admit(Admitted &entry);
     /// Answers a request with a typed failure before it reaches a lane.
     void reject(uint64_t session_id, Status code, std::string error);
 

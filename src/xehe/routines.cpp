@@ -1,5 +1,6 @@
 #include "xehe/routines.h"
 
+#include <array>
 #include <random>
 
 #include "ckks/encoder.h"
@@ -20,49 +21,29 @@ const char *routine_name(Routine r) {
 }
 
 const he::Program &routine_program(Routine r) {
-    static const he::Program mul_lin = he::mul_lin_program();
-    static const he::Program mul_lin_rs = he::mul_lin_rs_program();
-    static const he::Program sqr_lin_rs = he::sqr_lin_rs_program();
-    static const he::Program mul_lin_rs_modsw_add =
-        he::mul_lin_rs_modsw_add_program();
-    static const he::Program rotate = he::rotate_program(1);
-    switch (r) {
-        case Routine::MulLin: return mul_lin;
-        case Routine::MulLinRS: return mul_lin_rs;
-        case Routine::SqrLinRS: return sqr_lin_rs;
-        case Routine::MulLinRSModSwAdd: return mul_lin_rs_modsw_add;
-        case Routine::Rotate: return rotate;
-    }
-    util::require(false, "unknown routine");
-    return mul_lin;  // unreachable
+    // Indexed by Routine.
+    static const he::Program programs[] = {
+        he::mul_lin_program(), he::mul_lin_rs_program(),
+        he::sqr_lin_rs_program(), he::mul_lin_rs_modsw_add_program(),
+        he::rotate_program(1)};
+    static_assert(std::size(programs) == std::size(kAllRoutines));
+    return programs[static_cast<std::size_t>(r)];
 }
 
 const he::Program &routine_program_compiled(Routine r) {
     // Context-free compile (canonicalize/CSE/DCE/prefuse): the canonical
     // routines are context-independent, and none of them needs the
     // planner — they are already minimal.
-    static const auto compile = [](const he::Program &p) {
-        return he::ProgramCompiler().compile(p).program;
-    };
-    static const he::Program mul_lin =
-        compile(routine_program(Routine::MulLin));
-    static const he::Program mul_lin_rs =
-        compile(routine_program(Routine::MulLinRS));
-    static const he::Program sqr_lin_rs =
-        compile(routine_program(Routine::SqrLinRS));
-    static const he::Program mul_lin_rs_modsw_add =
-        compile(routine_program(Routine::MulLinRSModSwAdd));
-    static const he::Program rotate =
-        compile(routine_program(Routine::Rotate));
-    switch (r) {
-        case Routine::MulLin: return mul_lin;
-        case Routine::MulLinRS: return mul_lin_rs;
-        case Routine::SqrLinRS: return sqr_lin_rs;
-        case Routine::MulLinRSModSwAdd: return mul_lin_rs_modsw_add;
-        case Routine::Rotate: return rotate;
-    }
-    util::require(false, "unknown routine");
-    return mul_lin;  // unreachable
+    static const auto programs = [] {
+        std::array<he::Program, std::size(kAllRoutines)> out;
+        for (const Routine routine : kAllRoutines) {
+            out[static_cast<std::size_t>(routine)] =
+                he::ProgramCompiler().compile(routine_program(routine))
+                    .program;
+        }
+        return out;
+    }();
+    return programs[static_cast<std::size_t>(r)];
 }
 
 void run_routine(const GpuEvaluator &evaluator, Routine routine,

@@ -530,6 +530,7 @@ TEST(HeAnalyze, EveryOpRowMatchesBothBackendsOverTheShapeGrid) {
     uint64_t seed = 1;
     std::size_t accepted = 0;
     std::size_t rejected = 0;
+    std::vector<std::size_t> accepted_per_op(he::kMaxOpCode + 1, 0);
     for (const GridCase &c : shape_grid({&present, &absent, &truncated})) {
         const he::OpSemantics &row = he::op_semantics(c.op);
         const bool binary = row.arity == 2;
@@ -552,8 +553,11 @@ TEST(HeAnalyze, EveryOpRowMatchesBothBackendsOverTheShapeGrid) {
                 rig.bench.encoder.encode(0.25, scale_b, c.level_b));
         }
         const uint32_t b = row.const_operand ? 2 : 1;
-        p.nodes.push_back({c.op, 0, binary ? b : 0u,
-                           c.op == he::OpCode::Rotate ? 1 : 0});
+        // An in-range immediate off the row: step 1 for Rotate, count 2
+        // for MultiplyAcc (so the chain really accumulates), else 0.
+        const int32_t imm = row.imm_min > 0 ? row.imm_min + 1
+                                            : std::min(row.imm_max, 1);
+        p.nodes.push_back({c.op, 0, binary ? b : 0u, imm});
         p.outputs = {2 + static_cast<uint32_t>(p.constants.size())};
 
         const std::vector<InputFacts> facts = {
@@ -594,10 +598,17 @@ TEST(HeAnalyze, EveryOpRowMatchesBothBackendsOverTheShapeGrid) {
             }
         }
         ++(report.ok() ? accepted : rejected);
+        accepted_per_op[static_cast<uint8_t>(c.op)] += report.ok();
     }
     // Both verdicts occur, or the grid proves nothing.
     EXPECT_GT(accepted, 100u);
     EXPECT_GT(rejected, 100u);
+    // And every op reached both backends at least once: an op whose
+    // every case is rejected would leave its row untested.
+    for (uint8_t code = 0; code <= he::kMaxOpCode; ++code) {
+        EXPECT_GT(accepted_per_op[code], 0u)
+            << he::op_semantics(static_cast<he::OpCode>(code)).name;
+    }
 }
 
 }  // namespace

@@ -216,6 +216,39 @@ TEST(HeCompiler, CseMergesCommutativeDuplicates) {
     }
 }
 
+TEST(HeCompiler, CseMergesEqualAccumulationCountsOnly) {
+    // The count is part of a MultiplyAcc node's identity: equal counts
+    // over the same operands merge, a different count stays apart.
+    CompilerRig rig;
+    he::ProgramBuilder builder(2);
+    const auto x = builder.input(0), y = builder.input(1);
+    const auto three = builder.multiply_acc(x, y, 3);
+    const auto three_again = builder.multiply_acc(x, y, 3);
+    const auto four = builder.multiply_acc(x, y, 4);
+    builder.output(builder.add(three, three_again));
+    builder.output(builder.add(three, four));
+    const he::Program raw = builder.build();
+
+    const auto compiled =
+        he::ProgramCompiler(rig.host.context).compile(raw);
+    EXPECT_EQ(compiled.report.cse_merged, 1u);
+    EXPECT_EQ(count_op(compiled.program, he::OpCode::MultiplyAcc), 2u);
+
+    he::HostBackend backend(rig.host.context);
+    const he::Cipher inputs[2] = {
+        backend.upload(rig.host.enc(rig.host.values(4))),
+        backend.upload(rig.host.enc(rig.host.values(5)))};
+    const auto a = he::run_program(raw, backend, inputs, rig.keys());
+    const auto b = he::run_program(compiled.program, backend, inputs,
+                                   rig.keys());
+    ASSERT_EQ(a.size(), 2u);
+    ASSERT_EQ(b.size(), 2u);
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        expect_bit_identical(backend.download(a[i]), backend.download(b[i]),
+                             "cse output");
+    }
+}
+
 TEST(HeCompiler, DceDropsDeadNodesAndConstants) {
     CompilerRig rig;
     he::ProgramBuilder builder(1);

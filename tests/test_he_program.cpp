@@ -215,7 +215,7 @@ TEST(HeProgram, ValidationRejectsMalformedPrograms) {
         p.outputs.push_back(2);
         EXPECT_THROW(p.validate(), std::invalid_argument);
     }
-    // Immediate on a non-rotate op.
+    // Immediate on an op that takes none.
     {
         he::Program p;
         p.num_inputs = 1;
@@ -223,6 +223,20 @@ TEST(HeProgram, ValidationRejectsMalformedPrograms) {
         p.outputs.push_back(1);
         EXPECT_THROW(p.validate(), std::invalid_argument);
     }
+    // Accumulation counts outside [1, 2^20], by hand and through the
+    // builder; both bounds themselves are legal.
+    for (const int32_t count : {0, -1, (1 << 20) + 1}) {
+        he::Program p;
+        p.num_inputs = 2;
+        p.nodes.push_back({he::OpCode::MultiplyAcc, 0, 1, count});
+        p.outputs.push_back(2);
+        EXPECT_THROW(p.validate(), std::invalid_argument) << count;
+    }
+    EXPECT_THROW(he::matmul_tile_program(0), std::invalid_argument);
+    EXPECT_THROW(he::matmul_tile_program((1u << 20) + 1),
+                 std::invalid_argument);
+    EXPECT_NO_THROW(he::matmul_tile_program(1));
+    EXPECT_NO_THROW(he::matmul_tile_program(1u << 20));
     // Output naming a constant.
     {
         he::Program p;
@@ -258,8 +272,8 @@ TEST(HeProgram, InterpreterRequiresKeysAndMatchingInputs) {
 
 TEST(HeProgram, WireRoundTripPreservesStructureAndResults) {
     ProgramRig rig;
-    // A program exercising every field kind: constants, a rotate
-    // immediate, multiple outputs.
+    // A program exercising every field kind: constants, a rotate and an
+    // accumulation-count immediate, multiple outputs.
     he::ProgramBuilder builder(2);
     const auto half = builder.constant(
         rig.host.encoder.encode(0.5, kScale));
@@ -268,6 +282,8 @@ TEST(HeProgram, WireRoundTripPreservesStructureAndResults) {
     const auto scaled = builder.multiply_plain(builder.input(0), half);
     builder.output(prod);
     builder.output(builder.rotate(scaled, -2));
+    builder.output(builder.multiply_acc(builder.input(0), builder.input(1),
+                                        3));
     const he::Program program = builder.build();
 
     const auto bytes = wire::serialize(program);
@@ -298,8 +314,8 @@ TEST(HeProgram, WireRoundTripPreservesStructureAndResults) {
         backend.upload(rig.host.enc(rig.host.values(12)))};
     const auto original = he::run_program(program, backend, inputs, keys);
     const auto again = he::run_program(reloaded, backend, inputs, keys);
-    ASSERT_EQ(original.size(), 2u);
-    ASSERT_EQ(again.size(), 2u);
+    ASSERT_EQ(original.size(), 3u);
+    ASSERT_EQ(again.size(), 3u);
     for (std::size_t i = 0; i < original.size(); ++i) {
         expect_bit_identical(backend.download(original[i]),
                              backend.download(again[i]), "reloaded output");

@@ -210,7 +210,7 @@ TEST(Serve, DirectSubmitEnforcesTheWireFieldRules) {
         req.inputs = {ct, ct};
         return req;
     };
-    std::vector<Request> broken(9, valid());
+    std::vector<Request> broken(10, valid());
     broken[0].op = Op::MatmulTile;
     broken[0].matmul_tiles = uint64_t{1} << 40;  // a lane busy forever
     broken[1].op = static_cast<Op>(9);
@@ -221,6 +221,9 @@ TEST(Serve, DirectSubmitEnforcesTheWireFieldRules) {
     broken[6].program = {1, 2, 3};  // program bytes on a fixed op
     broken[7].cost_only = true;  // cost-only with operand bytes
     broken[8].op = Op::Program;  // program op without program bytes
+    broken[9].op = Op::Rotate;     // a step past the IR's 2^20 bound
+    broken[9].rotate_step = (1 << 20) + 1;
+    broken[9].inputs.pop_back();
     for (Request &req : broken) {
         server.submit(std::move(req));
     }
@@ -239,6 +242,148 @@ TEST(Serve, DirectSubmitEnforcesTheWireFieldRules) {
         EXPECT_EQ(resp.error.rfind("wire: ", 0), 0u) << resp.error;
     }
     EXPECT_EQ(ok, 1u);
+}
+
+TEST(Serve, CanonicalProgramsGetOneAdmissionVerdictOnBothLanes) {
+    // A fixed-function request is its canonical program to admission:
+    // a cost-only routine that rescales at the last level must fail
+    // analysis, typed and before any lane time, whichever lane it named
+    // (the host lane used to answer ok without executing it, the GPU
+    // lane to fail it only after charging its kernels).
+    ServeBench b;
+    ServerConfig cfg;
+    cfg.functional = false;
+    auto server = b.server(cfg);
+    const Op ops[] = {Op::MulLinRS, Op::SqrLinRS, Op::MulLinRSModSwAdd};
+    for (const Op op : ops) {
+        for (const auto hint :
+             {serve::BackendHint::Host, serve::BackendHint::Gpu}) {
+            Request req;
+            req.op = op;
+            req.cost_only = true;
+            req.cost_only_level = 1;
+            req.backend = hint;
+            server.submit(req);
+        }
+    }
+    EXPECT_EQ(server.pending_requests(), 0u);
+    const auto responses = server.run();
+    ASSERT_EQ(responses.size(), 2 * std::size(ops));
+    for (const auto &resp : responses) {
+        EXPECT_FALSE(resp.ok);
+        EXPECT_EQ(resp.code, serve::Status::InvalidProgram) << resp.error;
+        EXPECT_NE(resp.error.find("LevelUnderflow"), std::string::npos)
+            << resp.error;
+        EXPECT_EQ(resp.complete_ns, 0.0);
+    }
+    const auto stats = server.stats();
+    EXPECT_EQ(stats.invalid_programs, 2 * std::size(ops));
+    EXPECT_EQ(stats.failed, 2 * std::size(ops));
+    EXPECT_EQ(stats.host_requests, 0u);
+}
+
+TEST(Serve, MatmulTileAnswersLikeItsClientCircuit) {
+    // MatmulTile is the canonical one-node MultiplyAcc program, so a
+    // client shipping that node gets the same bytes, on either lane.
+    ServeBench b;
+    auto server = b.server();
+    he::ProgramBuilder builder(2);
+    builder.output(builder.multiply_acc(builder.input(0), builder.input(1),
+                                        3));
+    const auto circuit = wire::serialize(builder.build());
+    const std::vector<std::vector<uint8_t>> inputs = {
+        wire::serialize(b.host.enc(b.host.values(71))),
+        wire::serialize(b.host.enc(b.host.values(72)))};
+    uint64_t session = 0;
+    for (const Op op : {Op::MatmulTile, Op::Program}) {
+        for (const auto hint :
+             {serve::BackendHint::Host, serve::BackendHint::Gpu}) {
+            Request req;
+            req.session_id = session++;
+            req.op = op;
+            req.backend = hint;
+            req.inputs = inputs;
+            if (op == Op::MatmulTile) {
+                req.matmul_tiles = 3;
+            } else {
+                req.program = circuit;
+            }
+            server.submit(req);
+        }
+    }
+    const auto responses = server.run();
+    ASSERT_EQ(responses.size(), 4u);
+    std::vector<std::vector<uint8_t>> results(4);
+    for (const auto &resp : responses) {
+        ASSERT_TRUE(resp.ok) << resp.error;
+        ASSERT_FALSE(resp.result.empty());
+        results.at(resp.session_id) = resp.result;
+    }
+    EXPECT_EQ(results[2], results[0]) << "client circuit vs tile, host lane";
+    EXPECT_EQ(results[3], results[1]) << "client circuit vs tile, GPU lane";
+    EXPECT_EQ(results[0], results[1]) << "host vs GPU lane";
+}
+
+TEST(Serve, AdmissionBoundsAProgramsTotalWork) {
+    // Each MultiplyAcc count is in range, but two maximal ones are twice
+    // the largest legal MatmulTile: typed rejection, before lane time.
+    ServeBench b;
+    ServerConfig cfg;
+    cfg.functional = false;
+    auto server = b.server(cfg);
+    he::ProgramBuilder builder(2);
+    const auto a = builder.input(0);
+    const auto c = builder.input(1);
+    const uint32_t max = he::kMaxAccumulations;
+    builder.output(builder.add(builder.multiply_acc(a, c, max),
+                               builder.multiply_acc(c, a, max)));
+    Request req;
+    req.op = Op::Program;
+    req.cost_only = true;
+    req.program = wire::serialize(builder.build());
+    server.submit(req);
+    Request tile;  // the largest legal MatmulTile is still admitted
+    tile.session_id = 1;
+    tile.op = Op::MatmulTile;
+    tile.matmul_tiles = max;
+    tile.cost_only = true;
+    tile.backend = serve::BackendHint::Host;
+    server.submit(tile);
+    EXPECT_EQ(server.pending_requests(), 1u);
+    const auto responses = server.run();
+    ASSERT_EQ(responses.size(), 2u);
+    for (const auto &resp : responses) {
+        if (resp.session_id == 0) {
+            EXPECT_FALSE(resp.ok);
+            EXPECT_EQ(resp.code, serve::Status::InvalidProgram) << resp.error;
+            EXPECT_EQ(resp.complete_ns, 0.0);
+        } else {
+            EXPECT_TRUE(resp.ok) << resp.error;
+        }
+    }
+    EXPECT_EQ(server.stats().invalid_programs, 1u);
+}
+
+TEST(Serve, CircuitInputCountCheckedAtAdmission) {
+    // A client circuit shipped with the wrong number of operands fails
+    // typed at admission, before its operands are decoded or uploaded.
+    ServeBench b;
+    auto server = b.server();
+    he::ProgramBuilder builder(2);
+    builder.output(builder.add(builder.input(0), builder.input(1)));
+    Request req;
+    req.op = Op::Program;
+    req.program = wire::serialize(builder.build());
+    req.inputs = {wire::serialize(b.host.enc(b.host.values(81)))};
+    server.submit(req);
+    EXPECT_EQ(server.pending_requests(), 0u);
+    const auto responses = server.run();
+    ASSERT_EQ(responses.size(), 1u);
+    EXPECT_EQ(responses[0].code, serve::Status::ParseError)
+        << responses[0].error;
+    EXPECT_NE(responses[0].error.find("input count"), std::string::npos)
+        << responses[0].error;
+    EXPECT_EQ(responses[0].complete_ns, 0.0);
 }
 
 TEST(Serve, MissingKeysReportedPerRequest) {

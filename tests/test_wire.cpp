@@ -265,6 +265,41 @@ TEST(WireProtocol, RequestResponseRoundTrip) {
     EXPECT_EQ(resp_loaded.latency_ns(), 2.0);
 }
 
+TEST(WireProtocol, RotationStepIsAWireFieldRule) {
+    // A request lowers to a Rotate node carrying its step, so the wire
+    // takes the IR's bound: |step| <= 2^20.
+    auto &b = bench();
+    serve::Request req;
+    req.op = serve::Op::Rotate;
+    req.inputs.push_back(wire::serialize(b.enc(b.values(73))));
+    for (const int step : {1 << 20, -(1 << 20)}) {
+        req.rotate_step = step;
+        EXPECT_EQ(serve::load_request(wire::serialize(req)).rotate_step,
+                  step);
+    }
+    for (const int step : {(1 << 20) + 1, -(1 << 20) - 1}) {
+        req.rotate_step = step;
+        EXPECT_THROW(serve::load_request(wire::serialize(req)), WireError)
+            << step;
+    }
+
+    // A step word past int's range must not truncate into a legal step:
+    // 2^32 + 1 would read back as 1.  Payload layout: tag 1, session 8,
+    // op 1 puts the step at offset 10 (checksum re-stamped).
+    req.rotate_step = 1;
+    auto forged = wire::serialize(req);
+    const uint64_t word = (uint64_t{1} << 32) + 1;
+    for (std::size_t i = 0; i < 8; ++i) {
+        forged[16 + 10 + i] = static_cast<uint8_t>(word >> (8 * i));
+    }
+    const uint64_t sum = wire::detail::fnv1a64(std::span<const uint8_t>(
+        forged.data() + 16, forged.size() - 24));
+    for (std::size_t i = 0; i < 8; ++i) {
+        forged[forged.size() - 8 + i] = static_cast<uint8_t>(sum >> (8 * i));
+    }
+    EXPECT_THROW(serve::load_request(forged), WireError);
+}
+
 TEST(WireProtocol, InvalidProgramResponseRoundTripsWithDiagnostics) {
     // The admission gate's typed rejection: code InvalidProgram, ok
     // false, and the analyzer's first-error summary in the error string.
