@@ -12,28 +12,36 @@
 #include <array>
 #include <cmath>
 #include <cstdio>
+#include <memory>
+#include <optional>
 #include <vector>
 
-#include "he/registry.h"
 #include "he/session.h"
 #include "xgpu/device.h"
 
 int main() {
     using namespace xehe;
 
-    // 1. Parameters, then a backend through the registry: "gpu" (radix-8
-    //    SLM NTT, inline asm, memory cache, async pipeline — the paper's
-    //    full stack) when its capability probe passes, the host oracle
-    //    otherwise.  Try XEHE_DISABLE_BACKENDS=gpu to watch the same
-    //    program degrade gracefully.
+    // 1. Parameters, then a backend: the simulated GPU (radix-8 SLM NTT,
+    //    inline asm, memory cache, async pipeline — the paper's full
+    //    stack), or the host oracle when "gpu" is switched off.  Try
+    //    XEHE_DISABLE_BACKENDS=gpu to watch the same program degrade
+    //    gracefully.
     const ckks::CkksContext context(
         ckks::EncryptionParameters::create(8192, 3));
-    he::BackendEnv env;
-    env.context = &context;
-    env.options.isa = xgpu::IsaMode::InlineAsm;
-    const he::BackendBundle bundle =
-        he::BackendRegistry::instance().create_or_host("gpu", env);
-    he::Backend &backend = bundle.backend();
+    std::optional<core::GpuContext> gpu;
+    std::optional<core::GpuEvaluator> evaluator;
+    std::unique_ptr<he::Backend> owned;
+    if (he::backend_disabled("gpu")) {
+        owned = std::make_unique<he::HostBackend>(context);
+    } else {
+        core::GpuOptions options;
+        options.isa = xgpu::IsaMode::InlineAsm;
+        gpu.emplace(context, xgpu::device1(), options);
+        evaluator.emplace(*gpu);
+        owned = std::make_unique<he::GpuBackend>(*gpu, *evaluator);
+    }
+    he::Backend &backend = *owned;
     std::printf("backend: %s\n", backend.name());
 
     // 2. One session = keys + encoder + automatic scale/level management.

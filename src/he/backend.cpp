@@ -1,6 +1,65 @@
 #include "he/backend.h"
 
+#include <algorithm>
+#include <cstdlib>
+#include <set>
+#include <string_view>
+
+#include "util/mutex.h"
+
 namespace xehe::he {
+
+namespace {
+
+std::set<std::string> parse_disabled_env() {
+    const char *env = std::getenv("XEHE_DISABLE_BACKENDS");
+    const std::string_view list = env != nullptr ? env : "";
+    std::set<std::string> names;
+    for (std::size_t pos = 0; pos < list.size();) {
+        const std::size_t end =
+            std::min(list.find_first_of(",; \t", pos), list.size());
+        if (end > pos) {
+            names.emplace(list.substr(pos, end - pos));
+        }
+        pos = end + 1;
+    }
+    return names;
+}
+
+struct DisableSwitch {
+    util::Mutex mutex;
+    std::set<std::string> names GUARDED_BY(mutex) = parse_disabled_env();
+};
+
+DisableSwitch &disable_switch() {
+    static DisableSwitch instance;
+    return instance;
+}
+
+}  // namespace
+
+bool backend_disabled(const std::string &name) {
+    DisableSwitch &sw = disable_switch();
+    const util::MutexLock lock(sw.mutex);
+    return sw.names.count(name) != 0;
+}
+
+void set_backend_disabled(const std::string &name, bool disabled) {
+    DisableSwitch &sw = disable_switch();
+    const util::MutexLock lock(sw.mutex);
+    if (disabled) {
+        sw.names.insert(name);
+    } else {
+        sw.names.erase(name);
+    }
+}
+
+void require_backend(const std::string &name) {
+    if (backend_disabled(name)) {
+        throw BackendUnavailable(
+            name, "disabled (XEHE_DISABLE_BACKENDS or set_backend_disabled)");
+    }
+}
 
 Cipher Backend::multiply_acc(const Cipher &a, const Cipher &b,
                              uint64_t count) {

@@ -8,7 +8,13 @@
 // GpuEvaluator — and the conformance suite (tests/test_he_backend.cpp)
 // proves the two produce bit-identical ciphertexts on randomized op
 // chains, so anything written against Backend runs on either.
+// Callers construct either directly; a process-wide disable switch can
+// take "gpu" away, and the sites that build GPU backends then raise the
+// typed BackendUnavailable so the serving stack degrades to host.
 #pragma once
+
+#include <stdexcept>
+#include <string>
 
 #include "he/cipher.h"
 #include "xehe/gpu_evaluator.h"
@@ -192,5 +198,30 @@ private:
     core::GpuContext *gpu_;
     const core::GpuEvaluator *evaluator_;
 };
+
+/// Typed failure: the named backend is switched off, so the caller should
+/// degrade (the serving stack falls back to host and counts the event)
+/// rather than fail the request.
+class BackendUnavailable : public std::runtime_error {
+public:
+    BackendUnavailable(std::string backend, const std::string &why)
+        : std::runtime_error("he: backend '" + backend +
+                             "' unavailable: " + why),
+          backend_(std::move(backend)) {}
+
+    const std::string &backend() const noexcept { return backend_; }
+
+private:
+    std::string backend_;
+};
+
+/// The disable switch: XEHE_DISABLE_BACKENDS (comma/space/semicolon
+/// separated names, read once at first use) seeds it for the whole
+/// process.  Thread-safe.
+bool backend_disabled(const std::string &name);
+/// Switches one backend off (or back on) at runtime.
+void set_backend_disabled(const std::string &name, bool disabled);
+/// Throws BackendUnavailable when `name` is switched off.
+void require_backend(const std::string &name);
 
 }  // namespace xehe::he

@@ -5,6 +5,7 @@
 #include <optional>
 #include <utility>
 
+#include "ckks/galois.h"
 #include "he/analyze.h"
 #include "he/compiler.h"
 #include "obs/trace.h"
@@ -42,6 +43,33 @@ std::size_t work_units(const he::Program &program) {
     return std::max<std::size_t>(units, 1);
 }
 
+/// Throws unless `keys` hold every key `program` switches.  Checked on
+/// every lane before operands exist, so a cost-only host lane (which
+/// charges without executing) fails like a device lane would.
+void require_keys(const he::Program &program, const he::ProgramKeys &keys,
+                  std::size_t n) {
+    const ckks::GaloisTool galois_tool(n);
+    for (const he::Program::Node &node : program.nodes) {
+        const he::KeyNeed need = he::op_semantics(node.op).key;
+        if (need == he::KeyNeed::Relin && keys.relin == nullptr) {
+            throw std::invalid_argument(
+                "he: program needs relinearization keys");
+        }
+        if (need == he::KeyNeed::Galois ||
+            need == he::KeyNeed::Conjugation) {
+            if (keys.galois == nullptr) {
+                throw std::invalid_argument("he: program needs galois keys");
+            }
+            const uint64_t elt = need == he::KeyNeed::Galois
+                                     ? galois_tool.elt_from_step(node.imm)
+                                     : galois_tool.conjugation_elt();
+            if (elt != 1 && !keys.galois->has(elt)) {
+                throw std::invalid_argument("missing galois key");
+            }
+        }
+    }
+}
+
 /// The most work one request may carry: the largest legal MatmulTile's
 /// (bounded immediates alone would let a circuit hold its lane for days).
 constexpr std::size_t kMaxWorkUnits = 2 * he::kMaxAccumulations;
@@ -71,20 +99,16 @@ InferenceServer::InferenceServer(const ckks::CkksContext &host,
                                  std::shared_ptr<KeyManager> key_manager,
                                  xgpu::ThreadPool *pool)
     : host_(&host), config_((config.validate(), config)),
+      host_backend_(std::make_unique<he::HostBackend>(host)),
       key_manager_(key_manager
                        ? std::move(key_manager)
                        : std::make_shared<KeyManager>(
                              host, config.key_budget_bytes, pool)) {
-    he::BackendRegistry &registry = he::BackendRegistry::instance();
-    if (registry.available("gpu")) {
-        try {
-            pool_ = std::make_unique<core::GpuEvaluatorPool>(
-                host, spec, options, config_.queue_count, pool);
-        } catch (const he::BackendUnavailable &) {
-            // The probe passed but construction failed: degrade to
-            // host-only instead of refusing to come up.
-            pool_.reset();
-        }
+    try {
+        pool_ = std::make_unique<core::GpuEvaluatorPool>(
+            host, spec, options, config_.queue_count, pool);
+    } catch (const he::BackendUnavailable &) {
+        // "gpu" is switched off: come up host-only instead of refusing.
     }
     if (pool_) {
         pool_->set_functional(config_.functional);
@@ -102,9 +126,6 @@ InferenceServer::InferenceServer(const ckks::CkksContext &host,
         host_lane_ns_.assign(lanes, 0.0);
     }
     obs_host_lane_tracks_.assign(host_lane_ns_.size(), 0);
-    he::BackendEnv env;
-    env.context = &host;
-    host_bundle_ = registry.create("host", env);
 }
 
 void InferenceServer::set_keys(ckks::RelinKeys relin, ckks::GaloisKeys galois) {
@@ -394,20 +415,16 @@ protected:
 class InferenceServer::GpuLane final : public Lane {
 public:
     /// Throws he::BackendUnavailable, before any clock or key side
-    /// effect, if "gpu" has been pulled out from under the server.
+    /// effect, if "gpu" has been switched off under the server.
     GpuLane(InferenceServer &server, uint64_t session_id)
         : index_(server.pool_->lane_of(session_id)),
           gpu_(server.pool_->context(index_)),
-          evaluator_(server.pool_->evaluator(index_)) {
-        he::BackendEnv env;
-        env.context = server.host_;
-        env.gpu_context = &gpu_;
-        env.gpu_evaluator = &evaluator_;
-        bundle_ = he::BackendRegistry::instance().create("gpu", env);
-        backend_ = &static_cast<he::GpuBackend &>(bundle_.backend());
+          evaluator_(server.pool_->evaluator(index_)),
+          backend_(gpu_, evaluator_) {
+        he::require_backend("gpu");
     }
 
-    he::Backend &backend() override { return *backend_; }
+    he::Backend &backend() override { return backend_; }
     double start(double dispatch_time) override {
         gpu_.queue().advance_to(dispatch_time);
         return gpu_.queue().clock_ns();
@@ -423,12 +440,12 @@ public:
         for (std::size_t a = 0; a < arity; ++a) {
             auto ct = core::allocate_ciphertext(gpu_, 2, level, kScale);
             gpu_.queue().transfer(ct.all().size() * sizeof(uint64_t));
-            operands.push_back(backend_->adopt(std::move(ct)));
+            operands.push_back(backend_.adopt(std::move(ct)));
         }
         return operands;
     }
     void drop_result(const he::Cipher &result) override {
-        gpu_.queue().transfer(backend_->native(result).all().size() *
+        gpu_.queue().transfer(backend_.native(result).all().size() *
                               sizeof(uint64_t));
     }
     double finish() override { return gpu_.queue().clock_ns(); }
@@ -441,8 +458,7 @@ private:
     std::size_t index_;
     core::GpuContext &gpu_;
     core::GpuEvaluator &evaluator_;
-    he::BackendBundle bundle_;
-    he::GpuBackend *backend_ = nullptr;  ///< owned by bundle_
+    he::GpuBackend backend_;
 };
 
 /// A simulated host lane: the host backend evaluates functional requests
@@ -455,7 +471,7 @@ public:
         : server_(server),
           index_(session_id % server.host_lane_ns_.size()) {}
 
-    he::Backend &backend() override { return server_.host_bundle_.backend(); }
+    he::Backend &backend() override { return *server_.host_backend_; }
     double start(double dispatch_time) override {
         clock_ = std::max(server_.host_lane_ns_[index_], dispatch_time);
         return clock_;
@@ -507,8 +523,8 @@ Response InferenceServer::route(const Admitted &entry, double dispatch_time) {
             return execute(entry, lane, dispatch_time);
         } catch (const he::BackendUnavailable &) {
             // Only the lane's construction can throw here (execute maps
-            // every error to a Status): the registry refused the backend
-            // between admission and dispatch, so degrade this request.
+            // every error to a Status): "gpu" was switched off between
+            // construction and dispatch, so degrade this request.
             fallback = true;
         }
     }
@@ -584,6 +600,7 @@ std::vector<uint8_t> InferenceServer::evaluate(const Admitted &entry,
     if (request.op == Op::Program && config_.compile_programs) {
         program = compiled_program(entry, level);
     }
+    require_keys(*program, keys, host_->n());
     lane.charge_compute(work_units(*program), level + 1);
 
     // Operands: deserialize + upload, or the lane's cost-only stand-ins.

@@ -23,7 +23,6 @@
 #include <unordered_map>
 
 #include "he/program.h"
-#include "he/registry.h"
 #include "serve/metrics.h"
 #include "xehe/evaluator_pool.h"
 
@@ -178,13 +177,13 @@ private:
 
     const ckks::CkksContext *host_;
     ServerConfig config_;
-    /// Null when the "gpu" backend was unavailable at construction: the
-    /// server comes up host-only instead of failing, and every request
-    /// that wanted the GPU is served on host and counted as a fallback.
+    /// Null when "gpu" was switched off at construction: the server comes
+    /// up host-only instead of failing, and every request that wanted the
+    /// GPU is served on host and counted as a fallback.
     std::unique_ptr<core::GpuEvaluatorPool> pool_;
-    /// The registry-constructed host backend every host-routed or
-    /// fallen-back request executes on.
-    he::BackendBundle host_bundle_;
+    /// The host backend every host-routed or fallen-back request executes
+    /// on (behind a pointer: backends cannot move, servers can).
+    std::unique_ptr<he::HostBackend> host_backend_;
     /// Per-lane simulated clocks for host execution (sized to
     /// lane_count(); all-zero and unused while requests run on the GPU).
     std::vector<double> host_lane_ns_;

@@ -3,15 +3,14 @@
 #include <random>
 
 #include "ckks/encoder.h"
-#include "he/registry.h"
+#include "he/backend.h"
 
 namespace xehe::core {
 
 GpuEvaluatorPool::GpuEvaluatorPool(const ckks::CkksContext &host,
                                    xgpu::DeviceSpec spec, GpuOptions options,
                                    int queue_count, xgpu::ThreadPool *pool)
-    : scheduler_((he::BackendRegistry::instance().require_available("gpu"),
-                  std::move(spec)),
+    : scheduler_((he::require_backend("gpu"), std::move(spec)),
                  xgpu::ExecConfig{1, options.isa, true}, queue_count,
                  pool ? pool : &xgpu::ThreadPool::global()) {
     lanes_.reserve(scheduler_.queue_count());

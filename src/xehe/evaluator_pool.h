@@ -23,7 +23,7 @@ public:
     /// simulated kernel execution to a private host thread pool;
     /// ThreadPool::parallel_for is single-caller, so pools that run on
     /// concurrent host threads (one per serving shard) must not share
-    /// one.
+    /// one.  Throws he::BackendUnavailable when "gpu" is switched off.
     GpuEvaluatorPool(const ckks::CkksContext &host, xgpu::DeviceSpec spec,
                      GpuOptions options = {}, int queue_count = 0,
                      xgpu::ThreadPool *pool = nullptr);

@@ -5,7 +5,6 @@
 
 #include "ckks/encoder.h"
 #include "he/compiler.h"
-#include "he/registry.h"
 
 namespace xehe::core {
 
@@ -50,16 +49,9 @@ void run_routine(const GpuEvaluator &evaluator, Routine routine,
                  const GpuCiphertext &a, const GpuCiphertext &b,
                  const GpuCiphertext &c, const ckks::RelinKeys &relin,
                  const ckks::GaloisKeys &galois) {
-    // The backend comes through the registry (wrapping the caller-owned
-    // evaluator), so a disabled/unavailable "gpu" surfaces as the typed
-    // he::BackendUnavailable here too.
-    he::BackendEnv env;
-    env.context = &evaluator.gpu().host();
-    env.gpu_context = &evaluator.gpu();
-    env.gpu_evaluator = &evaluator;
-    const he::BackendBundle bundle =
-        he::BackendRegistry::instance().create("gpu", env);
-    auto &backend = static_cast<he::GpuBackend &>(bundle.backend());
+    // A switched-off "gpu" surfaces as the typed he::BackendUnavailable.
+    he::require_backend("gpu");
+    he::GpuBackend backend(evaluator.gpu(), evaluator);
     const he::Program &program = routine_program_compiled(routine);
     const he::Cipher inputs[3] = {backend.wrap(a), backend.wrap(b),
                                   backend.wrap(c)};

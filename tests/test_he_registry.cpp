@@ -1,15 +1,16 @@
-// he::BackendRegistry — registration, capability probing, typed
-// unavailability (he::BackendUnavailable from unknown/disabled/probe-failed
-// /factory-thrown lookups), forced disabling, and the registry-driven
-// conformance sweep: every registered-and-available backend must produce
-// bit-identical ciphertexts on the five IV-C routine programs and on
-// seeded random he::Program DAGs.  The serving fallback half proves the
-// stack degrades to host (no request errors, LatencyStats::fallbacks
-// counts) when the GPU backend is disabled — the XEHE_DISABLE_BACKENDS CI
-// lane in miniature, driven through set_disabled().
+// Backend conformance and host fallback.  The two backends, constructed
+// directly, must produce bit-identical ciphertexts on the five IV-C
+// routine programs and on seeded random he::Program DAGs, and a server
+// must return byte-identical responses for every Op on a host and a GPU
+// lane.  The fallback half proves the disable switch: the GPU sites throw
+// the typed he::BackendUnavailable, and the serving stack degrades to host
+// (no request errors, LatencyStats::fallbacks counts) — the
+// XEHE_DISABLE_BACKENDS CI lane in miniature, driven through
+// he::set_backend_disabled().
 #include "test_common.h"
 
-#include "he/registry.h"
+#include <optional>
+
 #include "serve/server.h"
 #include "xehe/evaluator_pool.h"
 #include "xehe/routines.h"
@@ -18,22 +19,18 @@
 namespace xehe::test {
 namespace {
 
-using he::BackendRegistry;
 using he::BackendUnavailable;
 
-/// Force-disables a backend for one test, restoring the prior state on
-/// exit — the env-driven forced-fallback CI lane must not be un-disabled
-/// by a test that happens to touch the same name.
+/// Switches a backend off (or on) for one test, restoring the prior state
+/// on exit — the env-driven forced-fallback CI lane must not be switched
+/// back on by a test that happens to touch the same name.
 class DisabledGuard {
 public:
-    DisabledGuard(std::string name, bool disabled = true)
-        : name_(std::move(name)),
-          prior_(BackendRegistry::instance().disabled(name_)) {
-        BackendRegistry::instance().set_disabled(name_, disabled);
+    explicit DisabledGuard(std::string name, bool disabled = true)
+        : name_(std::move(name)), prior_(he::backend_disabled(name_)) {
+        he::set_backend_disabled(name_, disabled);
     }
-    ~DisabledGuard() {
-        BackendRegistry::instance().set_disabled(name_, prior_);
-    }
+    ~DisabledGuard() { he::set_backend_disabled(name_, prior_); }
     DisabledGuard(const DisabledGuard &) = delete;
     DisabledGuard &operator=(const DisabledGuard &) = delete;
 
@@ -42,12 +39,12 @@ private:
     bool prior_;
 };
 
-struct RegistryRig {
+struct Rig {
     CkksBench host;
     ckks::RelinKeys relin;
     ckks::GaloisKeys galois;
 
-    explicit RegistryRig(std::size_t n = 1024, std::size_t levels = 4)
+    explicit Rig(std::size_t n = 1024, std::size_t levels = 4)
         : host(n, levels) {
         relin = host.keygen.create_relin_keys();
         const int steps[] = {1};
@@ -60,34 +57,20 @@ struct RegistryRig {
         k.galois = &galois;
         return k;
     }
-
-    he::BackendEnv env() const {
-        he::BackendEnv e;
-        e.context = &host.context;
-        return e;
-    }
 };
 
-/// Every registered backend whose probe passes AND whose factory
-/// constructs, through the registry (standalone resources; no lane
-/// wrapping).  A backend whose factory throws typed despite a passing
-/// probe — the race every consumer must tolerate, and exactly what the
-/// registration tests leave behind in this process — is skipped, the same
-/// degradation the serving stack performs.
-std::vector<he::BackendBundle> available_backends(const he::BackendEnv &env) {
-    auto &registry = BackendRegistry::instance();
-    std::vector<he::BackendBundle> bundles;
-    for (const auto &name : registry.names()) {
-        if (!registry.available(name)) {
-            continue;
-        }
-        try {
-            bundles.push_back(registry.create(name, env));
-        } catch (const BackendUnavailable &) {
-        }
-    }
-    return bundles;
-}
+/// Both backends, constructed directly: conformance compares host with
+/// GPU whatever the disable switch says.
+struct BothBackends {
+    explicit BothBackends(const ckks::CkksContext &context)
+        : host(context), gpu_context(context, xgpu::device1(), {}),
+          evaluator(gpu_context), gpu(gpu_context, evaluator) {}
+
+    he::HostBackend host;
+    core::GpuContext gpu_context;
+    core::GpuEvaluator evaluator;
+    he::GpuBackend gpu;
+};
 
 /// Uploads the first program.num_inputs ciphertexts, interprets the
 /// program, and returns each output as its serialized wire bytes — the
@@ -179,133 +162,42 @@ he::Program random_dag(uint64_t seed, std::size_t max_gen) {
 }
 
 // ---------------------------------------------------------------------------
-// Registration and typed unavailability
+// The disable switch
 // ---------------------------------------------------------------------------
 
-TEST(HeRegistry, BuiltinsAreRegisteredAndHostIsAlwaysAvailable) {
-    auto &registry = BackendRegistry::instance();
-    const auto names = registry.names();
-    EXPECT_NE(std::find(names.begin(), names.end(), "host"), names.end());
-    EXPECT_NE(std::find(names.begin(), names.end(), "gpu"), names.end());
-    EXPECT_TRUE(registry.registered("host"));
-    EXPECT_TRUE(registry.registered("gpu"));
-    EXPECT_TRUE(registry.available("host"));
-    EXPECT_FALSE(registry.registered("tpu"));
-    EXPECT_FALSE(registry.available("tpu"));
-
-    RegistryRig rig;
-    const auto bundle = registry.create("host", rig.env());
-    ASSERT_TRUE(bundle.valid());
-    EXPECT_EQ(bundle.name(), "host");
-    EXPECT_STREQ(bundle.backend().name(), "host");
-    EXPECT_EQ(&bundle.backend().context(), &rig.host.context);
-}
-
-TEST(HeRegistry, UnknownBackendThrowsTypedWithName) {
-    RegistryRig rig;
-    try {
-        BackendRegistry::instance().create("nonexistent", rig.env());
-        FAIL() << "expected BackendUnavailable";
-    } catch (const BackendUnavailable &e) {
-        EXPECT_EQ(e.backend(), "nonexistent");
-        EXPECT_NE(std::string(e.what()).find("nonexistent"),
-                  std::string::npos);
-    }
-    EXPECT_THROW(BackendRegistry::instance().require_available("nonexistent"),
-                 BackendUnavailable);
-}
-
-TEST(HeRegistry, FailingProbeMeansRegisteredButUnavailable) {
-    auto &registry = BackendRegistry::instance();
-    registry.register_backend(
-        "nullaccel", [] { return false; },
-        [](const he::BackendEnv &) -> he::BackendBundle {
-            throw std::logic_error("factory must never run");
-        });
-    EXPECT_TRUE(registry.registered("nullaccel"));
-    EXPECT_FALSE(registry.available("nullaccel"));
-    RegistryRig rig;
-    try {
-        registry.create("nullaccel", rig.env());
-        FAIL() << "expected BackendUnavailable";
-    } catch (const BackendUnavailable &e) {
-        EXPECT_EQ(e.backend(), "nullaccel");
-    }
-    EXPECT_THROW(registry.require_available("nullaccel"), BackendUnavailable);
-}
-
-TEST(HeRegistry, ThrowingFactorySurfacesAsTypedUnavailability) {
-    auto &registry = BackendRegistry::instance();
-    registry.register_backend(
-        "flaky", [] { return true; },
-        [](const he::BackendEnv &) -> he::BackendBundle {
-            throw std::runtime_error("driver handshake failed");
-        });
-    EXPECT_TRUE(registry.available("flaky"));
-    RegistryRig rig;
-    try {
-        registry.create("flaky", rig.env());
-        FAIL() << "expected BackendUnavailable";
-    } catch (const BackendUnavailable &e) {
-        EXPECT_EQ(e.backend(), "flaky");
-        EXPECT_NE(std::string(e.what()).find("driver handshake failed"),
-                  std::string::npos);
-    }
-}
-
-TEST(HeRegistry, HostFactoryRequiresContext) {
-    // An env without a context cannot construct any built-in.
-    EXPECT_THROW(BackendRegistry::instance().create("host", he::BackendEnv{}),
-                 BackendUnavailable);
-}
-
-TEST(HeRegistry, DisableForcesTypedUnavailability) {
-    auto &registry = BackendRegistry::instance();
-    RegistryRig rig;
+TEST(HeDisableSwitch, GpuSitesThrowTypedWhileSwitchedOff) {
+    Rig rig;
+    core::RoutineBench bench(rig.host.context, xgpu::device1(),
+                             core::GpuOptions{}, /*functional=*/false);
     {
         DisabledGuard guard("gpu");
-        EXPECT_TRUE(registry.registered("gpu"));
-        EXPECT_TRUE(registry.disabled("gpu"));
-        EXPECT_FALSE(registry.available("gpu"));
+        EXPECT_TRUE(he::backend_disabled("gpu"));
+        EXPECT_FALSE(he::backend_disabled("host"));
         try {
-            registry.create("gpu", rig.env());
+            core::GpuEvaluatorPool(rig.host.context, xgpu::device1(),
+                                   core::GpuOptions{}, 2);
             FAIL() << "expected BackendUnavailable";
         } catch (const BackendUnavailable &e) {
             EXPECT_EQ(e.backend(), "gpu");
+            EXPECT_NE(std::string(e.what()).find("disabled"),
+                      std::string::npos);
         }
-        // The hard-wired construction seam: the pool refuses to come up
-        // with the typed error instead of constructing a dead scheduler.
-        EXPECT_THROW(core::GpuEvaluatorPool(rig.host.context, xgpu::device1(),
-                                            core::GpuOptions{}, 2),
-                     BackendUnavailable);
+        EXPECT_THROW(bench.run(core::Routine::MulLin), BackendUnavailable);
     }
-}
-
-TEST(HeRegistry, CreateOrHostDegradesToHost) {
-    RegistryRig rig;
     {
-        DisabledGuard guard("gpu");
-        const auto bundle =
-            BackendRegistry::instance().create_or_host("gpu", rig.env());
-        ASSERT_TRUE(bundle.valid());
-        EXPECT_EQ(bundle.name(), "host");
-    }
-    if (BackendRegistry::instance().available("gpu")) {
-        const auto bundle =
-            BackendRegistry::instance().create_or_host("gpu", rig.env());
-        ASSERT_TRUE(bundle.valid());
-        EXPECT_EQ(bundle.name(), "gpu");
+        DisabledGuard guard("gpu", /*disabled=*/false);
+        EXPECT_NO_THROW(he::require_backend("gpu"));
+        EXPECT_NO_THROW(bench.run(core::Routine::MulLin));
     }
 }
 
 // ---------------------------------------------------------------------------
-// Registry-driven conformance: every available backend, bit-identical
+// Conformance: host and GPU, bit-identical
 // ---------------------------------------------------------------------------
 
-TEST(HeRegistryConformance, FiveRoutineProgramsBitIdenticalAcrossBackends) {
-    RegistryRig rig;
-    auto bundles = available_backends(rig.env());
-    ASSERT_GE(bundles.size(), 1u);  // host at minimum (forced-fallback lane)
+TEST(HeConformance, FiveRoutineProgramsBitIdenticalAcrossBackends) {
+    Rig rig;
+    BothBackends backends(rig.host.context);
 
     const ckks::Ciphertext cts[3] = {rig.host.enc(rig.host.values(1)),
                                      rig.host.enc(rig.host.values(2)),
@@ -313,25 +205,17 @@ TEST(HeRegistryConformance, FiveRoutineProgramsBitIdenticalAcrossBackends) {
     for (const core::Routine r : core::kAllRoutines) {
         SCOPED_TRACE(core::routine_name(r));
         const he::Program &program = core::routine_program(r);
-        const auto reference =
-            run_on(bundles[0].backend(), program, cts, rig.keys());
-        ASSERT_EQ(reference.size(), 1u);
-        EXPECT_FALSE(reference[0].empty());
-        for (std::size_t i = 1; i < bundles.size(); ++i) {
-            const auto other =
-                run_on(bundles[i].backend(), program, cts, rig.keys());
-            ASSERT_EQ(other.size(), reference.size())
-                << bundles[0].name() << " vs " << bundles[i].name();
-            EXPECT_EQ(other[0], reference[0])
-                << bundles[0].name() << " vs " << bundles[i].name();
-        }
+        const auto host = run_on(backends.host, program, cts, rig.keys());
+        const auto gpu = run_on(backends.gpu, program, cts, rig.keys());
+        ASSERT_EQ(host.size(), 1u);
+        EXPECT_FALSE(host[0].empty());
+        EXPECT_EQ(gpu, host);
     }
 }
 
-TEST(HeRegistryConformance, RandomProgramDagsBitIdenticalAcrossBackends) {
-    RegistryRig rig;
-    auto bundles = available_backends(rig.env());
-    ASSERT_GE(bundles.size(), 1u);
+TEST(HeConformance, RandomProgramDagsBitIdenticalAcrossBackends) {
+    Rig rig;
+    BothBackends backends(rig.host.context);
 
     // Inputs at max level; DAG multiply depth keeps every value at level
     // >= 1 (the same floor the session conformance suite uses).
@@ -342,29 +226,20 @@ TEST(HeRegistryConformance, RandomProgramDagsBitIdenticalAcrossBackends) {
     for (uint64_t seed = 100; seed < 150; ++seed) {
         SCOPED_TRACE(seed);
         const he::Program program = random_dag(seed, max_gen);
-        const auto reference =
-            run_on(bundles[0].backend(), program, cts, rig.keys());
-        ASSERT_EQ(reference.size(), 1u);
-        for (std::size_t i = 1; i < bundles.size(); ++i) {
-            const auto other =
-                run_on(bundles[i].backend(), program, cts, rig.keys());
-            ASSERT_EQ(other.size(), reference.size());
-            EXPECT_EQ(other[0], reference[0])
-                << bundles[0].name() << " vs " << bundles[i].name()
-                << " seed " << seed;
-        }
+        const auto host = run_on(backends.host, program, cts, rig.keys());
+        const auto gpu = run_on(backends.gpu, program, cts, rig.keys());
+        ASSERT_EQ(host.size(), 1u);
+        EXPECT_EQ(gpu, host);
     }
 }
 
-TEST(HeRegistryConformance, ServedOpsBitIdenticalOnHostAndGpuLanes) {
+TEST(HeConformance, ServedOpsBitIdenticalOnHostAndGpuLanes) {
     // One server, the same ciphertext bytes submitted twice per case —
     // pinned to a host lane and to a GPU lane — must come back
     // byte-identical for every Op: the invariant that lets both backends
     // share one execution path.
-    if (!BackendRegistry::instance().available("gpu")) {
-        GTEST_SKIP() << "gpu backend unavailable; both sides would be host";
-    }
-    RegistryRig rig;
+    DisabledGuard gpu_on("gpu", /*disabled=*/false);  // both lanes, always
+    Rig rig;
     const int steps[] = {1, 3};
     rig.galois = rig.host.keygen.create_galois_keys(steps);
     serve::InferenceServer server(rig.host.context, xgpu::device1(),
@@ -440,9 +315,9 @@ TEST(HeRegistryConformance, ServedOpsBitIdenticalOnHostAndGpuLanes) {
 // Serving fallback: degrade to host, count it, stay bit-exact
 // ---------------------------------------------------------------------------
 
-TEST(HeRegistryFallback, ServerDegradesToHostWithoutRequestErrors) {
+TEST(HeFallback, ServerDegradesToHostWithoutRequestErrors) {
     DisabledGuard guard("gpu");
-    RegistryRig rig;
+    Rig rig;
     serve::ServerConfig cfg;
     cfg.compile_programs = false;  // host path == raw routine program
     serve::InferenceServer server(rig.host.context, xgpu::device1(),
@@ -499,9 +374,9 @@ TEST(HeRegistryFallback, ServerDegradesToHostWithoutRequestErrors) {
     }
 }
 
-TEST(HeRegistryFallback, GpuPinnedRequestFallsBackWhenDisabled) {
+TEST(HeFallback, GpuPinnedRequestFallsBackWhenDisabled) {
     DisabledGuard guard("gpu");
-    RegistryRig rig;
+    Rig rig;
     serve::InferenceServer server(rig.host.context, xgpu::device1(),
                                   core::GpuOptions{}, serve::ServerConfig{});
     server.set_keys(rig.relin, rig.galois);
@@ -516,12 +391,115 @@ TEST(HeRegistryFallback, GpuPinnedRequestFallsBackWhenDisabled) {
     EXPECT_EQ(server.stats().fallbacks, 1u);
 }
 
-TEST(HeRegistryFallback, HostHintRoutesWithoutFallbackCount) {
-    auto &registry = BackendRegistry::instance();
-    if (!registry.available("gpu")) {
-        GTEST_SKIP() << "gpu backend unavailable; routing needs both";
+TEST(HeFallback, GpuSwitchedOffMidRunDegradesEveryRequest) {
+    // The server comes up with its GPU pool; "gpu" is switched off after
+    // submission and before run(), so every GPU lane's construction
+    // refuses and each request degrades to host, counted, bit-exact.
+    Rig rig;
+    serve::ServerConfig cfg;
+    cfg.compile_programs = false;  // host path == raw routine program
+    std::optional<serve::InferenceServer> server;
+    {
+        DisabledGuard on("gpu", /*disabled=*/false);
+        server.emplace(rig.host.context, xgpu::device1(), core::GpuOptions{},
+                       cfg);
     }
-    RegistryRig rig;
+    ASSERT_TRUE(server->gpu_pool_active());
+    server->set_keys(rig.relin, rig.galois);
+
+    const ckks::Ciphertext cts[2] = {rig.host.enc(rig.host.values(61)),
+                                     rig.host.enc(rig.host.values(62))};
+    const struct {
+        serve::Op op;
+        core::Routine routine;
+    } cases[] = {{serve::Op::MulLinRS, core::Routine::MulLinRS},
+                 {serve::Op::SqrLinRS, core::Routine::SqrLinRS},
+                 {serve::Op::Rotate, core::Routine::Rotate}};
+    for (std::size_t k = 0; k < std::size(cases); ++k) {
+        const he::Program &program = core::routine_program(cases[k].routine);
+        serve::Request req;
+        req.session_id = k;
+        req.op = cases[k].op;
+        req.backend = serve::BackendHint::Gpu;
+        for (std::size_t i = 0; i < program.num_inputs; ++i) {
+            req.inputs.push_back(wire::serialize(cts[i]));
+        }
+        server->submit(wire::serialize(req));
+    }
+
+    DisabledGuard off("gpu");
+    const auto responses = server->run();
+    ASSERT_EQ(responses.size(), std::size(cases));
+    he::HostBackend oracle(rig.host.context);
+    for (const auto &resp : responses) {
+        ASSERT_TRUE(resp.ok) << resp.error;
+        const core::Routine r = cases[resp.session_id].routine;
+        EXPECT_EQ(resp.result, run_on(oracle, core::routine_program(r), cts,
+                                      rig.keys())[0])
+            << core::routine_name(r);
+    }
+    const auto stats = server->stats();
+    EXPECT_EQ(stats.failed, 0u);
+    EXPECT_EQ(stats.fallbacks, std::size(cases));
+    EXPECT_EQ(stats.host_requests, std::size(cases));
+}
+
+TEST(HeFallback, MissingKeyIsExecErrorOnBothLanes) {
+    // A cost-only request whose program needs a key the session lacks:
+    // the host lane charges cost-only work without executing it, so only
+    // a key check ahead of execution gives it the GPU lane's answer.
+    Rig rig;
+    serve::ServerConfig cfg;
+    cfg.functional = false;
+    serve::InferenceServer server(rig.host.context, xgpu::device1(),
+                                  core::GpuOptions{}, cfg);
+    const struct {
+        serve::Op op;
+        int rotate_step;
+    } cases[] = {{serve::Op::MulLin, 1}, {serve::Op::Rotate, 1}};
+    uint64_t session = 0;
+    for (const auto &c : cases) {
+        for (const auto hint :
+             {serve::BackendHint::Host, serve::BackendHint::Gpu}) {
+            serve::Request req;
+            req.session_id = session++;
+            req.op = c.op;
+            req.rotate_step = c.rotate_step;
+            req.cost_only = true;
+            req.backend = hint;
+            server.submit(req);
+        }
+    }
+    const auto responses = server.run();
+    ASSERT_EQ(responses.size(), 2 * std::size(cases));
+    for (const auto &resp : responses) {
+        EXPECT_EQ(resp.code, serve::Status::ExecError)
+            << "session " << resp.session_id << ": " << resp.error;
+        EXPECT_NE(resp.error.find("needs"), std::string::npos) << resp.error;
+    }
+
+    // With relinearization keys but a Galois key for step 1 only, a
+    // rotation by 2 fails the same way on both lanes.
+    server.set_keys(rig.relin, rig.galois);
+    for (const auto hint :
+         {serve::BackendHint::Host, serve::BackendHint::Gpu}) {
+        serve::Request req;
+        req.op = serve::Op::Rotate;
+        req.rotate_step = 2;
+        req.cost_only = true;
+        req.backend = hint;
+        server.submit(req);
+    }
+    for (const auto &resp : server.run()) {
+        EXPECT_EQ(resp.code, serve::Status::ExecError) << resp.error;
+        EXPECT_NE(resp.error.find("missing galois key"), std::string::npos)
+            << resp.error;
+    }
+}
+
+TEST(HeFallback, HostHintRoutesWithoutFallbackCount) {
+    DisabledGuard gpu_on("gpu", /*disabled=*/false);  // routing needs both
+    Rig rig;
     serve::InferenceServer server(rig.host.context, xgpu::device1(),
                                   core::GpuOptions{}, serve::ServerConfig{});
     ASSERT_TRUE(server.gpu_pool_active());
@@ -556,12 +534,9 @@ TEST(HeRegistryFallback, HostHintRoutesWithoutFallbackCount) {
     EXPECT_EQ(host_result, gpu_result);
 }
 
-TEST(HeRegistryFallback, AutoCostRoutingSendsSmallJobsToHost) {
-    auto &registry = BackendRegistry::instance();
-    if (!registry.available("gpu")) {
-        GTEST_SKIP() << "gpu backend unavailable; routing needs both";
-    }
-    RegistryRig rig;
+TEST(HeFallback, AutoCostRoutingSendsSmallJobsToHost) {
+    DisabledGuard gpu_on("gpu", /*disabled=*/false);  // routing needs both
+    Rig rig;
     serve::ServerConfig cfg;
     cfg.host_route_max_cost = 1u << 20;  // everything is "small"
     serve::InferenceServer server(rig.host.context, xgpu::device1(),

@@ -661,5 +661,68 @@ TEST(ObsAcceptance, ServedRequestProducesConnectedSpanTree) {
     EXPECT_TRUE(saw_wire);
 }
 
+TEST(ObsAcceptance, OneAdmissionAnalysisPerRequest) {
+    // Every request is lowered and analyzed once, at admission: fixed ops,
+    // client circuits and a circuit the analyzer rejects each leave one
+    // serve.analyze span after submit(), and dispatch adds none.
+    OBS_REQUIRE_TRACING();
+    CkksBench host(1024, 3);
+    const ckks::RelinKeys relin = host.keygen.create_relin_keys();
+    const int steps[] = {1};
+    const ckks::GaloisKeys galois = host.keygen.create_galois_keys(steps);
+    InferenceServer server(host.context, xgpu::device1(), core::GpuOptions{},
+                           ServerConfig{});
+    server.set_keys(relin, galois);
+    RecorderGuard guard(1 << 14);
+    const auto analyze_spans = [] {
+        std::size_t count = 0;
+        for (const auto &span : obs::TraceRecorder::instance().snapshot()) {
+            count += span.name == "serve.analyze";
+        }
+        return count;
+    };
+
+    const auto ct = wire::serialize(host.enc(host.values(1)));
+    std::size_t submitted = 0;
+    for (const Op op : {Op::MulLinRS, Op::Rotate, Op::MatmulTile}) {
+        Request req;
+        req.session_id = submitted++;
+        req.op = op;
+        req.matmul_tiles = 2;
+        req.inputs.assign(serve::op_arity(op), ct);
+        server.submit(wire::serialize(req));
+    }
+    he::ProgramBuilder good(2);
+    good.output(good.relinearize(good.multiply(good.input(0),
+                                               good.input(1))));
+    // One rescale more than the chain has primes: the analyzer rejects it
+    // at admission.
+    he::ProgramBuilder bad(2);
+    auto deep = bad.input(0);
+    for (std::size_t i = 0; i <= host.context.max_level(); ++i) {
+        deep = bad.rescale(deep);
+    }
+    bad.output(bad.add(deep, deep));
+    for (const he::Program &program : {good.build(), bad.build()}) {
+        Request req;
+        req.session_id = submitted++;
+        req.op = Op::Program;
+        req.program = wire::serialize(program);
+        req.inputs.assign(program.num_inputs, ct);
+        server.submit(wire::serialize(req));
+    }
+    EXPECT_EQ(analyze_spans(), submitted);
+
+    const auto responses = server.run();
+    ASSERT_EQ(responses.size(), submitted);
+    std::size_t rejected = 0;
+    for (const auto &resp : responses) {
+        rejected += resp.code == serve::Status::InvalidProgram;
+    }
+    EXPECT_EQ(rejected, 1u);
+    EXPECT_EQ(analyze_spans(), submitted) << "dispatch re-analyzed";
+    EXPECT_EQ(obs::TraceRecorder::instance().dropped(), 0u);
+}
+
 }  // namespace
 }  // namespace xehe::test
