@@ -286,7 +286,7 @@ int main(int argc, char **argv) {
         aopts.assume_validated = true;  // the decode validates
         aopts.errors_only = true;       // the front door discards warnings
         const he::ProgramAnalyzer analyzer(host, aopts);
-        // Admission facts, as InferenceServer::admit_program builds them:
+        // Admission facts, as InferenceServer::admit builds them:
         // the serving level is known, input sizes and scales are the
         // client's to choose, and no session keys are in scope.
         he::InputFacts facts;

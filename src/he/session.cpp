@@ -1,5 +1,6 @@
 #include "he/session.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "he/analyze.h"
@@ -250,9 +251,20 @@ std::vector<Cipher> Session::run(const Program &program,
     ProgramKeys keys;
     keys.relin = &relin_;
     keys.galois = &galois_;
+    // The planner assumes one level and scale for every input, so it only
+    // runs when the inputs share theirs; otherwise the program must run as
+    // written and the analyzer checks it strictly.
+    const bool uniform = std::all_of(
+        inputs.begin(), inputs.end(), [&](const Cipher &c) {
+            return c.level() == inputs[0].level() &&
+                   c.scale() == inputs[0].scale();
+        });
+    const bool compile = options_.compile_programs && uniform;
+    const std::size_t level = inputs.empty() ? 0 : inputs[0].level();
+    const double scale = inputs.empty() ? scale_ : inputs[0].scale();
     if (options_.analyze_programs) {
         AnalyzerOptions aopts;
-        aopts.assume_alignment = options_.compile_programs;
+        aopts.assume_alignment = compile;
         aopts.set_keys(keys);
         aopts.snap_scale = scale_;
         aopts.snap_tolerance = options_.snap_tolerance;
@@ -271,20 +283,21 @@ std::vector<Cipher> Session::run(const Program &program,
                                   std::move(report.diagnostics));
         }
     }
-    if (!options_.compile_programs) {
+    if (!compile) {
         return run_program(program, *backend_, inputs, keys);
     }
 
     const uint64_t fp = fingerprint(program);
     for (const auto &entry : compiled_cache_) {
-        if (entry.fingerprint == fp &&
-            structurally_equal(entry.source, program)) {
+        if (entry.fingerprint == fp && entry.level == level &&
+            entry.scale == scale && structurally_equal(entry.source, program)) {
             return run_program(*entry.compiled, *backend_, inputs, keys);
         }
     }
     CompilerOptions copts;
     copts.snap_tolerance = options_.snap_tolerance;
-    copts.input_scale = scale_;
+    copts.input_level = level;
+    copts.input_scale = scale;
     ProgramCompiler compiler(backend_->context(), copts);
     auto compiled =
         std::make_shared<const Program>(compiler.compile(program).program);
@@ -292,7 +305,7 @@ std::vector<Cipher> Session::run(const Program &program,
     if (compiled_cache_.size() >= kCacheCap) {
         compiled_cache_.clear();
     }
-    compiled_cache_.push_back({fp, program, compiled});
+    compiled_cache_.push_back({fp, level, scale, program, compiled});
     return run_program(*compiled, *backend_, inputs, keys);
 }
 

@@ -108,9 +108,11 @@ public:
 
     /// Interprets a Program over this session's backend and keys.  With
     /// SessionOptions::compile_programs the program is optimized first
-    /// (cached per structural fingerprint, so repeated runs compile
-    /// once); inputs are assumed to sit at the session scale and the
-    /// context's max level, the planner's defaults.
+    /// (cached per structural fingerprint and input level and scale, so
+    /// repeated runs compile once) and planned for the inputs' level and
+    /// scale.  Inputs at differing levels or scales cannot share one plan:
+    /// the program then runs as written, and the analyzer rejects it
+    /// strictly if it would fault.
     std::vector<Cipher> run(const Program &program,
                             std::span<const Cipher> inputs);
 
@@ -126,11 +128,14 @@ private:
 
     Backend *backend_;
     SessionOptions options_;
-    /// Compiled-program cache: fingerprint precheck, then structural
+    /// Compiled-program cache keyed on the program and the input level and
+    /// scale it was planned for: fingerprint precheck, then structural
     /// equality (fingerprints can collide; a wrong program must never
     /// run).  Bounded: the cache clears when it outgrows its cap.
     struct CompiledEntry {
         uint64_t fingerprint;
+        std::size_t level;
+        double scale;
         Program source;
         std::shared_ptr<const Program> compiled;
     };

@@ -1,7 +1,8 @@
 #include "ntt/ntt_gpu.h"
 
 #include <algorithm>
-#include <cmath>
+#include <functional>
+#include <vector>
 
 namespace xehe::ntt {
 
@@ -39,10 +40,6 @@ double strided_gmem_eff(int radix) {
     return radix >= 4 ? 0.95 : kStridedGmemEff;
 }
 
-struct LaunchShape {
-    std::size_t groups, local, items;
-};
-
 struct Geometry {
     std::size_t n = 0;
     std::size_t polys = 0;
@@ -73,105 +70,131 @@ double spill_bytes_per_group(int radix, double items,
     return ratio * reg_bytes * items;
 }
 
-// --------------------------------------------------------------------
-// Forward global-memory radix-R round group: `sub_rounds` consecutive
-// radix-2 rounds whose smallest gap is `gap_lo`, all data for one
-// work-item held "in registers" between sub-rounds.
-// --------------------------------------------------------------------
-class GlobalFwdKernel final : public xgpu::Kernel {
-public:
-    GlobalFwdKernel(std::span<uint64_t> data, std::span<const NttTables> tables,
-                    Geometry geo, std::size_t gap_lo, int sub_rounds,
-                    const NttConfig &cfg, const xgpu::DeviceSpec &spec)
-        : data_(data), tables_(tables), geo_(geo), gap_lo_(gap_lo),
-          sub_rounds_(sub_rounds), cfg_(cfg), spec_(&spec) {}
+/// The twiddles of the radix-2 round whose butterflies span 2^span_log
+/// elements, indexed by span: root_powers() forward, inv_root_powers()
+/// inverse.
+template <bool Inverse>
+const MultiplyModOperand *round_twiddles(const NttTables &t, int span_log) {
+    const std::size_t m = t.n() >> span_log;
+    return Inverse ? &t.inv_root_powers()[t.n() - 2 * m + 1]
+                   : &t.root_powers()[m];
+}
 
-    LaunchShape range_impl() const {
-        const std::size_t radix = std::size_t{1} << sub_rounds_;
-        const std::size_t items = geo_.transforms() * (geo_.n / radix);
-        const std::size_t local = std::min<std::size_t>(cfg_.wg_size, items);
-        return {util::div_round_up(items, local), local, items};
+/// The radix-2 butterfly on (x[0], x[gap]): Cooley-Tukey forward,
+/// Gentleman-Sande inverse.
+template <bool Inverse>
+void butterfly(uint64_t *x, std::size_t gap, const MultiplyModOperand &w,
+               const Modulus &q) {
+    if constexpr (Inverse) {
+        util::inverse_butterfly(x, x + gap, w, q);
+    } else {
+        util::forward_butterfly(x, x + gap, w, q);
     }
+}
+
+// --------------------------------------------------------------------
+// Global-memory radix-R round group: `sub_rounds` consecutive radix-2
+// rounds whose smallest gap is `gap_lo`, all data for one work-item held
+// "in registers" between sub-rounds.  Forward walks the group's gaps from
+// the largest down, inverse from the smallest up.
+// --------------------------------------------------------------------
+class GlobalRoundKernel final : public xgpu::Kernel {
+public:
+    GlobalRoundKernel(std::span<uint64_t> data,
+                      std::span<const NttTables> tables, Geometry geo,
+                      std::size_t gap_lo, int sub_rounds, bool inverse,
+                      const NttConfig &cfg, const xgpu::DeviceSpec &spec)
+        : data_(data), tables_(tables), geo_(geo), gap_lo_(gap_lo),
+          sub_rounds_(sub_rounds), inverse_(inverse), spec_(&spec),
+          radix_(std::size_t{1} << sub_rounds),
+          items_(geo.transforms() * (geo.n / radix_)),
+          local_(std::min<std::size_t>(cfg.wg_size, items_)) {}
 
     xgpu::NdRange range() const override {
-        auto r = range_impl();
-        return {r.groups, r.local};
+        return {util::div_round_up(items_, local_), local_};
     }
 
     void run(xgpu::WorkGroup &wg) const override {
-        const auto r = range_impl();
-        const std::size_t radix = std::size_t{1} << sub_rounds_;
+        inverse_ ? sweep<true>(wg) : sweep<false>(wg);
+    }
+
+    KernelStats stats() const override {
+        const int radix = static_cast<int>(radix_);
+        const double items = static_cast<double>(items_);
+        KernelStats s;
+        s.name = (inverse_ ? "intt_global_r" : "ntt_fwd_global_r") +
+                 std::to_string(radix);
+        s.is_ntt = true;
+        s.alu_ops = table1_ops_per_item(radix) * items;
+        s.gmem_bytes = 16.0 * radix * items;
+        s.gmem_eff = strided_gmem_eff(radix);
+        s.spill_bytes = spill_bytes_per_group(radix, items, *spec_);
+        s.work_items = items;
+        s.wg_size = local_;
+        return s;
+    }
+
+private:
+    /// The direction is a template parameter so the butterfly loops carry
+    /// no branch on it.
+    template <bool Inverse>
+    void sweep(xgpu::WorkGroup &wg) const {
+        // Locals, not members: stores through the uint64_t data could alias
+        // the size_t members and force a reload per butterfly.
+        const std::size_t radix = radix_, items = items_, g = gap_lo_;
         const std::size_t per_transform = geo_.n / radix;
+        const std::size_t first = wg.group_id() * wg.local_size();
         wg.for_each_item([&](std::size_t local) {
-            const std::size_t item = wg.group_id() * r.local + local;
-            if (item >= r.items) {
+            const std::size_t item = first + local;
+            if (item >= items) {
                 return;
             }
             const std::size_t b = item / per_transform;
             const std::size_t k = item % per_transform;
             const NttTables &t = tables_[b % geo_.rns];
             uint64_t *slice = data_.data() + b * geo_.n;
-            const std::size_t g = gap_lo_;
             const std::size_t base = k + (k & ~(g - 1)) * (radix - 1);
-            // Largest-gap sub-round first (stride radix/2), down to stride 1.
             for (int s = 0; s < sub_rounds_; ++s) {
-                const std::size_t stride = radix >> (s + 1);
-                const std::size_t big_gap = g * stride;
-                const int span_log = util::log2_exact(2 * big_gap);
-                const std::size_t m = geo_.n >> span_log;
+                const std::size_t stride =
+                    Inverse ? std::size_t{1} << s : radix >> (s + 1);
+                const std::size_t gap = g * stride;
+                const int span_log = util::log2_exact(2 * gap);
+                const auto *w = round_twiddles<Inverse>(t, span_log);
                 for (std::size_t u = 0; u < radix; ++u) {
-                    if ((u & stride) != 0) {
-                        continue;
+                    if ((u & stride) == 0) {
+                        const std::size_t idx = base + u * g;
+                        butterfly<Inverse>(slice + idx, gap,
+                                           w[idx >> span_log], t.modulus());
                     }
-                    const std::size_t idx = base + u * g;
-                    const std::size_t i = idx >> span_log;
-                    util::forward_butterfly(&slice[idx],
-                                            &slice[idx + big_gap],
-                                            t.root_powers()[m + i],
-                                            t.modulus());
                 }
             }
         });
     }
 
-    KernelStats stats() const override {
-        const auto r = range_impl();
-        const int radix = 1 << sub_rounds_;
-        KernelStats s;
-        s.name = std::string("ntt_fwd_global_r") + std::to_string(radix);
-        s.is_ntt = true;
-        s.alu_ops = table1_ops_per_item(radix) * static_cast<double>(r.items);
-        s.gmem_bytes = 16.0 * radix * static_cast<double>(r.items);
-        s.gmem_eff = strided_gmem_eff(radix);
-        s.spill_bytes = spill_bytes_per_group(
-            radix, static_cast<double>(r.items), *spec_);
-        s.work_items = static_cast<double>(r.items);
-        s.wg_size = r.local;
-        return s;
-    }
-
-private:
     std::span<uint64_t> data_;
     std::span<const NttTables> tables_;
     Geometry geo_;
     std::size_t gap_lo_;
     int sub_rounds_;
-    NttConfig cfg_;
+    bool inverse_;
     const xgpu::DeviceSpec *spec_;
+    std::size_t radix_, items_, local_;
 };
 
 // --------------------------------------------------------------------
-// Forward SLM kernel: each work-group owns one contiguous `block` of the
-// polynomial, keeps it in shared local memory for all remaining rounds
-// (gaps block/2 .. 1), applies the fused last-round reduction, and stores.
+// SLM kernel: each work-group owns one contiguous `block` of the
+// polynomial and keeps it in shared local memory for every round with a
+// gap below the block (block/2 .. 1 forward, 1 .. block/2 inverse).  The
+// forward store fuses the last-round reduction; the inverse stores lazy
+// [0, 2q) values for the scaling kernel.
 // --------------------------------------------------------------------
-class SlmFwdKernel final : public xgpu::Kernel {
+class SlmKernel final : public xgpu::Kernel {
 public:
-    SlmFwdKernel(std::span<uint64_t> data, std::span<const NttTables> tables,
-                 Geometry geo, std::size_t block, const NttConfig &cfg,
-                 const xgpu::DeviceSpec &spec)
-        : data_(data), tables_(tables), geo_(geo), block_(block), cfg_(cfg),
-          spec_(&spec) {}
+    SlmKernel(std::span<uint64_t> data, std::span<const NttTables> tables,
+              Geometry geo, std::size_t block, bool inverse,
+              const NttConfig &cfg, const xgpu::DeviceSpec &spec)
+        : data_(data), tables_(tables), geo_(geo), block_(block),
+          inverse_(inverse), cfg_(cfg), spec_(&spec) {}
 
     xgpu::NdRange range() const override {
         const std::size_t groups = geo_.transforms() * (geo_.n / block_);
@@ -181,34 +204,7 @@ public:
     std::size_t slm_words() const override { return block_; }
 
     void run(xgpu::WorkGroup &wg) const override {
-        const std::size_t blocks_per_transform = geo_.n / block_;
-        const std::size_t b = wg.group_id() / blocks_per_transform;
-        const std::size_t blk = wg.group_id() % blocks_per_transform;
-        const NttTables &t = tables_[b % geo_.rns];
-        const Modulus &q = t.modulus();
-        uint64_t *slice = data_.data() + b * geo_.n;
-        const std::size_t base = blk * block_;
-        auto slm = wg.slm();
-        // Load block into SLM.
-        for (std::size_t i = 0; i < block_; ++i) {
-            slm[i] = slice[base + i];
-        }
-        // All remaining rounds inside SLM (SIMD-shuffle rounds are
-        // arithmetically identical; the difference is cost-model only).
-        for (std::size_t gap = block_ / 2; gap >= 1; gap >>= 1) {
-            const int span_log = util::log2_exact(2 * gap);
-            const std::size_t m = geo_.n >> span_log;
-            for (std::size_t ind = 0; ind < block_ / 2; ++ind) {
-                const std::size_t lidx = ind + (ind & ~(gap - 1));
-                const std::size_t i = (base + lidx) >> span_log;
-                util::forward_butterfly(&slm[lidx], &slm[lidx + gap],
-                                        t.root_powers()[m + i], q);
-            }
-        }
-        // Fused last-round processing + store.
-        for (std::size_t i = 0; i < block_; ++i) {
-            slice[base + i] = util::reduce_from_4p(slm[i], q);
-        }
+        inverse_ ? sweep<true>(wg) : sweep<false>(wg);
     }
 
     KernelStats stats() const override {
@@ -219,12 +215,13 @@ public:
         const int lr = util::log2_exact(static_cast<uint64_t>(radix));
 
         KernelStats s;
-        s.name = std::string("ntt_fwd_slm_") + variant_name(v);
+        s.name = std::string(inverse_ ? "intt_slm_" : "ntt_fwd_slm_") +
+                 variant_name(v);
         s.is_ntt = true;
-        s.gmem_bytes = 16.0 * elements;  // one load + one (reduced) store
+        s.gmem_bytes = 16.0 * elements;  // one load + one store
         s.gmem_eff = kBlockGmemEff;
         s.slm_eff = variant_slm_eff(v);
-        s.wg_size = std::min<std::size_t>(cfg_.wg_size, block_ / 2);
+        s.wg_size = range().local_size;
 
         if (radix == 2) {
             // Staged radix-2: SIMD(2*slots*8, 8) covers the smallest
@@ -266,266 +263,77 @@ public:
             s.spill_bytes = spills;
             s.work_items = elements / radix;
         }
+        if (inverse_) {
+            s.alu_ops -= 2.0 * elements;  // no fused reduction
+        }
         return s;
     }
 
 private:
-    std::span<uint64_t> data_;
-    std::span<const NttTables> tables_;
-    Geometry geo_;
-    std::size_t block_;
-    NttConfig cfg_;
-    const xgpu::DeviceSpec *spec_;
-};
-
-// --------------------------------------------------------------------
-// Last-round reduction kernel (naive variant only; fused elsewhere).
-// --------------------------------------------------------------------
-class ReduceKernel final : public xgpu::Kernel {
-public:
-    ReduceKernel(std::span<uint64_t> data, std::span<const NttTables> tables,
-                 Geometry geo, const NttConfig &cfg)
-        : data_(data), tables_(tables), geo_(geo), cfg_(cfg) {}
-
-    xgpu::NdRange range() const override {
-        const std::size_t items = geo_.elements();
-        const std::size_t local = std::min<std::size_t>(cfg_.wg_size, items);
-        return {util::div_round_up(items, local), local};
-    }
-
-    void run(xgpu::WorkGroup &wg) const override {
-        const std::size_t local_size = range().local_size;
-        wg.for_each_item([&](std::size_t local) {
-            const std::size_t i = wg.group_id() * local_size + local;
-            if (i >= geo_.elements()) {
-                return;
-            }
-            const std::size_t b = i / geo_.n;
-            const Modulus &q = tables_[b % geo_.rns].modulus();
-            data_[i] = util::reduce_from_4p(data_[i], q);
-        });
-    }
-
-    KernelStats stats() const override {
-        KernelStats s;
-        s.name = "ntt_last_round_reduce";
-        s.is_ntt = true;
-        const double elements = static_cast<double>(geo_.elements());
-        s.alu_ops = 4.0 * elements;
-        s.gmem_bytes = 16.0 * elements;
-        s.gmem_eff = 1.0;
-        s.work_items = elements;
-        s.wg_size = cfg_.wg_size;
-        return s;
-    }
-
-private:
-    std::span<uint64_t> data_;
-    std::span<const NttTables> tables_;
-    Geometry geo_;
-    NttConfig cfg_;
-};
-
-// --------------------------------------------------------------------
-// Inverse SLM kernel: the inverse transform starts at gap 1, so the SLM
-// phase comes first (gaps 1 .. block/2).
-// --------------------------------------------------------------------
-class SlmInvKernel final : public xgpu::Kernel {
-public:
-    SlmInvKernel(std::span<uint64_t> data, std::span<const NttTables> tables,
-                 Geometry geo, std::size_t block, const NttConfig &cfg,
-                 const xgpu::DeviceSpec &spec)
-        : data_(data), tables_(tables), geo_(geo), block_(block), cfg_(cfg),
-          spec_(&spec) {}
-
-    xgpu::NdRange range() const override {
-        const std::size_t groups = geo_.transforms() * (geo_.n / block_);
-        return {groups, std::min<std::size_t>(cfg_.wg_size, block_ / 2)};
-    }
-
-    std::size_t slm_words() const override { return block_; }
-
-    void run(xgpu::WorkGroup &wg) const override {
-        const std::size_t blocks_per_transform = geo_.n / block_;
+    template <bool Inverse>
+    void sweep(xgpu::WorkGroup &wg) const {
+        const std::size_t block = block_;  // a local: see GlobalRoundKernel
+        const std::size_t blocks_per_transform = geo_.n / block;
         const std::size_t b = wg.group_id() / blocks_per_transform;
         const std::size_t blk = wg.group_id() % blocks_per_transform;
         const NttTables &t = tables_[b % geo_.rns];
-        const Modulus &q = t.modulus();
         uint64_t *slice = data_.data() + b * geo_.n;
-        const std::size_t base = blk * block_;
+        const std::size_t base = blk * block;
         auto slm = wg.slm();
-        for (std::size_t i = 0; i < block_; ++i) {
+        for (std::size_t i = 0; i < block; ++i) {
             slm[i] = slice[base + i];
         }
-        for (std::size_t gap = 1; gap <= block_ / 2; gap <<= 1) {
+        // SIMD-shuffle rounds are arithmetically identical to SLM rounds;
+        // the difference is cost-model only.
+        const int rounds = util::log2_exact(block);
+        for (int r = 0; r < rounds; ++r) {
+            const std::size_t gap =
+                Inverse ? std::size_t{1} << r : block >> (r + 1);
             const int span_log = util::log2_exact(2 * gap);
-            const std::size_t m = geo_.n >> span_log;
-            const std::size_t root_base = geo_.n - 2 * m + 1;
-            for (std::size_t ind = 0; ind < block_ / 2; ++ind) {
+            const auto *w = round_twiddles<Inverse>(t, span_log);
+            for (std::size_t ind = 0; ind < block / 2; ++ind) {
                 const std::size_t lidx = ind + (ind & ~(gap - 1));
-                const std::size_t i = (base + lidx) >> span_log;
-                util::inverse_butterfly(&slm[lidx], &slm[lidx + gap],
-                                        t.inv_root_powers()[root_base + i], q);
+                butterfly<Inverse>(&slm[lidx], gap,
+                                   w[(base + lidx) >> span_log], t.modulus());
             }
         }
-        for (std::size_t i = 0; i < block_; ++i) {
-            slice[base + i] = slm[i];  // still lazy [0, 2q)
+        for (std::size_t i = 0; i < block; ++i) {
+            slice[base + i] =
+                Inverse ? slm[i] : util::reduce_from_4p(slm[i], t.modulus());
         }
     }
 
-    KernelStats stats() const override {
-        SlmFwdKernel proxy(data_, tables_, geo_, block_, cfg_, *spec_);
-        KernelStats s = proxy.stats();
-        s.name = std::string("intt_slm_") + variant_name(cfg_.variant);
-        // no fused reduce
-        s.alu_ops -= 2.0 * static_cast<double>(geo_.elements());
-        return s;
-    }
-
-private:
     std::span<uint64_t> data_;
     std::span<const NttTables> tables_;
     Geometry geo_;
     std::size_t block_;
+    bool inverse_;
     NttConfig cfg_;
     const xgpu::DeviceSpec *spec_;
 };
 
-// --------------------------------------------------------------------
-// Inverse global round group (gaps ascending within the group).
-// --------------------------------------------------------------------
-class GlobalInvKernel final : public xgpu::Kernel {
-public:
-    GlobalInvKernel(std::span<uint64_t> data, std::span<const NttTables> tables,
-                    Geometry geo, std::size_t gap_lo, int sub_rounds,
-                    const NttConfig &cfg, const xgpu::DeviceSpec &spec)
-        : data_(data), tables_(tables), geo_(geo), gap_lo_(gap_lo),
-          sub_rounds_(sub_rounds), cfg_(cfg), spec_(&spec) {}
-
-    xgpu::NdRange range() const override {
-        const std::size_t radix = std::size_t{1} << sub_rounds_;
-        const std::size_t items = geo_.transforms() * (geo_.n / radix);
-        const std::size_t local = std::min<std::size_t>(cfg_.wg_size, items);
-        return {util::div_round_up(items, local), local};
-    }
-
-    void run(xgpu::WorkGroup &wg) const override {
-        const std::size_t radix = std::size_t{1} << sub_rounds_;
-        const std::size_t per_transform = geo_.n / radix;
-        const std::size_t items = geo_.transforms() * per_transform;
-        const std::size_t local_size = range().local_size;
-        wg.for_each_item([&](std::size_t local) {
-            const std::size_t item = wg.group_id() * local_size + local;
-            if (item >= items) {
-                return;
-            }
-            const std::size_t b = item / per_transform;
-            const std::size_t k = item % per_transform;
-            const NttTables &t = tables_[b % geo_.rns];
-            uint64_t *slice = data_.data() + b * geo_.n;
-            const std::size_t g = gap_lo_;
-            const std::size_t base = k + (k & ~(g - 1)) * (radix - 1);
-            // Smallest-gap sub-round first (stride 1), up to stride radix/2.
-            for (int s = 0; s < sub_rounds_; ++s) {
-                const std::size_t stride = std::size_t{1} << s;
-                const std::size_t big_gap = g * stride;
-                const int span_log = util::log2_exact(2 * big_gap);
-                const std::size_t m = geo_.n >> span_log;
-                const std::size_t root_base = geo_.n - 2 * m + 1;
-                for (std::size_t u = 0; u < radix; ++u) {
-                    if ((u & stride) != 0) {
-                        continue;
-                    }
-                    const std::size_t idx = base + u * g;
-                    const std::size_t i = idx >> span_log;
-                    util::inverse_butterfly(&slice[idx], &slice[idx + big_gap],
-                                            t.inv_root_powers()[root_base + i],
-                                            t.modulus());
-                }
-            }
-        });
-    }
-
-    KernelStats stats() const override {
-        const std::size_t radix = std::size_t{1} << sub_rounds_;
-        const double items =
-            static_cast<double>(geo_.transforms() * (geo_.n / radix));
-        KernelStats s;
-        s.name = std::string("intt_global_r") + std::to_string(radix);
-        s.is_ntt = true;
-        s.alu_ops = table1_ops_per_item(static_cast<int>(radix)) * items;
-        s.gmem_bytes = 16.0 * static_cast<double>(radix) * items;
-        s.gmem_eff = strided_gmem_eff(static_cast<int>(radix));
-        s.spill_bytes = spill_bytes_per_group(static_cast<int>(radix), items,
-                                              *spec_);
-        s.work_items = items;
-        s.wg_size = cfg_.wg_size;
-        return s;
-    }
-
-private:
-    std::span<uint64_t> data_;
-    std::span<const NttTables> tables_;
-    Geometry geo_;
-    std::size_t gap_lo_;
-    int sub_rounds_;
-    NttConfig cfg_;
-    const xgpu::DeviceSpec *spec_;
+struct RoundGroup {
+    std::size_t gap_lo;
+    int sub_rounds;
 };
 
-// --------------------------------------------------------------------
-// Inverse scaling: multiply by N^{-1} and reduce to [0, q).
-// --------------------------------------------------------------------
-class InvScaleKernel final : public xgpu::Kernel {
-public:
-    InvScaleKernel(std::span<uint64_t> data, std::span<const NttTables> tables,
-                   Geometry geo, const NttConfig &cfg)
-        : data_(data), tables_(tables), geo_(geo), cfg_(cfg) {}
-
-    xgpu::NdRange range() const override {
-        const std::size_t items = geo_.elements();
-        const std::size_t local = std::min<std::size_t>(cfg_.wg_size, items);
-        return {util::div_round_up(items, local), local};
+/// The forward transform's global-memory round groups, largest gap first:
+/// the rounds with gaps n/2 .. block, in radix-2^lr groups with the
+/// mixed-radix remainder leading so the rest divide evenly.  The inverse
+/// runs the same groups in reverse order.
+std::vector<RoundGroup> round_groups(std::size_t n, std::size_t block,
+                                     int lr) {
+    std::vector<RoundGroup> groups;
+    int rounds = util::log2_exact(n / block);
+    int sub = rounds % lr > 0 ? rounds % lr : lr;
+    std::size_t gap = n >> 1;
+    for (; rounds > 0; rounds -= sub, sub = lr) {
+        const std::size_t gap_lo = gap >> (sub - 1);
+        groups.push_back({gap_lo, sub});
+        gap = gap_lo >> 1;
     }
-
-    void run(xgpu::WorkGroup &wg) const override {
-        const std::size_t local_size = range().local_size;
-        wg.for_each_item([&](std::size_t local) {
-            const std::size_t i = wg.group_id() * local_size + local;
-            if (i >= geo_.elements()) {
-                return;
-            }
-            const std::size_t b = i / geo_.n;
-            const NttTables &t = tables_[b % geo_.rns];
-            uint64_t v = data_[i];
-            if (v >= 2 * t.modulus().value()) {
-                v -= 2 * t.modulus().value();
-            }
-            data_[i] = util::mul_mod(v, t.inv_degree(), t.modulus());
-        });
-    }
-
-    KernelStats stats() const override {
-        KernelStats s;
-        s.name = "intt_scale_n_inv";
-        s.is_ntt = true;
-        const double elements = static_cast<double>(geo_.elements());
-        s.alu_ops = (xgpu::core_op_cost(xgpu::CoreOp::MulMod,
-                                        xgpu::IsaMode::Compiler) +
-                     2.0) * elements;
-        s.gmem_bytes = 16.0 * elements;
-        s.gmem_eff = 1.0;
-        s.work_items = elements;
-        s.wg_size = cfg_.wg_size;
-        return s;
-    }
-
-private:
-    std::span<uint64_t> data_;
-    std::span<const NttTables> tables_;
-    Geometry geo_;
-    NttConfig cfg_;
-};
+    return groups;
+}
 
 Geometry make_geometry(std::span<uint64_t> data, std::size_t polys,
                        std::span<const NttTables> tables, bool functional) {
@@ -596,6 +404,17 @@ double table1_butterfly_ops(int radix) {
 
 double GpuNtt::forward(std::span<uint64_t> data, std::size_t polys,
                        std::span<const NttTables> tables) {
+    return transform(false, data, polys, tables);
+}
+
+double GpuNtt::inverse(std::span<uint64_t> data, std::size_t polys,
+                       std::span<const NttTables> tables) {
+    return transform(true, data, polys, tables);
+}
+
+double GpuNtt::transform(bool inverse, std::span<uint64_t> data,
+                         std::size_t polys,
+                         std::span<const NttTables> tables) {
     const Geometry geo = make_geometry(data, polys, tables,
                                        queue_->functional());
     const double t0 = queue_->clock_ns();
@@ -605,69 +424,61 @@ double GpuNtt::forward(std::span<uint64_t> data, std::size_t polys,
     const auto submit = [&](const xgpu::Kernel &kernel) {
         queue_->submit(xgpu::SlicedKernel(kernel, geo.transforms()));
     };
-
-    if (cfg_.variant == NttVariant::NaiveRadix2) {
-        std::size_t gap = geo.n >> 1;
-        for (std::size_t m = 1; m < geo.n; m <<= 1) {
-            submit(GlobalFwdKernel(data, tables, geo, gap, 1, cfg_, spec));
-            gap >>= 1;
-        }
-        submit(ReduceKernel(data, tables, geo, cfg_));
-        return queue_->clock_ns() - t0;
-    }
-
-    const std::size_t block = std::min(cfg_.slm_block, geo.n);
-    int global_rounds = util::log2_exact(geo.n / block);
-    const int lr = util::log2_exact(
-        static_cast<uint64_t>(variant_radix(cfg_.variant)));
-    // Mixed-radix head so remaining global rounds divide evenly.
-    int head = global_rounds % lr;
-    std::size_t gap = geo.n >> 1;
-    while (global_rounds > 0) {
-        const int sub = head > 0 ? head : std::min(lr, global_rounds);
-        head = 0;
-        const std::size_t gap_lo = gap >> (sub - 1);
-        submit(GlobalFwdKernel(data, tables, geo, gap_lo, sub, cfg_, spec));
-        gap = gap_lo >> 1;
-        global_rounds -= sub;
-    }
-    submit(SlmFwdKernel(data, tables, geo, block, cfg_, spec));
-    return queue_->clock_ns() - t0;
-}
-
-double GpuNtt::inverse(std::span<uint64_t> data, std::size_t polys,
-                       std::span<const NttTables> tables) {
-    const Geometry geo = make_geometry(data, polys, tables,
-                                       queue_->functional());
-    const double t0 = queue_->clock_ns();
-    const auto &spec = queue_->spec();
-    const auto submit = [&](const xgpu::Kernel &kernel) {
-        queue_->submit(xgpu::SlicedKernel(kernel, geo.transforms()));
+    const auto elementwise = [&](const char *name, double ops_per_element,
+                                 std::function<void(std::size_t)> body) {
+        KernelStats s;
+        s.is_ntt = true;
+        s.alu_ops = ops_per_element * static_cast<double>(geo.elements());
+        s.gmem_bytes = 16.0 * static_cast<double>(geo.elements());
+        submit(xgpu::ElementwiseKernel(
+            name, geo.elements(), std::move(body), s,
+            std::min<std::size_t>(cfg_.wg_size, geo.elements())));
+    };
+    const int log_n = tables[0].log_n();
+    const auto table = [&](std::size_t i) -> const NttTables & {
+        return tables[(i >> log_n) % geo.rns];
     };
 
-    if (cfg_.variant == NttVariant::NaiveRadix2) {
-        std::size_t gap = 1;
-        for (std::size_t m = geo.n >> 1; m >= 1; m >>= 1) {
-            submit(GlobalInvKernel(data, tables, geo, gap, 1, cfg_, spec));
-            gap <<= 1;
+    // Naive radix-2 is the same plan with a one-element SLM block: every
+    // round runs in global memory and the reduction is a kernel of its own.
+    const bool naive = cfg_.variant == NttVariant::NaiveRadix2;
+    const std::size_t block = naive ? 1 : std::min(cfg_.slm_block, geo.n);
+    const std::vector<RoundGroup> groups = round_groups(
+        geo.n, block,
+        util::log2_exact(static_cast<uint64_t>(variant_radix(cfg_.variant))));
+    const auto global = [&](const RoundGroup &g) {
+        submit(GlobalRoundKernel(data, tables, geo, g.gap_lo, g.sub_rounds,
+                                 inverse, cfg_, spec));
+    };
+
+    if (!inverse) {
+        std::for_each(groups.begin(), groups.end(), global);
+        if (naive) {
+            elementwise("ntt_last_round_reduce", 4.0, [&](std::size_t i) {
+                data[i] = util::reduce_from_4p(data[i], table(i).modulus());
+            });
+        } else {
+            submit(SlmKernel(data, tables, geo, block, false, cfg_, spec));
         }
-        submit(InvScaleKernel(data, tables, geo, cfg_));
         return queue_->clock_ns() - t0;
     }
 
-    const std::size_t block = std::min(cfg_.slm_block, geo.n);
-    submit(SlmInvKernel(data, tables, geo, block, cfg_, spec));
-    int global_rounds = util::log2_exact(geo.n / block);
-    const int lr = util::log2_exact(
-        static_cast<uint64_t>(variant_radix(cfg_.variant)));
-    std::size_t gap = block;
-    while (global_rounds > 0) {
-        const int sub = std::min(lr, global_rounds);
-        submit(GlobalInvKernel(data, tables, geo, gap, sub, cfg_, spec));
-        gap <<= sub;
-        global_rounds -= sub;
+    if (!naive) {
+        submit(SlmKernel(data, tables, geo, block, true, cfg_, spec));
     }
-    submit(InvScaleKernel(data, tables, geo, cfg_));
+    std::for_each(groups.rbegin(), groups.rend(), global);
+    // Multiply by N^{-1} and reduce to [0, q).
+    elementwise("intt_scale_n_inv",
+                xgpu::core_op_cost(xgpu::CoreOp::MulMod,
+                                   xgpu::IsaMode::Compiler) +
+                    2.0,
+                [&](std::size_t i) {
+                    const NttTables &t = table(i);
+                    const uint64_t two_q = 2 * t.modulus().value();
+                    const uint64_t v = data[i] >= two_q ? data[i] - two_q
+                                                        : data[i];
+                    data[i] = util::mul_mod(v, t.inv_degree(), t.modulus());
+                });
     return queue_->clock_ns() - t0;
 }
 

@@ -1,18 +1,24 @@
-// Simulated-GPU NTT kernels: every variant the paper evaluates.
+// Simulated-GPU NTT kernels: every variant the paper evaluates, all run
+// as one staged plan (Section III-B).  The forward transform walks its
+// rounds from gap N/2 down: radix-R round groups in global memory, the
+// mixed-radix remainder first, until the gap fits the SLM block; then one
+// SLM kernel runs every smaller gap.  The inverse runs the same plan
+// reversed, then scales by N^{-1}.  One global-round kernel and one SLM
+// kernel serve both directions.
 //
-//  * NaiveRadix2    — Fig. 6: one global-memory kernel per radix-2 round,
-//                     plus a separate last-round reduction kernel.
-//  * StagedSimd8/16/32 — Fig. 8: global radix-2 rounds until the exchange
-//                     gap fits in shared local memory, then a single SLM
-//                     kernel whose smallest-gap rounds exchange through
-//                     sub-group SIMD shuffles with 1/2/4 register slots
-//                     per work-item (Figs. 7 and 9).
-//  * LocalRadix4/8/16 — Section III-B5: high-radix register-blocked rounds;
-//                     a radix-R kernel performs log2(R) butterfly rounds on
-//                     R elements held in registers, in global memory first
-//                     and then inside SLM; the last-round reduction is fused
-//                     into the SLM kernel.  Radix-16 exceeds the 4 KB GRF
-//                     per EU thread and spills (Fig. 13's regression).
+//  * NaiveRadix2    — Fig. 6: the plan with a one-element SLM block (one
+//                     global kernel per radix-2 round) plus a separate
+//                     last-round reduction kernel.
+//  * StagedSimd8/16/32 — Fig. 8: global radix-2 rounds, then an SLM kernel
+//                     whose smallest-gap rounds exchange through sub-group
+//                     SIMD shuffles with 1/2/4 register slots per
+//                     work-item (Figs. 7 and 9).
+//  * LocalRadix4/8/16 — Section III-B5: a radix-R kernel performs log2(R)
+//                     butterfly rounds on R elements held in registers, in
+//                     global memory and then inside SLM; the forward SLM
+//                     kernel fuses the last-round reduction.  Radix-16
+//                     exceeds the 4 KB GRF per EU thread and spills
+//                     (Fig. 13's regression).
 //
 // The functional bodies execute mathematically identical radix-2 butterfly
 // sweeps (register blocking and shuffles do not change the arithmetic, only
@@ -74,6 +80,10 @@ public:
                    std::span<const NttTables> tables);
 
 private:
+    /// Runs the staged plan forward, or reversed for the inverse.
+    double transform(bool inverse, std::span<uint64_t> data,
+                     std::size_t polys, std::span<const NttTables> tables);
+
     xgpu::Queue *queue_;
     NttConfig cfg_;
 };

@@ -125,6 +125,10 @@ bool ShardedServer::submit(Request request) {
 bool ShardedServer::submit(std::span<const uint8_t> request_bytes) {
     Request request;
     try {
+        obs::Span span("wire.parse", obs::Category::Wire);
+        if (span.active()) {
+            span.set_detail(std::to_string(request_bytes.size()) + " bytes");
+        }
         request = load_request(request_bytes);
     } catch (const wire::WireError &e) {
         util::MutexLock lock(mutex_);

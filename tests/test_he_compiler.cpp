@@ -8,6 +8,7 @@
 // InferenceServer compile caches.
 #include "test_common.h"
 
+#include "he/analyze.h"
 #include "he/compiler.h"
 #include "he/session.h"
 #include "serve/server.h"
@@ -806,6 +807,74 @@ TEST(HeCompiler, SessionCompilesProgramsAndMatchesRawInterpretation) {
     // interpretations are bit-identical end to end.
     expect_bit_identical(compiled_1, raw_1, "compiled vs raw session run");
     expect_bit_identical(raw_1, raw_2, "raw determinism");
+}
+
+/// A host-backend session at N=4096 with 3 levels and the program
+/// add(in0, in1): the probe circuit for inputs away from the planner's
+/// default (max level, session scale).
+struct OffDefaultInputRig {
+    ckks::CkksContext context{ckks::EncryptionParameters::create(4096, 3)};
+    he::HostBackend backend{context};
+    he::Session session{backend};
+    he::Program add_program = [] {
+        he::ProgramBuilder b(2);
+        b.output(b.add(b.input(0), b.input(1)));
+        return b.build();
+    }();
+
+    he::Cipher enc(double value) {
+        return session.encrypt(
+            std::vector<double>(context.slots(), value));
+    }
+};
+
+TEST(HeCompiler, SessionRejectsMixedInputLevelsBeforeRunning) {
+    OffDefaultInputRig rig;
+    const he::Cipher inputs[2] = {rig.enc(0.25),
+                                  rig.session.mod_switch(rig.enc(0.5))};
+    ASSERT_NE(inputs[0].level(), inputs[1].level());
+    EXPECT_THROW(rig.session.run(rig.add_program, inputs),
+                 he::ProgramRejected);
+}
+
+TEST(HeCompiler, SessionRejectsMixedInputScalesBeforeRunning) {
+    OffDefaultInputRig rig;
+    const he::Cipher a = rig.enc(0.25);
+    const he::Cipher inputs[2] = {
+        a, rig.session.set_scale(rig.enc(0.5), 1.1 * a.scale())};
+    EXPECT_THROW(rig.session.run(rig.add_program, inputs),
+                 he::ProgramRejected);
+}
+
+TEST(HeCompiler, SessionCompilesAgainstInputsBelowMaxLevel) {
+    OffDefaultInputRig rig;
+    // a*b + b: the planner aligns b to the rescaled product's level and
+    // scale, which depend on the level the inputs actually sit at.
+    he::ProgramBuilder b(2);
+    b.output(b.add(b.rescale(b.relinearize(b.multiply(b.input(0),
+                                                      b.input(1)))),
+                   b.input(1)));
+    const he::Program program = b.build();
+    // Small values: the result lands at level 1, one prime of headroom.
+    const he::Cipher inputs[2] = {rig.session.mod_switch(rig.enc(0.25)),
+                                  rig.session.mod_switch(rig.enc(0.125))};
+    ASSERT_EQ(inputs[0].level(), 2u);
+    // Twice: the second run is served by the compile cache, keyed on the
+    // inputs' level and scale as well as the program.
+    for (int run = 0; run < 2; ++run) {
+        const auto out = rig.session.run(program, inputs);
+        ASSERT_EQ(out.size(), 1u);
+        EXPECT_EQ(out[0].level(), 1u);
+        for (const double v : rig.session.decrypt(out[0], 16)) {
+            EXPECT_NEAR(v, 0.15625, 1e-4);
+        }
+    }
+    // The same program at the max level compiles separately and still
+    // decrypts correctly.
+    const he::Cipher top[2] = {rig.enc(1.0), rig.enc(2.0)};
+    const auto out = rig.session.run(program, top);
+    EXPECT_EQ(out.at(0).level(), 2u);
+    EXPECT_NEAR(rig.session.decrypt(out[0], 1).at(0), 4.0, 1e-4);
 }
 
 TEST(HeCompiler, ServerCompileCacheServesRepeatSubmissionsBitExact) {

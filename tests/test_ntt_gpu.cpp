@@ -1,7 +1,7 @@
 // Every simulated-GPU NTT variant must be bit-exact against the reference
 // transform, across sizes, RNS widths and batch shapes; the cost model must
 // behave sanely (positive times, naive slower than radix-8, spills only for
-// radix-16).
+// radix-16), and its exact figures are pinned by one digest.
 #include <gtest/gtest.h>
 
 #include "ntt/ntt_gpu.h"
@@ -166,6 +166,78 @@ TEST(GpuNtt, InlineAsmFasterThanCompiler) {
     const double comp = cost(xg::IsaMode::Compiler);
     const double asm_ = cost(xg::IsaMode::InlineAsm);
     EXPECT_LT(asm_, comp);
+}
+
+namespace {
+
+/// FNV-1a over the bytes of a value; doubles fold by bit pattern, so any
+/// change in the last ulp of a simulated figure changes the digest.
+struct Digest {
+    uint64_t h = 0xcbf29ce484222325ull;
+
+    void bytes(const void *p, std::size_t len) {
+        const auto *c = static_cast<const unsigned char *>(p);
+        for (std::size_t i = 0; i < len; ++i) {
+            h = (h ^ c[i]) * 0x100000001b3ull;
+        }
+    }
+    void num(double v) { bytes(&v, sizeof v); }
+    void num(std::size_t v) { bytes(&v, sizeof v); }
+    void str(const std::string &s) { bytes(s.data(), s.size() + 1); }
+};
+
+}  // namespace
+
+TEST(GpuNtt, CostIsPinned) {
+    // Every simulated cost the NTT reports — forward and inverse ns and each
+    // profiler entry's launches, time and ALU ops — across variants, both
+    // devices, both ISA modes, one and two tiles, a functional N=1024 batch
+    // whose SLM block leaves global rounds, and the paper's cost-only 32K x
+    // 1024 operating point.  A refactor of the kernels must keep this
+    // digest; a deliberate cost-model change updates it.
+    const Batch small = make_batch(1024, 2, 2, 11);
+    const auto big_tables =
+        xn::make_ntt_tables(32768, xu::generate_ntt_primes(50, 32768, 1));
+
+    Digest d;
+    for (const xn::NttVariant v : kAllVariants) {
+        for (const auto &spec : {xg::device1(), xg::device2()}) {
+            for (const xg::IsaMode isa :
+                 {xg::IsaMode::Compiler, xg::IsaMode::InlineAsm}) {
+                for (const int tiles : {1, 2}) {
+                    for (const bool functional : {true, false}) {
+                        xg::Queue queue(spec, xg::ExecConfig{tiles, isa, true});
+                        queue.set_functional(functional);
+                        xn::NttConfig cfg;
+                        cfg.variant = v;
+                        if (functional) {
+                            cfg.slm_block = 128;
+                            cfg.wg_size = 64;
+                        }
+                        xn::GpuNtt gpu(queue, cfg);
+                        std::vector<uint64_t> data = small.data;
+                        const std::span<uint64_t> span =
+                            functional ? std::span<uint64_t>(data)
+                                       : std::span<uint64_t>();
+                        const std::size_t polys = functional ? 2 : 1024;
+                        const auto &tables =
+                            functional ? small.tables : big_tables;
+                        d.num(gpu.forward(span, polys, tables));
+                        d.num(gpu.inverse(span, polys, tables));
+                        for (const auto &[name, e] :
+                             queue.profiler().entries()) {
+                            d.str(name);
+                            d.num(e.launches);
+                            d.num(e.time_ns);
+                            d.num(e.alu_ops);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_EQ(d.h, 0x85728cbf32cd13c4ull)
+        << "simulated NTT cost moved; digest now " << std::hex << d.h;
 }
 
 TEST(Table1, OpCountsMatchPaper) {

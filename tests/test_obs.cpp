@@ -19,6 +19,7 @@
 #include "obs/trace.h"
 #include "obs/trace_export.h"
 #include "serve/server.h"
+#include "serve/sharded_server.h"
 #include "xgpu/device.h"
 
 namespace xehe::test {
@@ -722,6 +723,39 @@ TEST(ObsAcceptance, OneAdmissionAnalysisPerRequest) {
     EXPECT_EQ(rejected, 1u);
     EXPECT_EQ(analyze_spans(), submitted) << "dispatch re-analyzed";
     EXPECT_EQ(obs::TraceRecorder::instance().dropped(), 0u);
+}
+
+TEST(ObsAcceptance, ShardedFrontDoorTracesWireParse) {
+    // The sharded front door parses envelopes itself: each byte
+    // submission, well-formed or not, leaves one wire.parse span, as on
+    // the unsharded server.
+    OBS_REQUIRE_TRACING();
+    CkksBench host(1024, 3);
+    serve::ShardedConfig cfg;
+    cfg.shard.functional = false;
+    serve::ShardedServer server(host.context, xgpu::device1(),
+                                core::GpuOptions{}, cfg);
+    RecorderGuard guard;
+
+    const auto ct = wire::serialize(host.enc(host.values(1)));
+    std::vector<std::vector<uint8_t>> envelopes;
+    for (uint64_t session = 0; session < 4; ++session) {
+        Request req;
+        req.session_id = session;
+        req.op = Op::MulLinRS;
+        req.inputs.assign(2, ct);
+        envelopes.push_back(wire::serialize(req));
+    }
+    envelopes.push_back(envelopes[0]);
+    envelopes.back().resize(envelopes.back().size() / 2);  // truncated
+    for (const auto &bytes : envelopes) {
+        server.submit(bytes);
+    }
+    std::size_t parse_spans = 0;
+    for (const auto &span : obs::TraceRecorder::instance().snapshot()) {
+        parse_spans += span.name == "wire.parse";
+    }
+    EXPECT_EQ(parse_spans, envelopes.size());
 }
 
 }  // namespace
