@@ -4,9 +4,9 @@
 // scale/level bookkeeping: encrypt two vectors, compose
 // add(multiply(a, b), c) - 0.25 * rotate(a, 1) without touching
 // relinearize/rescale/mod-switch, decrypt, and compare against the
-// plaintext reference.  Then the same computation travels as a
-// wire-serialized he::Program — the circuit a client would ship to the
-// serving frontend — and produces the identical ciphertext.
+// plaintext reference.  Then a circuit travels as a wire-serialized
+// he::Program — what a client would ship to the serving frontend — and
+// runs through the same session.
 // The raw layer-by-layer API this automates lives in
 // examples/quickstart_lowlevel.cpp.
 #include <array>
@@ -76,7 +76,7 @@ int main() {
                     std::abs(decoded[i] - expect));
     }
 
-    // 5. The same circuit as a wire-executable he::Program: built once,
+    // 5. A circuit as a wire-executable he::Program: built once,
     //    serialized (what a client ships to serve::InferenceServer),
     //    reloaded and interpreted over the same backend.
     he::ProgramBuilder builder(3);

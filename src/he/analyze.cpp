@@ -30,6 +30,19 @@ bool scale_must_mismatch(const ValueFacts &a, const ValueFacts &b) {
            a.scale_lo > b.scale_hi * (1.0 + ckks::kScaleGate);
 }
 
+/// True when no scales the two intervals allow lie within kSnapTolerance
+/// of each other, so the planner's scale adoption cannot close the gap.
+bool snap_must_fail(const ValueFacts &a, const ValueFacts &b) {
+    return (a.scale_hi < b.scale_lo && !within_snap(a.scale_hi, b.scale_lo)) ||
+           (b.scale_hi < a.scale_lo && !within_snap(b.scale_hi, a.scale_lo));
+}
+
+/// The highest level a value may carry once the planner strips the
+/// alignment nodes it may (aligned analysis).
+uint8_t stripped_level_max(const ValueFacts &f) {
+    return std::max(f.level_max, f.level_max_stripped);
+}
+
 /// Out-of-line and cold: diagnostics are the exceptional path, and the
 /// in-situ cost of an admission analyze (right after a compile evicted
 /// everything) is mostly its i-cache footprint — string construction
@@ -251,24 +264,25 @@ AnalysisReport ProgramAnalyzer::analyze_impl(
         return rotate_elt;
     };
 
+    // Aligned mode: some alignment node's drop fails if kept.
+    bool drops_fail = false;
     for (std::size_t i = 0; i < p.nodes.size(); ++i) {
         const Program::Node &node = p.nodes[i];
         const uint32_t nid = static_cast<uint32_t>(i);
         // References, not copies: operands strictly precede the result
         // slot (validate() guarantees node.a, node.b < node_base + i), so
         // writing `out` in place never aliases them.
-        const ValueFacts &A = vals[node.a];
         ValueFacts &out = vals[node_base + i];
         const auto live_now = [&]() {
             compute_liveness();
             return out.live;
         };
-        // A must-fail the planner repairs (level/scale alignment,
-        // strippable drops) is an error in strict mode only; any other is
-        // an error in both modes, in assume_alignment only on live nodes
-        // (DCE strips the rest).  The message stays a const char* until
-        // the cold push_diag, so the hot walk carries only a test and a
-        // call per check site.
+        // A must-fail the planner repairs (level alignment, a scale gap
+        // within kSnapTolerance) is an error in strict mode only; any
+        // other is an error in both modes, in assume_alignment only on
+        // live nodes (DCE strips the rest).  The message stays a const
+        // char* until the cold push_diag, so the hot walk carries only a
+        // test and a call per check site.
         const auto error = [&](bool repairable, DiagKind kind,
                                const char *msg,
                                std::optional<long long> num = {}) {
@@ -294,7 +308,11 @@ AnalysisReport ProgramAnalyzer::analyze_impl(
         visit_op(node.op, [&](auto code) {
             constexpr const OpSemantics &row =
                 op_semantics(decltype(code)::value);
-            const bool binary = row.arity == 2;
+            constexpr bool binary = row.arity == 2;
+            // Add/Sub, the only ops that may see an alignment operand
+            // stripped; every other op keeps its operands.
+            constexpr bool linear = row.scale_gate && !row.const_operand;
+            const ValueFacts &A = vals[node.a];
             const ValueFacts &B = binary ? vals[node.b] : A;
 
             // Sizes are never repaired.  Ops without a size-2/3 contract
@@ -315,8 +333,10 @@ AnalysisReport ProgramAnalyzer::analyze_impl(
             switch (row.level) {
                 case LevelRule::Same: break;
                 case LevelRule::Drop:
-                    if (A.level_max < 2) {
-                        error(row.alignment, DiagKind::LevelUnderflow,
+                    // Aligned, an alignment drop fails only once the
+                    // planner keeps it (drop_fails, checked below).
+                    if (A.level_max < 2 && !(aligned && row.alignment)) {
+                        error(false, DiagKind::LevelUnderflow,
                               "cannot drop a prime at the last level");
                     }
                     break;
@@ -348,10 +368,15 @@ AnalysisReport ProgramAnalyzer::analyze_impl(
                     }
                     break;
             }
+            // The planner adopts the partner's scale across a gap within
+            // kSnapTolerance, but cannot rewrite a plaintext's scale.
             if (row.scale_gate && scale_must_mismatch(A, B)) {
-                error(true, DiagKind::ScaleMismatch,
-                      "operand scales can never pass the evaluators' 1e-6 "
-                      "gate");
+                const bool beyond =
+                    aligned && !row.const_operand && snap_must_fail(A, B);
+                error(!row.const_operand && !beyond, DiagKind::ScaleMismatch,
+                      beyond ? "operand scales lie beyond the snap tolerance"
+                             : "operand scales can never pass the evaluators' "
+                               "1e-6 gate");
             }
             // Keys: a key switch at level l needs a key at least l deep.
             // A rotation by the identity element switches no key at all.
@@ -383,17 +408,41 @@ AnalysisReport ProgramAnalyzer::analyze_impl(
                 }
             }
 
-            transfer(row, A, B, out, *context_, aligned);
+            // Aligned, a node's facts are as the planner keeps it: an
+            // alignment node as written (transfer(aligned) only covers
+            // the planner's choices at gated and level-equal ops).
+            transfer(row, A, B, out, *context_, aligned && !row.alignment);
+            if (aligned && row.alignment) {
+                // Stripping leaves the operand instead: its level goes
+                // to level_max_stripped (read by Add/Sub), its scale is
+                // hulled in.  The drop fails only once the node is kept.
+                out.level_max_stripped = stripped_level_max(A);
+                detail::hull_scale(out, out, A);
+                out.drop_fails =
+                    A.drop_fails ||
+                    (row.level == LevelRule::Drop && A.level_max < 2);
+                drops_fail = drops_fail || out.drop_fails;
+            } else if (aligned && linear) {
+                out.level_max = std::min(stripped_level_max(A),
+                                         stripped_level_max(B));
+            }
+            // An adopt keeps its ref, and any other op but Add/Sub its
+            // operands, failing with their drops.
+            if (drops_fail && !linear &&
+                ((!row.alignment && A.drop_fails) ||
+                 (binary && B.drop_fails))) {
+                error(false, DiagKind::LevelUnderflow,
+                      "keeps an alignment operand that drops a prime at the "
+                      "last level");
+            }
+
             if (row.scale == ScaleRule::DivDropped &&
                 options_.snap_scale > 0.0 && out.scale_exact() &&
-                out.scale_lo > 0.0) {
-                const double ratio = out.scale_lo / options_.snap_scale;
-                if (std::abs(ratio - 1.0) > options_.snap_tolerance &&
-                    std::abs(1.0 / ratio - 1.0) > options_.snap_tolerance) {
-                    warn(DiagKind::ScaleDrift,
-                         "rescale result drifts outside the snap range of "
-                         "the session scale");
-                }
+                out.scale_lo > 0.0 &&
+                !within_snap(out.scale_lo, options_.snap_scale)) {
+                warn(DiagKind::ScaleDrift,
+                     "rescale result drifts outside the snap range of the "
+                     "session scale");
             }
         });
     }
@@ -408,6 +457,11 @@ AnalysisReport ProgramAnalyzer::analyze_impl(
         const ValueFacts &f = vals[o];
         report.mult_depth =
             std::max<std::size_t>(report.mult_depth, f.mult_depth);
+        if (f.drop_fails) {  // an output alignment node is kept
+            diag(Severity::Error, DiagKind::LevelUnderflow, o - node_base,
+                 p.nodes[o - node_base].op,
+                 "output drops a prime at the last level");
+        }
         if (!options_.errors_only && f.size_min >= 3 && o >= node_base) {
             diag(Severity::Warning, DiagKind::OversizeCipher,
                  o - node_base, p.nodes[o - node_base].op,

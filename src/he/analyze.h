@@ -27,11 +27,11 @@
 //    input facts for precise accept/reject, or with unknown facts (wide
 //    intervals) for a conservative front-door check.
 //  * assume_alignment: the program will go through ProgramCompiler with
-//    planning enabled before running.  The planner strips/reinserts
-//    alignment ops and repairs level/scale mismatches, so only defects
-//    the planner provably cannot repair are errors (size violations,
-//    rescale underflow, missing keys), and only on nodes that survive
-//    DCE (dead nodes cannot fail at run time).
+//    planning enabled before running.  The planner strips alignment ops
+//    and repairs level gaps and scale gaps within kSnapTolerance, so only
+//    defects it provably cannot repair are errors, and only on nodes that
+//    survive DCE (dead nodes cannot fail at run time).  With exact input
+//    facts an accept means the program compiles.
 #pragma once
 
 #include <optional>
@@ -122,10 +122,9 @@ struct AnalyzerOptions {
     std::optional<std::vector<uint64_t>> galois_elts;
     std::optional<std::size_t> galois_levels;
 
-    /// When > 0, Rescale results outside snap_tolerance of snap_scale get
+    /// When > 0, Rescale results outside kSnapTolerance of snap_scale get
     /// a ScaleDrift warning (the Session snap range; advisory only).
     double snap_scale = 0.0;
-    double snap_tolerance = 0.25;
 
     /// Fills the key fields from the interpreter's key set.
     void set_keys(const ProgramKeys &keys);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <map>
 #include <string>
 
@@ -24,9 +23,8 @@ namespace {
 /// facts, which only makes canonicalization more conservative.
 std::vector<ValueFacts> simulate(const Program &p,
                                  const ckks::CkksContext &ctx,
-                                 const InputFacts &input) {
-    std::vector<ValueFacts> facts =
-        leaf_facts(p, {&input, 1}, ctx.max_level());
+                                 std::span<const InputFacts> inputs) {
+    std::vector<ValueFacts> facts = leaf_facts(p, inputs, ctx.max_level());
     const uint32_t node_base =
         p.num_inputs + static_cast<uint32_t>(p.constants.size());
     for (std::size_t i = 0; i < p.nodes.size(); ++i) {
@@ -174,10 +172,8 @@ Program dce_pass(const Program &p, PassReport &report) {
 class Planner {
 public:
     Planner(const Program &p, const ckks::CkksContext &ctx,
-            const InputFacts &input, double snap_tolerance,
-            PassReport &report)
-        : in_(p), ctx_(ctx), input_(input),
-          snap_tolerance_(snap_tolerance), report_(report) {
+            std::span<const InputFacts> inputs, PassReport &report)
+        : in_(p), ctx_(ctx), inputs_(inputs), report_(report) {
         node_base_ = in_.num_inputs +
                      static_cast<uint32_t>(in_.constants.size());
     }
@@ -190,7 +186,7 @@ public:
         for (uint32_t v = 0; v < node_base_; ++v) {
             remap_[v] = v;
         }
-        meta_ = leaf_facts(in_, {&input_, 1}, ctx_.max_level());
+        meta_ = leaf_facts(in_, inputs_, ctx_.max_level());
         meta_.resize(node_base_);
         for (std::size_t i = 0; i < in_.nodes.size(); ++i) {
             plan_node(i);
@@ -203,52 +199,29 @@ public:
     }
 
 private:
-    /// An alignment node is strippable when nothing observes it except
-    /// gated cipher-cipher ops (Add/Sub, where alignment is re-derived
-    /// against the partner) or further strippable alignment nodes, and
-    /// it is not itself an output.  Anything else — a Multiply or
-    /// ModSwitchAdd operand, the ref side of an adopt, a Rescale input,
-    /// an output — pins the node, because stripping there would change
-    /// result metadata in ways no later repair re-establishes.
+    /// An alignment node is strippable unless it is pinned: an output, or
+    /// read by anything but a gated cipher-cipher op (Add/Sub, where
+    /// alignment is re-derived against the partner) or as the primary
+    /// operand of a strippable alignment node.  A Multiply or ModSwitchAdd
+    /// operand, the ref side of an adopt, a Rescale input — stripping any
+    /// of them would change result metadata in ways no later repair
+    /// re-establishes.  One backward pass: consumers follow their
+    /// operands, so a node's own pin is final before its operands are
+    /// visited (DCE ran first, so every consumer counts).
     void find_strippable() {
-        strippable_.assign(in_.nodes.size(), 0);
-        std::vector<char> pinned(in_.nodes.size(), 0);
+        std::vector<char> pinned(in_.value_count(), 0);
         for (const uint32_t o : in_.outputs) {
-            if (o >= node_base_) {
-                pinned[o - node_base_] = 1;
-            }
+            pinned[o] = 1;
         }
+        strippable_.assign(in_.nodes.size(), 0);
         for (std::size_t i = in_.nodes.size(); i-- > 0;) {
-            if (!op_semantics(in_.nodes[i].op).alignment || pinned[i]) {
-                continue;
-            }
-            strippable_[i] = 1;
-        }
-        // Consumer check, forward: un-strip any align node consumed by
-        // something other than Add/Sub or a strippable align node's
-        // primary operand.  Iterate to a fixed point — un-stripping a
-        // chain's head can pin the whole chain below it.
-        bool changed = true;
-        while (changed) {
-            changed = false;
-            for (std::size_t i = 0; i < in_.nodes.size(); ++i) {
-                const Program::Node &node = in_.nodes[i];
-                const OpSemantics &row = op_semantics(node.op);
-                const auto consume = [&](uint32_t v, bool safe) {
-                    if (v < node_base_) {
-                        return;
-                    }
-                    const std::size_t def = v - node_base_;
-                    if (strippable_[def] && !safe) {
-                        strippable_[def] = 0;
-                        changed = true;
-                    }
-                };
-                const bool linear = row.scale_gate && !row.const_operand;
-                consume(node.a, linear || (row.alignment && strippable_[i]));
-                if (row.arity == 2 && !row.const_operand) {
-                    consume(node.b, linear);
-                }
+            const Program::Node &node = in_.nodes[i];
+            const OpSemantics &row = op_semantics(node.op);
+            const bool linear = row.scale_gate && !row.const_operand;
+            strippable_[i] = row.alignment && !pinned[node_base_ + i];
+            pinned[node.a] |= !linear && !strippable_[i];
+            if (row.arity == 2) {
+                pinned[node.b] |= !linear;
             }
         }
     }
@@ -355,11 +328,10 @@ private:
             if (row.const_operand) {
                 fail(i, op, "cipher/constant scale gap");
             }
-            const double ratio = meta_[x].scale_lo / meta_[y].scale_lo;
-            if (std::abs(ratio - 1.0) > snap_tolerance_ &&
-                std::abs(1.0 / ratio - 1.0) > snap_tolerance_) {
+            if (!within_snap(meta_[x].scale_lo, meta_[y].scale_lo)) {
                 fail(i, op, "operand scale gap (ratio " +
-                                std::to_string(ratio) +
+                                std::to_string(meta_[x].scale_lo /
+                                               meta_[y].scale_lo) +
                                 ") exceeds the snap tolerance");
             }
             // Adopt on the side this episode lowered (its nodes are
@@ -375,8 +347,7 @@ private:
 
     const Program &in_;
     const ckks::CkksContext &ctx_;
-    const InputFacts input_;
-    const double snap_tolerance_;
+    const std::span<const InputFacts> inputs_;
     PassReport &report_;
     Program out_;
     uint32_t node_base_ = 0;
@@ -424,20 +395,14 @@ void prefuse_pass(Program &p, PassReport &report) {
     }
 }
 
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// ProgramCompiler
-// ---------------------------------------------------------------------------
-
-ProgramCompiler::ProgramCompiler(CompilerOptions options)
-    : options_(options) {}
-
-ProgramCompiler::ProgramCompiler(const ckks::CkksContext &context,
-                                 CompilerOptions options)
-    : context_(&context), options_(options) {}
-
-CompiledProgram ProgramCompiler::compile(const Program &program) const {
+/// The pass pipeline.  `canonical`: the facts canonicalize simulates;
+/// `planned`: the facts the planner and the self-verify assume (one
+/// element applies to every input).  Without a context only the
+/// context-free passes run.
+CompiledProgram run_passes(const ckks::CkksContext *context,
+                           const Program &program,
+                           std::span<const InputFacts> canonical,
+                           std::span<const InputFacts> planned) {
     obs::Span compile_span("compile.program", obs::Category::Compile);
     program.validate();
     CompiledProgram result;
@@ -445,24 +410,11 @@ CompiledProgram ProgramCompiler::compile(const Program &program) const {
 
     Program p = program;
     p.fusion_groups.clear();
-    // Input level and scale are the options' (or the defaults); input
-    // sizes are the caller's.  Canonicalize may assume the usual 2 — an
-    // Add only runs when its operand sizes agree, so a swap proven under
-    // that assumption stays bit-safe — but the planner leaves them
-    // unknown, so it rejects only size defects no input can avoid.
-    InputFacts input;
-    InputFacts planned;
-    if (context_ != nullptr) {
-        input = default_input_facts(*context_, options_.input_level,
-                                    options_.input_scale);
-        planned = input;
-        planned.size = 0;
-    }
     {
         obs::Span pass_span("compile.canonicalize", obs::Category::Compile);
         canonicalize_pass(
             p,
-            context_ != nullptr ? simulate(p, *context_, input)
+            context != nullptr ? simulate(p, *context, canonical)
                                 : std::vector<ValueFacts>{},
             result.report);
     }
@@ -474,11 +426,9 @@ CompiledProgram ProgramCompiler::compile(const Program &program) const {
         obs::Span pass_span("compile.dce", obs::Category::Compile);
         p = dce_pass(p, result.report);
     }
-    if (context_ != nullptr) {
+    if (context != nullptr) {
         obs::Span pass_span("compile.plan", obs::Category::Compile);
-        p = Planner(p, *context_, planned, options_.snap_tolerance,
-                    result.report)
-                .run();
+        p = Planner(p, *context, planned, result.report).run();
         // Re-derived alignment chains duplicate when one value aligns for
         // several consumers; merge them.
         p = cse_pass(p, result.report);
@@ -488,14 +438,16 @@ CompiledProgram ProgramCompiler::compile(const Program &program) const {
         prefuse_pass(p, result.report);
     }
     p.validate();
-    if (context_ != nullptr) {
+    if (context != nullptr) {
         // Compiler-bug tripwire: the planner's contract is that its
         // output raw-interprets cleanly under the facts it planned for,
         // so any must-fail node here is a pass pipeline defect, not a
         // user error.
         obs::Span pass_span("compile.verify", obs::Category::Compile);
+        const ProgramAnalyzer analyzer(*context);
         const AnalysisReport verdict =
-            ProgramAnalyzer(*context_).analyze(p, planned);
+            planned.size() == p.num_inputs ? analyzer.analyze(p, planned)
+                                           : analyzer.analyze(p, planned[0]);
         if (!verdict.ok()) {
             throw std::logic_error(
                 "he: compiler: self-verify failed, pass output must-fail: " +
@@ -510,6 +462,41 @@ CompiledProgram ProgramCompiler::compile(const Program &program) const {
             std::to_string(result.after.nodes) + " nodes");
     }
     return result;
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// ProgramCompiler
+// ---------------------------------------------------------------------------
+
+ProgramCompiler::ProgramCompiler(CompilerOptions options)
+    : options_(options) {}
+
+ProgramCompiler::ProgramCompiler(const ckks::CkksContext &context,
+                                 CompilerOptions options)
+    : context_(&context), options_(options) {}
+
+CompiledProgram ProgramCompiler::compile(const Program &program) const {
+    if (context_ == nullptr) {
+        return run_passes(context_, program, {}, {});
+    }
+    // Input sizes are the caller's.  Canonicalize may assume the usual 2
+    // — an Add only runs when its operand sizes agree, so a swap proven
+    // under that assumption stays bit-safe — but the planner leaves them
+    // unknown, so it rejects only size defects no input can avoid.
+    const InputFacts input = default_input_facts(
+        *context_, options_.input_level, options_.input_scale);
+    InputFacts planned = input;
+    planned.size = 0;
+    return run_passes(context_, program, {&input, 1}, {&planned, 1});
+}
+
+CompiledProgram ProgramCompiler::compile(
+    const Program &program, std::span<const InputFacts> inputs) const {
+    util::require(inputs.size() == program.num_inputs,
+                  "he: compiler: one InputFacts per program input required");
+    return run_passes(context_, program, inputs, inputs);
 }
 
 }  // namespace xehe::he

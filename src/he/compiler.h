@@ -23,12 +23,12 @@
 //     rules, tracking metadata with transfer() over exact (point) facts
 //     — the same arithmetic the backends evaluate, bit for bit.  Size
 //     violations are compile errors; level gaps repair with ModSwitch
-//     chains; scale gaps at gated ops within the snap tolerance repair
+//     chains; scale gaps at gated ops within kSnapTolerance repair
 //     by adopting the partner's scale (folded into the last inserted
 //     ModSwitch as a ModSwitchAdopt when possible, else an AdoptScale
 //     copy); larger gaps are compile errors — a compiled program
-//     therefore interprets with zero Session multiply-by-one fixups,
-//     and consumes only the levels its data flow forces (a client
+//     therefore raw-interprets with no alignment left to do, and
+//     consumes only the levels its data flow forces (a client
 //     circuit that over-switched both operands comes out shallower).
 //     Requires a bound context; without one the pass is skipped.
 //  5. prefuse — maximal runs of consecutive, mutually independent
@@ -53,9 +53,6 @@
 namespace xehe::he {
 
 struct CompilerOptions {
-    /// Relative scale distance the planner repairs by adoption (the
-    /// session's snap); gaps beyond it are compile errors.
-    double snap_tolerance = 0.25;
     /// Level (active prime count) the planner assumes for every program
     /// input.  0 = the context's max level.
     std::size_t input_level = 0;
@@ -100,11 +97,17 @@ public:
 
     const CompilerOptions &options() const noexcept { return options_; }
 
-    /// Runs the pipeline.  Throws std::invalid_argument on programs the
-    /// planner cannot make raw-executable (scale gaps beyond the snap
-    /// tolerance, operand sizes off their row's contract, a prime dropped
-    /// at the last level).
+    /// Runs the pipeline, planning for the options' input level and scale
+    /// on every input.  Throws std::invalid_argument on programs the
+    /// planner cannot make raw-executable (scale gaps beyond
+    /// kSnapTolerance, operand sizes off their row's contract, a prime
+    /// dropped at the last level).
     CompiledProgram compile(const Program &program) const;
+    /// The same, planning for one InputFacts per program input — the
+    /// facts_of() of the ciphertexts it will run on, which may sit at
+    /// different levels and scales (mirrors ProgramAnalyzer::analyze).
+    CompiledProgram compile(const Program &program,
+                            std::span<const InputFacts> inputs) const;
 
 private:
     const ckks::CkksContext *context_ = nullptr;

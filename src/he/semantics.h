@@ -26,6 +26,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -230,7 +231,23 @@ struct InputFacts {
     std::size_t size = 0;
     std::size_t level = 0;
     double scale = 0.0;
+
+    bool operator==(const InputFacts &) const = default;
 };
+
+/// Relative scale distance within which two scales count as one: the
+/// planner repairs a gated cipher-cipher gap this small by adopting the
+/// partner's scale, and he::Session snaps a rescaled product landing this
+/// close to the session scale back onto it.
+inline constexpr double kSnapTolerance = 0.25;
+
+/// True when `a` and `b` lie within kSnapTolerance of each other, read
+/// either way round (the planner's repair range).
+inline bool within_snap(double a, double b) {
+    const double ratio = a / b;
+    return std::abs(ratio - 1.0) <= kSnapTolerance ||
+           std::abs(1.0 / ratio - 1.0) <= kSnapTolerance;
+}
 
 /// The compiler's input assumptions: size 2 at `level` (0 = the context's
 /// max level, and capped there) with `scale` (0 = the last data prime —
@@ -267,6 +284,12 @@ struct ValueFacts {
     uint8_t level_min = 1;
     uint8_t level_max = 1;
     bool live = false;        ///< transitively feeds an output
+    /// assume_alignment analysis of an alignment node, whose facts are as
+    /// the planner keeps it: the level_max the planner may leave by
+    /// stripping it (0 elsewhere), and whether keeping it (with the
+    /// alignment nodes behind it) drops a prime at the last level.
+    uint8_t level_max_stripped = 0;
+    bool drop_fails = false;
 
     bool size_exact() const noexcept { return size_min == size_max; }
     bool level_exact() const noexcept { return level_min == level_max; }
@@ -316,17 +339,18 @@ inline bool size_must_fail(const OpSemantics &row, const ValueFacts &a,
 
 /// Writes into `out` the facts of a node with row `row` over operand
 /// facts `a` and `b` (the constant's facts for a constant operand; `a`
-/// again for unary ops), leaving only its liveness bit alone.  Facts
-/// describe the result *if the op succeeds*; whether it can is the
+/// again for unary ops), leaving its liveness and stripping bits alone.
+/// Facts describe the result *if the op succeeds*; whether it can is the
 /// consumer's check against the row.  `aligned`: the program will be
 /// planned before it runs, so the result covers every alignment the
-/// planner may choose (level drops it may strip, either partner's scale
-/// at a gated op).  Inline: the analyzer's walk calls it with the row as
-/// a compile-time constant (visit_op), and the rules fold away.
+/// planner may choose at the node (the lower operand's level at a
+/// level-equal op, either partner's scale at a gated op).  Inline: the
+/// analyzer's walk calls it with the row as a compile-time constant
+/// (visit_op), and the rules fold away.
 inline void transfer(const OpSemantics &row, const ValueFacts &a,
                      const ValueFacts &b, ValueFacts &out,
                      const ckks::CkksContext &ctx, bool aligned = false) {
-    // Field by field, not `out = a`: the slot's liveness bit stays, and
+    // Field by field, not `out = a`: the slot's analysis bits stay, and
     // the admission walk measurably prefers the narrower stores.
     out.size_min = a.size_min;
     out.size_max = a.size_max;
@@ -367,11 +391,8 @@ inline void transfer(const OpSemantics &row, const ValueFacts &a,
             out.level_min = out.level_max = std::max<uint8_t>(b.level_min, 1);
             break;
         case LevelRule::Drop:
-            // The planner may strip an alignment drop outright.
             out.level_min = detail::drop_one(a.level_min);
-            out.level_max = aligned && row.alignment
-                                ? a.level_max
-                                : detail::drop_one(a.level_max);
+            out.level_max = detail::drop_one(a.level_max);
             break;
     }
 

@@ -1,10 +1,35 @@
 #include "obs/json.h"
 
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
+#include <ostream>
 #include <utility>
 
 namespace xehe::obs {
+
+void write_json_string(std::ostream &out, const std::string &s) {
+    out << '"';
+    for (const char c : s) {
+        switch (c) {
+            case '"': out << "\\\""; break;
+            case '\\': out << "\\\\"; break;
+            case '\n': out << "\\n"; break;
+            case '\t': out << "\\t"; break;
+            case '\r': out << "\\r"; break;
+            default:
+                if (static_cast<unsigned char>(c) < 0x20) {
+                    char buf[8];
+                    std::snprintf(buf, sizeof(buf), "\\u%04x",
+                                  static_cast<unsigned>(c));
+                    out << buf;
+                } else {
+                    out << c;
+                }
+        }
+    }
+    out << '"';
+}
 
 bool JsonValue::as_bool() const {
     if (type_ != Type::Bool) {

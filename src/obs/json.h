@@ -1,13 +1,15 @@
-// Minimal JSON reader for the observability exports: just enough of
-// RFC 8259 to parse what obs::write_chrome_trace and
-// obs::Registry::write_json emit (objects, arrays, strings with escapes,
-// numbers, booleans, null), so the trace self-check, the roundtrip
-// example's smoke assertion and the span-tree tests can all validate real
-// exported bytes without an external dependency.  Parse-only; throws
-// JsonError with a byte offset on malformed input.
+// Minimal JSON support for the observability exports: the one string
+// writer both exports use, and a reader with just enough of RFC 8259 to
+// parse what obs::write_chrome_trace and obs::Registry::write_json emit
+// (objects, arrays, strings with escapes, numbers, booleans, null), so
+// the trace self-check, the roundtrip example's smoke assertion and the
+// span-tree tests can all validate real exported bytes without an
+// external dependency.  The reader throws JsonError with a byte offset on
+// malformed input.
 #pragma once
 
 #include <cstddef>
+#include <iosfwd>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -63,6 +65,10 @@ private:
     std::vector<JsonValue> array_;
     std::map<std::string, JsonValue> object_;
 };
+
+/// Writes `s` as a quoted JSON string, escaping quotes, backslashes and
+/// control characters.
+void write_json_string(std::ostream &out, const std::string &s);
 
 /// Parses one JSON document (trailing non-whitespace is an error).
 JsonValue parse_json(std::string_view text);

@@ -6,6 +6,8 @@
 #include <limits>
 #include <ostream>
 
+#include "obs/json.h"
+
 namespace xehe::obs {
 
 double percentile(std::span<const double> sorted, double q) noexcept {
@@ -219,29 +221,6 @@ std::vector<MetricSnapshot> Registry::snapshot() const {
 }
 
 namespace {
-
-void write_json_string(std::ostream &out, const std::string &s) {
-    out << '"';
-    for (const char c : s) {
-        switch (c) {
-            case '"': out << "\\\""; break;
-            case '\\': out << "\\\\"; break;
-            case '\n': out << "\\n"; break;
-            case '\t': out << "\\t"; break;
-            case '\r': out << "\\r"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof(buf), "\\u%04x",
-                                  static_cast<unsigned>(c));
-                    out << buf;
-                } else {
-                    out << c;
-                }
-        }
-    }
-    out << '"';
-}
 
 void write_json_number(std::ostream &out, double v) {
     if (!std::isfinite(v)) {

@@ -15,29 +15,6 @@ namespace xehe::obs {
 
 namespace {
 
-void write_json_string(std::ostream &out, const std::string &s) {
-    out << '"';
-    for (const char c : s) {
-        switch (c) {
-            case '"': out << "\\\""; break;
-            case '\\': out << "\\\\"; break;
-            case '\n': out << "\\n"; break;
-            case '\t': out << "\\t"; break;
-            case '\r': out << "\\r"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof(buf), "\\u%04x",
-                                  static_cast<unsigned>(c));
-                    out << buf;
-                } else {
-                    out << c;
-                }
-        }
-    }
-    out << '"';
-}
-
 void write_us(std::ostream &out, double ns) {
     // Trace-event timestamps are microseconds; keep ns resolution with
     // three decimals.

@@ -24,7 +24,7 @@ struct LatencyStats {
     /// degradation, not failure.
     std::size_t fallbacks = 0;
     /// Requests executed on the host backend for any reason (explicit
-    /// hint, cost routing, or fallback).
+    /// hint or fallback).
     std::size_t host_requests = 0;
     double p50_ms = 0.0;
     double p95_ms = 0.0;

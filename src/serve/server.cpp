@@ -506,18 +506,13 @@ private:
 };
 
 Response InferenceServer::route(const Admitted &entry, double dispatch_time) {
-    // An explicit hint wins; Auto takes the GPU pool when one is up, unless
-    // cost routing (when configured) keeps a small job on host.  A request
-    // that wanted the GPU but cannot have it runs on host, counted as a
-    // fallback instead of failing.
+    // An explicit hint wins; Auto takes the GPU pool when one is up.  A
+    // request that wanted the GPU but cannot have it runs on host, counted
+    // as a fallback instead of failing.
     const Request &request = entry.request;
     const bool wants_gpu = request.backend != BackendHint::Host;
-    const bool cost_routed =
-        request.backend == BackendHint::Auto &&
-        config_.host_route_max_cost > 0 &&
-        work_units(*entry.program) <= config_.host_route_max_cost;
     bool fallback = wants_gpu && !pool_;
-    if (wants_gpu && pool_ && !cost_routed) {
+    if (wants_gpu && pool_) {
         try {
             GpuLane lane(*this, request.session_id);
             return execute(entry, lane, dispatch_time);

@@ -58,13 +58,6 @@ struct ServerConfig {
     /// (bytes, must be positive).  Ignored when a shared KeyManager is
     /// injected (the sharded server's configuration wins).
     std::size_t key_budget_bytes = std::size_t{64} << 20;
-    /// Cost-model request routing: a BackendHint::Auto request whose
-    /// program's host-lane work units (one per node, 2 x count per
-    /// MultiplyAcc; a client circuit's constants add none) are <= this
-    /// threshold runs on the host backend even when the GPU pool is up —
-    /// small jobs skip the device queues.  0 (default) disables cost
-    /// routing.  Explicit per-request hints always win.
-    std::size_t host_route_max_cost = 0;
 
     /// Throws ConfigError on any invalid field; called by every server
     /// constructor so an unvalidated config cannot reach the data path.
@@ -157,7 +150,7 @@ private:
     /// route() inside the request's trace identity, recording the
     /// serve.request span that lane, key, compile and kernel spans join.
     Response dispatch(const Admitted &entry, double dispatch_time);
-    /// Picks the backend (hint, cost routing, GPU pool, host fallback).
+    /// Picks the backend (hint, GPU pool, host fallback).
     Response route(const Admitted &entry, double dispatch_time);
     /// The one execution path, on whichever backend `lane` wraps: lane
     /// timing, the typed Status of any error, and the serve.lane span.

@@ -18,7 +18,7 @@ std::vector<double> random_slots(std::size_t count, std::mt19937_64 &rng) {
     return v;
 }
 
-/// Host-side scheme objects shared by the single- and multi-queue paths.
+/// Host-side scheme objects: keys, encoder and the input generator.
 struct MatmulHost {
     ckks::CkksEncoder encoder;
     ckks::KeyGenerator keygen;
@@ -60,15 +60,14 @@ std::vector<GpuCiphertext> make_matrix(
     return matrix;
 }
 
-/// Downloads `config.verify_samples` result elements through the context
-/// owning each element (`context_of(idx)`), decrypts, and returns the
-/// maximum decrypted-vs-plaintext error.
-template <typename ContextOf>
+/// Downloads `config.verify_samples` result elements through the lane
+/// that computed each one, decrypts, and returns the maximum
+/// decrypted-vs-plaintext error.
 double verify_result_samples(MatmulHost &hs, const MatmulConfig &config,
+                             GpuEvaluatorPool &pool,
                              const std::vector<GpuCiphertext> &c,
                              const std::vector<std::vector<double>> &a_slots,
-                             const std::vector<std::vector<double>> &b_slots,
-                             ContextOf &&context_of) {
+                             const std::vector<std::vector<double>> &b_slots) {
     double max_error = 0.0;
     const std::size_t samples = std::min(config.verify_samples, c.size());
     for (std::size_t s = 0; s < samples; ++s) {
@@ -76,7 +75,7 @@ double verify_result_samples(MatmulHost &hs, const MatmulConfig &config,
             s * (c.size() / std::max<std::size_t>(samples, 1));
         const std::size_t i = idx / config.n;
         const std::size_t j = idx % config.n;
-        GpuContext &gpu = context_of(idx);
+        GpuContext &gpu = pool.context(idx % pool.lane_count());
         const auto host_ct = download(gpu, c[idx]);
         const auto decoded = hs.encoder.decode(hs.decryptor.decrypt(host_ct));
         for (std::size_t slot = 0; slot < gpu.host().slots(); ++slot) {
@@ -92,12 +91,15 @@ double verify_result_samples(MatmulHost &hs, const MatmulConfig &config,
     return max_error;
 }
 
-/// Multi-queue variant: inputs are uploaded once on lane 0 and broadcast
-/// to the other lanes through a cross-queue event; output tiles are
-/// round-robined across lanes, each tile's multiply-accumulate chain
-/// staying in-order on its lane while different tiles overlap.
-MatmulReport run_matmul_multi_queue(const ckks::CkksContext &host,
-                                    const MatmulConfig &config) {
+}  // namespace
+
+// Inputs are uploaded once on lane 0 and broadcast to the other lanes
+// through a cross-queue event; output tiles are round-robined across
+// lanes, each tile's multiply-accumulate chain staying in-order on its
+// lane while different tiles overlap.
+MatmulReport run_encrypted_matmul(const MatmulConfig &config) {
+    const ckks::CkksContext host(ckks::EncryptionParameters::create(
+        config.poly_degree, config.levels));
     GpuEvaluatorPool pool(host, config.device, config.gpu, config.queues);
     pool.set_functional(config.functional);
     const std::size_t lanes = pool.lane_count();
@@ -128,92 +130,6 @@ MatmulReport run_matmul_multi_queue(const ckks::CkksContext &host,
     }
 
     // --- C += A * B, tiles round-robined across lanes -------------------
-    std::vector<GpuCiphertext> c;
-    if (config.functional) {
-        c.reserve(config.m * config.n);
-    }
-    for (std::size_t i = 0; i < config.m; ++i) {
-        for (std::size_t j = 0; j < config.n; ++j) {
-            const std::size_t lane = (i * config.n + j) % lanes;
-            GpuContext &gpu = pool.context(lane);
-            GpuEvaluator &evaluator = pool.evaluator(lane);
-            GpuCiphertext acc = allocate_ciphertext(
-                gpu, 3, host.max_level(), config.scale * config.scale);
-            for (std::size_t t = 0; t < config.k; ++t) {
-                const GpuCiphertext &ae = a[i * config.k + t];
-                const GpuCiphertext &be = b[t * config.n + j];
-                GpuCiphertext prod = evaluator.multiply(ae, be);
-                evaluator.add_inplace(acc, prod);
-            }
-            if (config.functional) {
-                c.push_back(std::move(acc));
-            } else {
-                gpu.queue().transfer(acc.all().size() * sizeof(uint64_t));
-            }
-        }
-    }
-
-    if (config.functional) {
-        report.max_error = verify_result_samples(
-            hs, config, c, a_slots, b_slots,
-            [&](std::size_t idx) -> GpuContext & {
-                return pool.context(idx % lanes);
-            });
-    }
-
-    for (std::size_t q = 0; q < lanes; ++q) {
-        pool.context(q).queue().charge_alloc_time();
-        const auto stats = pool.context(q).queue().cache().stats();
-        report.alloc.requests += stats.requests;
-        report.alloc.device_allocs += stats.device_allocs;
-        report.alloc.cache_hits += stats.cache_hits;
-        report.alloc.frees += stats.frees;
-        report.alloc.sim_alloc_ns += stats.sim_alloc_ns;
-    }
-    report.sim_busy_ms = pool.busy_ns() * 1e-6;
-    if (!config.functional) {
-        // Cost-only: one event join + host block, matching the single
-        // blocking wait() of the single-queue path.  Functional runs
-        // already blocked per sample download, as the legacy path does.
-        pool.wait_all();
-    }
-    report.sim_total_ms = pool.makespan_ns() * 1e-6;
-    report.sim_kernel_ms = pool.aggregate_profiler().total_ns() * 1e-6;
-    report.sim_alloc_ms = report.alloc.sim_alloc_ns * 1e-6;
-    return report;
-}
-
-}  // namespace
-
-MatmulReport run_encrypted_matmul(const MatmulConfig &config) {
-    using ckks::CkksContext;
-    using ckks::EncryptionParameters;
-
-    const CkksContext host(
-        EncryptionParameters::create(config.poly_degree, config.levels));
-    if (config.queues != 1) {
-        return run_matmul_multi_queue(host, config);
-    }
-    GpuContext gpu(host, config.device, config.gpu);
-    gpu.set_functional(config.functional);
-    GpuEvaluator evaluator(gpu);
-
-    MatmulHost hs(host, config);
-
-    MatmulReport report;
-    report.products = config.m * config.n * config.k;
-    gpu.queue().reset_clock();
-    gpu.queue().profiler().reset();
-    gpu.queue().cache().reset_stats();
-
-    // --- allocate + encode + encrypt + upload the inputs ----------------
-    std::vector<std::vector<double>> a_slots, b_slots;
-    auto a = make_matrix(gpu, hs, config, config.m, config.k,
-                         config.functional ? &a_slots : nullptr);
-    auto b = make_matrix(gpu, hs, config, config.k, config.n,
-                         config.functional ? &b_slots : nullptr);
-
-    // --- C += A * B ------------------------------------------------------
     // Result elements are streamed back to the host as soon as they are
     // complete; in cost-only mode the transfer is charged and the buffer
     // recycled immediately, so both the per-product temporaries and the
@@ -224,6 +140,9 @@ MatmulReport run_encrypted_matmul(const MatmulConfig &config) {
     }
     for (std::size_t i = 0; i < config.m; ++i) {
         for (std::size_t j = 0; j < config.n; ++j) {
+            const std::size_t lane = (i * config.n + j) % lanes;
+            GpuContext &gpu = pool.context(lane);
+            GpuEvaluator &evaluator = pool.evaluator(lane);
             GpuCiphertext acc = allocate_ciphertext(
                 gpu, 3, host.max_level(), config.scale * config.scale);
             for (std::size_t t = 0; t < config.k; ++t) {
@@ -245,19 +164,27 @@ MatmulReport run_encrypted_matmul(const MatmulConfig &config) {
     }
 
     if (config.functional) {
-        report.max_error = verify_result_samples(
-            hs, config, c, a_slots, b_slots,
-            [&](std::size_t) -> GpuContext & { return gpu; });
-    } else {
-        gpu.queue().wait();
+        report.max_error =
+            verify_result_samples(hs, config, pool, c, a_slots, b_slots);
     }
 
-    gpu.queue().charge_alloc_time();
-    report.sim_total_ms = gpu.queue().clock_ns() * 1e-6;
-    report.sim_busy_ms = report.sim_total_ms;
-    report.queues = 1;
-    report.sim_kernel_ms = gpu.queue().profiler().total_ns() * 1e-6;
-    report.alloc = gpu.queue().cache().stats();
+    for (std::size_t q = 0; q < lanes; ++q) {
+        pool.context(q).queue().charge_alloc_time();
+        const auto stats = pool.context(q).queue().cache().stats();
+        report.alloc.requests += stats.requests;
+        report.alloc.device_allocs += stats.device_allocs;
+        report.alloc.cache_hits += stats.cache_hits;
+        report.alloc.frees += stats.frees;
+        report.alloc.sim_alloc_ns += stats.sim_alloc_ns;
+    }
+    report.sim_busy_ms = pool.busy_ns() * 1e-6;
+    if (!config.functional) {
+        // Cost-only: one event join + host block.  Functional runs already
+        // blocked per sample download.
+        pool.wait_all();
+    }
+    report.sim_total_ms = pool.makespan_ns() * 1e-6;
+    report.sim_kernel_ms = pool.aggregate_profiler().total_ns() * 1e-6;
     report.sim_alloc_ms = report.alloc.sim_alloc_ns * 1e-6;
     return report;
 }

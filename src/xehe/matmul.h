@@ -26,12 +26,12 @@ struct MatmulConfig {
     bool functional = true;
     /// Number of result elements to decrypt and verify (functional mode).
     std::size_t verify_samples = 3;
-    /// Queue fan-out: 1 = the legacy single in-order queue; 0 = one queue
-    /// per device tile; > 1 = explicit lane count (clamped to the device's
-    /// tile count).  With several queues
-    /// the inputs are uploaded once and broadcast through a cross-queue
-    /// event, and output tiles are round-robined across lanes — each
-    /// tile's accumulation chain stays in-order on its lane.
+    /// Queue fan-out over a GpuEvaluatorPool: 0 = one lane per device
+    /// tile; >= 1 = explicit lane count (clamped to the device's tile
+    /// count).  The inputs are uploaded once and broadcast through a
+    /// cross-queue event, and output tiles are round-robined across lanes
+    /// — each tile's accumulation chain stays in-order on its lane.  Each
+    /// lane is one tile, so `gpu.tiles` is not consulted.
     int queues = 1;
     uint64_t seed = 1234;
 };
@@ -47,6 +47,7 @@ struct MatmulReport {
     double max_error = 0.0;        ///< decrypted-vs-plain error (functional)
 };
 
+/// Throws he::BackendUnavailable when "gpu" is switched off.
 MatmulReport run_encrypted_matmul(const MatmulConfig &config);
 
 }  // namespace xehe::core

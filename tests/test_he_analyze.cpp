@@ -3,14 +3,15 @@
 // assume_alignment modes disagree exactly where the compiler's planner
 // can repair (level/scale alignment, dead nodes), unknown input facts
 // stay permissive, canonical routine programs analyze clean, and the
-// Session::run admission gate throws typed he::ProgramRejected (with the
-// opt-out falling through to the runtime fault).  A per-op conformance
+// Session::run admission gate throws typed he::ProgramRejected (where raw
+// interpretation faults at run time).  A per-op conformance
 // grid holds every row of he/semantics.h to both backends: the strict
 // verdict equals whether they throw, and the result metadata equals the
 // row's transfer function.
 #include "test_common.h"
 
 #include "he/analyze.h"
+#include "he/compiler.h"
 #include "he/session.h"
 #include "xgpu/device.h"
 
@@ -141,23 +142,70 @@ TEST(HeAnalyze, SizeViolationsAreErrorsInBothModes) {
     }
 }
 
-TEST(HeAnalyze, AddScaleMismatchIsStrictOnly) {
+TEST(HeAnalyze, AddScaleGapIsStrictOnlyWithinTheSnapTolerance) {
     AnalyzeRig rig;
     ProgramBuilder b(2);
     b.output(b.add(b.input(0), b.input(1)));
     const he::Program p = b.build();
     const double base = rig.base_scale();
-    const std::vector<InputFacts> facts = {{2, 4, base},
-                                           {2, 4, base * 1024.0}};
+    const std::vector<InputFacts> near = {{2, 4, base}, {2, 4, base * 1.1}};
+    const std::vector<InputFacts> far = {{2, 4, base},
+                                         {2, 4, base * 1024.0}};
 
     ProgramAnalyzer strict(rig.context(), rig.keyed_options(false));
-    const AnalysisReport strict_report = strict.analyze(p, facts);
-    ASSERT_FALSE(strict_report.ok());
-    EXPECT_TRUE(has_kind(strict_report, DiagKind::ScaleMismatch));
+    for (const auto &facts : {near, far}) {
+        const AnalysisReport report = strict.analyze(p, facts);
+        ASSERT_FALSE(report.ok());
+        EXPECT_TRUE(has_kind(report, DiagKind::ScaleMismatch));
+    }
 
-    // The planner repairs scale misalignment, so aligned mode accepts.
+    // The planner repairs a gap within the snap tolerance by adoption, so
+    // aligned mode accepts it; a wider gap it cannot repair.
     ProgramAnalyzer aligned(rig.context(), rig.keyed_options(true));
-    EXPECT_TRUE(aligned.analyze(p, facts).ok());
+    EXPECT_TRUE(aligned.analyze(p, near).ok());
+    const AnalysisReport far_report = aligned.analyze(p, far);
+    ASSERT_FALSE(far_report.ok());
+    EXPECT_TRUE(has_kind(far_report, DiagKind::ScaleMismatch));
+}
+
+TEST(HeAnalyze, AlignedModeErrsWhereThePlannerCannotRepair) {
+    // Each program here fails ProgramCompiler::compile, so aligned mode
+    // must reject it too.
+    AnalyzeRig rig;
+    const double base = rig.base_scale();
+    const InputFacts top{2, 4, base};
+    ProgramAnalyzer aligned(rig.context(), rig.keyed_options(true));
+    const he::ProgramCompiler compiler(rig.context());
+    const auto expect_rejected = [&](const he::Program &p,
+                                     const InputFacts &facts, DiagKind kind) {
+        const AnalysisReport report = aligned.analyze(p, facts);
+        ASSERT_FALSE(report.ok());
+        EXPECT_TRUE(has_kind(report, kind)) << report.summary();
+        const std::vector<InputFacts> per_input(p.num_inputs, facts);
+        EXPECT_THROW(compiler.compile(p, per_input), std::invalid_argument);
+    };
+
+    // A plaintext's scale cannot be adopted.
+    ProgramBuilder plain(1);
+    plain.output(plain.add_plain(
+        plain.input(0),
+        plain.constant(rig.bench.encoder.encode(0.5, base * 1.1, 4))));
+    expect_rejected(plain.build(), top, DiagKind::ScaleMismatch);
+
+    // An output mod-switch is pinned, so it cannot be stripped at level 1.
+    ProgramBuilder drop(1);
+    drop.output(drop.mod_switch(drop.input(0)));
+    expect_rejected(drop.build(), InputFacts{2, 1, base},
+                    DiagKind::LevelUnderflow);
+
+    // A mod-switch a plain op reads is pinned too: the cipher then sits
+    // below the constant's level.
+    ProgramBuilder below(1);
+    const auto constant =
+        below.constant(rig.bench.encoder.encode(0.5, 1.0, 4));
+    below.output(below.multiply_plain(below.mod_switch(below.input(0)),
+                                      constant));
+    expect_rejected(below.build(), top, DiagKind::LevelMismatch);
 }
 
 TEST(HeAnalyze, AddLevelMismatchIsStrictOnly) {
@@ -387,7 +435,7 @@ TEST(HeAnalyze, UnknownInputFactsStayPermissive) {
     EXPECT_TRUE(report.ok()) << report.summary();
 }
 
-TEST(HeAnalyze, SessionRunRejectsStaticallyAndOptOutFaultsAtRuntime) {
+TEST(HeAnalyze, SessionRunRejectsStaticallyAndRawRunFaultsAtRuntime) {
     ckks::CkksContext context(ckks::EncryptionParameters::create(1024, 4));
     he::HostBackend backend(context);
 
@@ -415,19 +463,14 @@ TEST(HeAnalyze, SessionRunRejectsStaticallyAndOptOutFaultsAtRuntime) {
                   std::string::npos);
     }
 
-    // Opting out of analysis (and compilation) defers the same defect to
-    // the interpreter, which faults mid-execution without diagnostics.
-    he::SessionOptions raw_opts;
-    raw_opts.analyze_programs = false;
-    raw_opts.compile_programs = false;
-    he::Session raw(backend, raw_opts);
-    std::vector<he::Cipher> raw_inputs;
-    raw_inputs.push_back(raw.encrypt(std::vector<double>{0.5, -0.25}));
+    // Raw interpretation skips the analysis, so the same defect faults
+    // mid-execution without diagnostics.
     try {
-        raw.run(p, raw_inputs);
+        he::run_program(p, backend, inputs,
+                        {&session.relin_keys(), &session.galois_keys()});
         FAIL() << "expected a runtime fault";
     } catch (const he::ProgramRejected &) {
-        FAIL() << "analysis ran despite the opt-out";
+        FAIL() << "raw interpretation ran the analysis";
     } catch (const std::invalid_argument &) {
         // The evaluator's missing-key fault — the un-gated behavior.
     }

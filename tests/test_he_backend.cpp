@@ -7,6 +7,7 @@
 #include "test_common.h"
 
 #include "he/analyze.h"
+#include "he/compiler.h"
 #include "he/session.h"
 #include "xgpu/device.h"
 
@@ -262,24 +263,23 @@ TEST(HeSession, RandomizedOpChainsBitExactAcrossBackends) {
 
 TEST(HeSession, AutoRelinearizeControlsResultSize) {
     BackendRig rig;
-    he::Session managed(rig.gpu);
-    const auto a = managed.encrypt(random_reals(rig.context.slots(), 31));
-    const auto b = managed.encrypt(random_reals(rig.context.slots(), 32));
-    EXPECT_EQ(managed.multiply(a, b).size(), 2u);
+    he::Session session(rig.gpu);
+    const auto a = session.encrypt(random_reals(rig.context.slots(), 31));
+    const auto b = session.encrypt(random_reals(rig.context.slots(), 32));
+    EXPECT_EQ(session.multiply(a, b).size(), 2u);
 
-    he::SessionOptions raw_opts;
-    raw_opts.auto_relinearize = false;
-    raw_opts.auto_rescale = false;
-    he::Session raw(rig.host, raw_opts);
-    const auto ra = raw.encrypt(random_reals(rig.context.slots(), 31));
-    const auto rb = raw.encrypt(random_reals(rig.context.slots(), 32));
-    const auto prod = raw.multiply(ra, rb);
+    // The raw backend product stays size 3 until relinearized.
+    const auto prod = rig.gpu.multiply(a, b);
     EXPECT_EQ(prod.size(), 3u);
-    EXPECT_EQ(raw.relinearize(prod).size(), 2u);
-    // Size-3 pairs still add; a size-3 operand where size 2 is required
-    // throws instead of silently relinearizing.
-    EXPECT_EQ(raw.add(prod, prod).size(), 3u);
-    EXPECT_THROW(raw.multiply(prod, ra), std::invalid_argument);
+    const auto relinearized = rig.gpu.relinearize(prod, session.relin_keys());
+    EXPECT_EQ(relinearized.size(), 2u);
+    // A size-3 operand where size 2 is required throws instead of
+    // silently relinearizing.
+    EXPECT_THROW(rig.gpu.multiply(prod, a), std::invalid_argument);
+    // The managed add keeps an equal-size pair as it is and relinearizes
+    // the size-3 side of a mixed pair.
+    EXPECT_EQ(session.add(prod, prod).size(), 3u);
+    EXPECT_EQ(session.add(prod, relinearized).size(), 2u);
 }
 
 TEST(HeSession, AutoRescaleHoldsTheWaterlineAndSnaps) {
@@ -299,56 +299,17 @@ TEST(HeSession, AutoRescaleHoldsTheWaterlineAndSnaps) {
     const auto prod2 = session.multiply(prod, session.rotate(prod, 1));
     EXPECT_DOUBLE_EQ(prod2.scale(), session.scale());
 
-    he::SessionOptions raw_opts;
-    raw_opts.auto_rescale = false;
-    he::Session raw(rig.gpu, raw_opts);
-    const auto ra = raw.encrypt(random_reals(rig.context.slots(), 41));
-    const auto rb = raw.encrypt(random_reals(rig.context.slots(), 42));
-    const auto rprod = raw.multiply(ra, rb);
+    // The raw backend product keeps its level and the squared scale.
+    const auto rprod = rig.gpu.multiply(a, b);
     EXPECT_EQ(rprod.level(), rig.context.max_level());
-    EXPECT_DOUBLE_EQ(rprod.scale(), raw.scale() * raw.scale());
-}
-
-TEST(HeSession, ExplicitScaleTriggersMultiplyByOneCorrection) {
-    // An explicit 2^40 scale under 50-bit primes: rescaled products land
-    // near 2^30, a ~2^10 gap from fresh ciphertexts — beyond the snap
-    // tolerance, so alignment goes through the multiply-by-one path and
-    // the sum still decodes correctly.
-    BackendRig rig;
-    he::SessionOptions opts;
-    opts.scale = 1099511627776.0;  // 2^40
-    he::Session hs(rig.host, opts);
-    he::Session gs(rig.gpu, opts);
-    const std::size_t slots = rig.context.slots();
-    const auto va = random_reals(slots, 51);
-    const auto vb = random_reals(slots, 52);
-    const auto vc = random_reals(slots, 53);
-
-    auto run = [&](he::Session &s) {
-        const auto a = s.encrypt(va);
-        const auto b = s.encrypt(vb);
-        const auto c = s.encrypt(vc);
-        const auto prod = s.multiply(a, b);
-        // The gap really is too wide to snap.
-        EXPECT_GT(c.scale() / prod.scale(), 2.0);
-        return s.add(prod, c);
-    };
-    const auto hsum = run(hs);
-    const auto gsum = run(gs);
-    expect_bit_identical(hs.backend().download(hsum),
-                         gs.backend().download(gsum), "corrected sum");
-    std::vector<double> expect(slots);
-    for (std::size_t i = 0; i < slots; ++i) {
-        expect[i] = va[i] * vb[i] + vc[i];
-    }
-    expect_decodes_to(gs, gsum, expect, 2e-2, "corrected decode");
+    EXPECT_DOUBLE_EQ(rprod.scale(), session.scale() * session.scale());
 }
 
 TEST(HeSession, SetScaleOverridesMetadataOnly) {
     BackendRig rig;
     he::Session session(rig.gpu);
     const auto a = session.encrypt(random_reals(rig.context.slots(), 61));
-    const auto b = session.set_scale(a, 2.0 * a.scale());
+    const auto b = session.backend().set_scale(a, 2.0 * a.scale());
     EXPECT_DOUBLE_EQ(b.scale(), 2.0 * a.scale());
     const auto da = session.backend().download(a);
     const auto db = session.backend().download(b);
@@ -357,18 +318,91 @@ TEST(HeSession, SetScaleOverridesMetadataOnly) {
 }
 
 TEST(HeSession, MidRangeScaleGapRejected) {
-    // Between the snap tolerance and the multiply-by-one bound neither
-    // alignment mechanism is accurate; add must throw, not silently lose
-    // up to tens of percent.
+    // Beyond the snap tolerance no alignment is accurate: add must throw,
+    // not silently lose tens of percent.
     BackendRig rig;
     he::Session session(rig.gpu);
     const auto a = session.encrypt(random_reals(rig.context.slots(), 81));
-    const auto b = session.set_scale(a, 3.0 * a.scale());
-    EXPECT_THROW(session.add(a, b), std::invalid_argument);
+    const auto b = session.backend().set_scale(a, 3.0 * a.scale());
+    EXPECT_THROW(session.add(a, b), he::ProgramRejected);
+    // So does a 2^10 gap, which no planner repair spans either.
+    const auto c = session.backend().set_scale(a, 1024.0 * a.scale());
+    EXPECT_THROW(session.add(a, c), he::ProgramRejected);
     // Multiplication has no scale constraint: levels align, scales
     // multiply exactly.
     const auto prod = session.multiply(a, b);
     EXPECT_EQ(prod.size(), 2u);
+}
+
+/// What Session::multiply does after the product: relinearize, then
+/// rescale under the waterline, snapping onto the session scale.
+he::Cipher finish_product(he::Session &s, he::Cipher prod) {
+    prod = s.backend().relinearize(prod, s.relin_keys());
+    while (prod.scale() >= s.waterline() && prod.level() >= 2) {
+        const double q = static_cast<double>(
+            s.context().key_modulus()[prod.level() - 1].value());
+        const bool snap =
+            std::abs(prod.scale() / q / s.scale() - 1.0) <= he::kSnapTolerance;
+        prod = s.backend().rescale(prod, snap ? s.scale() : 0.0);
+    }
+    return prod;
+}
+
+TEST(HeSession, ManagedBinaryOpsEqualTheirCompiledOneNodePrograms) {
+    // Session::add, sub and multiply align through the compiler's planner:
+    // each result is bit-identical to interpreting the one-node program
+    // compiled for the operands' own facts, on both backends, over level
+    // gaps 0-2 and scale gaps none / within the snap tolerance.
+    BackendRig rig;
+    he::Session hs(rig.host);
+    he::Session gs(rig.gpu);
+    const std::size_t slots = rig.context.slots();
+    const auto va = random_reals(slots, 91, 0.5);
+    const auto vb = random_reals(slots, 92, 0.5);
+    const he::ProgramCompiler compiler(rig.context);
+    for (const he::OpCode op :
+         {he::OpCode::Add, he::OpCode::Sub, he::OpCode::Multiply}) {
+        he::Program program;
+        program.num_inputs = 2;
+        program.nodes.push_back({op, 0, 1, 0});
+        program.outputs = {2};
+        for (std::size_t gap = 0; gap <= 2; ++gap) {
+            for (const double scale_gap : {1.0, 1.1}) {
+                SCOPED_TRACE(std::string(he::op_semantics(op).name) +
+                             " level gap " + std::to_string(gap) +
+                             " scale gap " + std::to_string(scale_gap));
+                std::vector<ckks::Ciphertext> results;
+                for (he::Session *s : {&hs, &gs}) {
+                    const he::Cipher x = s->encrypt(va);
+                    he::Cipher y = s->encrypt(vb);
+                    for (std::size_t i = 0; i < gap; ++i) {
+                        y = s->backend().mod_switch(y);
+                    }
+                    y = s->backend().set_scale(y, scale_gap * y.scale());
+                    const he::Cipher managed =
+                        op == he::OpCode::Add   ? s->add(x, y)
+                        : op == he::OpCode::Sub ? s->sub(x, y)
+                                                : s->multiply(x, y);
+                    const he::InputFacts facts[] = {he::facts_of(x),
+                                                    he::facts_of(y)};
+                    const he::Cipher inputs[] = {x, y};
+                    he::Cipher expect = he::run_program(
+                        compiler.compile(program, facts).program,
+                        s->backend(), inputs,
+                        {&s->relin_keys(), &s->galois_keys()})[0];
+                    if (op == he::OpCode::Multiply) {
+                        expect = finish_product(*s, expect);
+                    }
+                    expect_bit_identical(s->backend().download(expect),
+                                         s->backend().download(managed),
+                                         "managed vs compiled program");
+                    results.push_back(s->backend().download(managed));
+                }
+                expect_bit_identical(results[0], results[1],
+                                     "host vs gpu");
+            }
+        }
+    }
 }
 
 TEST(HeBackend, KeySwitchAndRescaleBitExactAtEveryLevel) {

@@ -782,31 +782,25 @@ TEST(HeCompiler, SessionCompilesProgramsAndMatchesRawInterpretation) {
         rotated, builder.mod_switch_adopt(builder.input(1), rotated)));
     const he::Program program = builder.build();
 
-    const auto run_with = [&](bool compile) {
-        he::GpuBackend backend(gpu, evaluator);
-        he::SessionOptions options;
-        options.compile_programs = compile;
-        he::Session session(backend, options);
-        const auto a = session.encrypt(
-            std::vector<double>(rig.host.encoder.slots(), 0.25));
-        const auto b = session.encrypt(
-            std::vector<double>(rig.host.encoder.slots(), 0.5));
-        const he::Cipher inputs[2] = {a, b};
-        // Twice: the second run must come out of the compile cache with
-        // the same bits.
-        const auto first = session.run(program, inputs);
-        const auto second = session.run(program, inputs);
-        return std::pair(session.backend().download(first.at(0)),
-                         session.backend().download(second.at(0)));
-    };
-
-    const auto [compiled_1, compiled_2] = run_with(true);
-    const auto [raw_1, raw_2] = run_with(false);
-    expect_bit_identical(compiled_1, compiled_2, "cache replay");
+    he::GpuBackend backend(gpu, evaluator);
+    he::Session session(backend);
+    const auto a =
+        session.encrypt(std::vector<double>(rig.host.encoder.slots(), 0.25));
+    const auto b =
+        session.encrypt(std::vector<double>(rig.host.encoder.slots(), 0.5));
+    const he::Cipher inputs[2] = {a, b};
+    // Twice: the second run must come out of the compile cache with the
+    // same bits.
+    const auto first = backend.download(session.run(program, inputs).at(0));
+    const auto second = backend.download(session.run(program, inputs).at(0));
+    const auto raw = backend.download(
+        he::run_program(program, backend, inputs,
+                        {&session.relin_keys(), &session.galois_keys()})
+            .at(0));
+    expect_bit_identical(first, second, "cache replay");
     // This circuit strips and re-derives to itself, so compiled and raw
     // interpretations are bit-identical end to end.
-    expect_bit_identical(compiled_1, raw_1, "compiled vs raw session run");
-    expect_bit_identical(raw_1, raw_2, "raw determinism");
+    expect_bit_identical(first, raw, "compiled session run vs raw");
 }
 
 /// A host-backend session at N=4096 with 3 levels and the program
@@ -828,22 +822,32 @@ struct OffDefaultInputRig {
     }
 };
 
-TEST(HeCompiler, SessionRejectsMixedInputLevelsBeforeRunning) {
+TEST(HeCompiler, SessionPlansMixedInputLevels) {
+    // Each input is planned at its own level: the planner mod-switches
+    // the higher one down, as Session::add does.
     OffDefaultInputRig rig;
     const he::Cipher inputs[2] = {rig.enc(0.25),
-                                  rig.session.mod_switch(rig.enc(0.5))};
+                                  rig.backend.mod_switch(rig.enc(0.5))};
     ASSERT_NE(inputs[0].level(), inputs[1].level());
-    EXPECT_THROW(rig.session.run(rig.add_program, inputs),
-                 he::ProgramRejected);
+    const auto out = rig.session.run(rig.add_program, inputs);
+    EXPECT_EQ(out.at(0).level(), inputs[1].level());
+    for (const double v : rig.session.decrypt(out[0], 16)) {
+        EXPECT_NEAR(v, 0.75, 1e-4);
+    }
 }
 
-TEST(HeCompiler, SessionRejectsMixedInputScalesBeforeRunning) {
+TEST(HeCompiler, SessionPlansMixedInputScales) {
+    // A 1.1x scale gap lies within the snap tolerance: the second input
+    // adopts the first's scale, which restores the value set_scale hid.
     OffDefaultInputRig rig;
     const he::Cipher a = rig.enc(0.25);
     const he::Cipher inputs[2] = {
-        a, rig.session.set_scale(rig.enc(0.5), 1.1 * a.scale())};
-    EXPECT_THROW(rig.session.run(rig.add_program, inputs),
-                 he::ProgramRejected);
+        a, rig.backend.set_scale(rig.enc(0.5), 1.1 * a.scale())};
+    const auto out = rig.session.run(rig.add_program, inputs);
+    EXPECT_DOUBLE_EQ(out.at(0).scale(), a.scale());
+    for (const double v : rig.session.decrypt(out[0], 16)) {
+        EXPECT_NEAR(v, 0.75, 1e-4);
+    }
 }
 
 TEST(HeCompiler, SessionCompilesAgainstInputsBelowMaxLevel) {
@@ -856,8 +860,8 @@ TEST(HeCompiler, SessionCompilesAgainstInputsBelowMaxLevel) {
                    b.input(1)));
     const he::Program program = b.build();
     // Small values: the result lands at level 1, one prime of headroom.
-    const he::Cipher inputs[2] = {rig.session.mod_switch(rig.enc(0.25)),
-                                  rig.session.mod_switch(rig.enc(0.125))};
+    const he::Cipher inputs[2] = {rig.backend.mod_switch(rig.enc(0.25)),
+                                  rig.backend.mod_switch(rig.enc(0.125))};
     ASSERT_EQ(inputs[0].level(), 2u);
     // Twice: the second run is served by the compile cache, keyed on the
     // inputs' level and scale as well as the program.

@@ -509,6 +509,61 @@ TEST(HeCompilerFuzz, StrictAnalyzerMatchesRawInterpreterOnSeedsAndMutants) {
     EXPECT_GT(rejected_mutants, 0u);
 }
 
+// The assume_alignment analyzer errs only where the planner cannot
+// repair, so with exact facts its accept must mean the compiler plans the
+// program: over the seeds and their mutants, every aligned accept
+// compiles (he::Session::run relies on this to reject with a typed
+// ProgramRejected instead of a compiler error).
+TEST(HeCompilerFuzz, AlignedAnalyzerAcceptsOnlyWhatThePlannerCompiles) {
+    CkksBench host(1024, 4);
+    ckks::RelinKeys relin = host.keygen.create_relin_keys();
+    const int steps[] = {1};
+    ckks::GaloisKeys galois = host.keygen.create_galois_keys(steps);
+    he::ProgramKeys keys;
+    keys.relin = &relin;
+    keys.galois = &galois;
+    const double input_scale = static_cast<double>(
+        host.context.key_modulus()[host.context.max_level() - 1].value());
+
+    he::AnalyzerOptions aopts;
+    aopts.assume_alignment = true;
+    aopts.set_keys(keys);
+    const he::ProgramAnalyzer aligned(host.context, aopts);
+    const he::ProgramCompiler compiler(host.context);
+
+    std::size_t accepted = 0;
+    std::size_t rejected = 0;
+    std::vector<std::string> failures;
+    for (uint64_t seed = 1; seed <= 220; ++seed) {
+        const he::Program raw = Generator(host, seed).run();
+        const std::vector<he::InputFacts> facts(
+            raw.num_inputs,
+            he::InputFacts{2, host.context.max_level(), input_scale});
+        std::mt19937_64 rng(seed * 0x9E3779B97F4A7C15ull + 1);
+        std::vector<he::Program> programs = make_mutants(raw, rng);
+        programs.insert(programs.begin(), raw);
+        for (std::size_t m = 0; m < programs.size(); ++m) {
+            if (!aligned.analyze(programs[m], facts).ok()) {
+                ++rejected;
+                continue;
+            }
+            ++accepted;
+            try {
+                compiler.compile(programs[m], facts);
+            } catch (const std::exception &e) {
+                failures.push_back("seed " + std::to_string(seed) +
+                                   " program " + std::to_string(m) + ": " +
+                                   e.what());
+            }
+        }
+    }
+    EXPECT_EQ(failures.size(), 0u)
+        << "aligned accepts that failed to compile; first: "
+        << (failures.empty() ? std::string() : failures.front());
+    EXPECT_GT(accepted, 0u);
+    EXPECT_GT(rejected, 0u);
+}
+
 /// FNV-1a, folded one 64-bit word (or byte run) at a time.
 struct Fnv1a {
     uint64_t h = 0xcbf29ce484222325ull;
@@ -599,7 +654,7 @@ TEST(HeCompilerFuzz, CompilerOutputAndAnalyzerVerdictsMatchGoldenDigests) {
         compile_into(p);
     }
     EXPECT_EQ(compiled.h, 0x2bfecee8a7e91fb3ull) << std::hex << compiled.h;
-    EXPECT_EQ(analyzed.h, 0x45d446c7b163f9c0ull) << std::hex << analyzed.h;
+    EXPECT_EQ(analyzed.h, 0x9a89b1809ffcf7a7ull) << std::hex << analyzed.h;
 }
 
 }  // namespace

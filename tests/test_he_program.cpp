@@ -140,7 +140,7 @@ TEST(HeProgram, CanonicalProgramsAgreeAcrossBackends) {
     }
 }
 
-TEST(HeProgram, InterpreterMatchesRawSessionCalls) {
+TEST(HeProgram, InterpreterMatchesRawBackendCalls) {
     ProgramRig rig;
     core::GpuContext gpu(rig.host.context, xgpu::device1(),
                          core::GpuOptions{});
@@ -168,15 +168,14 @@ TEST(HeProgram, InterpreterMatchesRawSessionCalls) {
     const auto by_program = session.run(program, inputs);
     ASSERT_EQ(by_program.size(), 1u);
 
-    // The same ops through the session's raw (unmanaged) escapes.
-    const auto r = session.rotate(
-        session.rescale(session.relinearize(session.backend().multiply(a, b))),
-        1);
-    const auto by_hand = session.backend().add(
-        r, session.backend().mod_switch(b, r.scale()));
-    expect_bit_identical(session.backend().download(by_program[0]),
-                         session.backend().download(by_hand),
-                         "program vs raw calls");
+    // The same ops as raw (unmanaged) Backend calls.
+    const auto r = backend.rotate(
+        backend.rescale(
+            backend.relinearize(backend.multiply(a, b), session.relin_keys())),
+        1, session.galois_keys());
+    const auto by_hand = backend.add(r, backend.mod_switch(b, r.scale()));
+    expect_bit_identical(backend.download(by_program[0]),
+                         backend.download(by_hand), "program vs raw calls");
 }
 
 TEST(HeProgram, ValidationRejectsMalformedPrograms) {

@@ -534,54 +534,5 @@ TEST(HeFallback, HostHintRoutesWithoutFallbackCount) {
     EXPECT_EQ(host_result, gpu_result);
 }
 
-TEST(HeFallback, AutoCostRoutingSendsSmallJobsToHost) {
-    DisabledGuard gpu_on("gpu", /*disabled=*/false);  // routing needs both
-    Rig rig;
-    serve::ServerConfig cfg;
-    cfg.host_route_max_cost = 1u << 20;  // everything is "small"
-    serve::InferenceServer server(rig.host.context, xgpu::device1(),
-                                  core::GpuOptions{}, cfg);
-    ASSERT_TRUE(server.gpu_pool_active());
-    server.set_keys(rig.relin, rig.galois);
-    serve::Request req;
-    req.op = serve::Op::MulLinRS;
-    req.inputs.push_back(wire::serialize(rig.host.enc(rig.host.values(51))));
-    req.inputs.push_back(wire::serialize(rig.host.enc(rig.host.values(52))));
-    server.submit(wire::serialize(req));
-    const auto responses = server.run();
-    ASSERT_EQ(responses.size(), 1u);
-    EXPECT_TRUE(responses[0].ok) << responses[0].error;
-    const auto stats = server.stats();
-    EXPECT_EQ(stats.host_requests, 1u);
-    EXPECT_EQ(stats.fallbacks, 0u);  // routed by choice, not degradation
-
-    // The cost is the program's host-lane work units: a client circuit's
-    // plaintext constants make its wire bytes large but add no nodes, so
-    // under a threshold of 2 a one-node AddPlain circuit is small while
-    // the three-node MulLinRS routine is not.
-    cfg.host_route_max_cost = 2;
-    serve::InferenceServer small(rig.host.context, xgpu::device1(),
-                                 core::GpuOptions{}, cfg);
-    small.set_keys(rig.relin, rig.galois);
-    he::ProgramBuilder builder(1);
-    builder.output(builder.add_plain(
-        builder.input(0),
-        builder.constant(rig.host.encoder.encode(0.5, kScale))));
-    serve::Request circuit;
-    circuit.op = serve::Op::Program;
-    circuit.program = wire::serialize(builder.build());
-    ASSERT_GT(circuit.program.size() / 16, cfg.host_route_max_cost);
-    circuit.inputs.push_back(
-        wire::serialize(rig.host.enc(rig.host.values(53))));
-    small.submit(wire::serialize(circuit));
-    req.session_id = 1;
-    small.submit(wire::serialize(req));
-    for (const auto &resp : small.run()) {
-        EXPECT_TRUE(resp.ok) << resp.error;
-    }
-    EXPECT_EQ(small.stats().host_requests, 1u);  // the circuit only
-    EXPECT_EQ(small.stats().fallbacks, 0u);
-}
-
 }  // namespace
 }  // namespace xehe::test
