@@ -1,7 +1,8 @@
 // Figure 14: (a) inline-assembly add_mod/mul_mod optimization of the
 // radix-8 SLM NTT; (b) explicit dual-tile submission, both on Device1.
 // Reports speedup over the same-point naive baseline and efficiency vs the
-// single-tile int64 peak (the paper's accounting; see EXPERIMENTS.md).
+// single-tile int64 peak (the paper's accounting; see README, "Benchmarks
+// -> paper figures").
 #include "bench_common.h"
 
 int main() {

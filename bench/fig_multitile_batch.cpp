@@ -1,28 +1,32 @@
-// Multi-tile batched serving: many concurrent sessions, each running the
-// Section IV-C routine mix plus matmul-tile accumulations, scheduled
-// through the event-based multi-queue scheduler on the dual-tile Device1.
-// Compares the single-queue baseline against per-tile queues and reports
-// the simulated serving throughput and speedup; also runs the encrypted
-// matmul with round-robined output tiles (Section IV-E on two tiles).
+// Multi-tile batched serving: many concurrent sessions, each sending the
+// Section IV-C routine mix plus a matmul-tile job, served by
+// serve::InferenceServer through the event-based multi-queue scheduler on
+// the dual-tile Device1.  Compares a one-lane server against one lane per
+// tile and reports the simulated serving throughput and speedup; also runs
+// the encrypted matmul with round-robined output tiles (Section IV-E on
+// two tiles).
 //
 // `--json <path>` writes the deterministic simulated metrics in a
 // google-benchmark-compatible layout; CI's bench-smoke job diffs that
 // file against bench/baseline.json to catch cost-model regressions.
+// Exits non-zero unless the serving speedup reaches >= 1.5x.
 // N = 32K, L = 8, cost-only (the paper's operating point).
 #include <cstring>
 
 #include "bench_common.h"
-#include "xehe/evaluator_pool.h"
+#include "obs/metrics.h"
+#include "serve/server.h"
 #include "xehe/matmul.h"
 
 int main(int argc, char **argv) {
     using namespace bench;
-    using xehe::core::BatchReport;
-    using xehe::core::BatchWorkload;
     using xehe::core::GpuOptions;
     using xehe::core::MatmulConfig;
-    using xehe::core::run_batch_serving;
     using xehe::core::run_encrypted_matmul;
+    using xehe::serve::InferenceServer;
+    using xehe::serve::Op;
+    using xehe::serve::Request;
+    using xehe::serve::ServerConfig;
 
     std::string json_path;
     for (int i = 1; i < argc; ++i) {
@@ -38,42 +42,76 @@ int main(int argc, char **argv) {
     GpuOptions opts;
     opts.isa = IsaMode::InlineAsm;
 
-    BatchWorkload workload;
-    workload.sessions = 8;
-    workload.rounds = 1;
-    workload.matmul_tiles = 2;
-    workload.functional = false;
+    // Shared tenant keys: every session evaluates under one keyset.
+    xehe::ckks::KeyGenerator keygen(host, 99);
+    const auto relin = keygen.create_relin_keys();
+    const int steps[] = {1};
+    const auto galois = keygen.create_galois_keys(steps);
+
+    // The batch: every session sends the five routines and one two-tile
+    // matmul job, all arriving at t = 0.
+    constexpr std::size_t kSessions = 8;
+    std::vector<Request> trace;
+    for (uint64_t s = 0; s < kSessions; ++s) {
+        for (const Op op : {Op::MulLin, Op::MulLinRS, Op::SqrLinRS,
+                            Op::MulLinRSModSwAdd, Op::Rotate,
+                            Op::MatmulTile}) {
+            Request req;
+            req.session_id = s;
+            req.op = op;
+            req.matmul_tiles = op == Op::MatmulTile ? 2 : 1;
+            req.cost_only = true;
+            trace.push_back(std::move(req));
+        }
+    }
 
     std::vector<bench::JsonMetric> metrics;
 
-    // --- batched serving: 1 queue vs one queue per tile -----------------
+    // --- batched serving: 1 lane vs one lane per tile ------------------
     print_header("Batched multi-tile serving on Device1",
                  "Figs. 2 and 16-18, Section III-D");
-    std::printf("%8s%10s%14s%12s%14s%12s\n", "queues", "ops", "makespan",
-                "busy", "throughput", "efficiency");
-    std::printf("%8s%10s%14s%12s%14s%12s\n", "", "", "(ms)", "(ms)", "(ops/s)",
-                "");
-    BatchReport reports[2];
+    std::printf("%8s%10s%14s%12s%14s%12s\n", "queues", "requests",
+                "makespan", "busy", "throughput", "efficiency");
+    std::printf("%8s%10s%14s%12s%14s%12s\n", "", "", "(ms)", "(ms)",
+                "(req/s)", "");
+    double makespan_ms[2] = {0.0, 0.0};
+    double kernel_ms[2] = {0.0, 0.0};
     const int queue_counts[2] = {1, 0};  // 0 = one queue per tile
+    auto &reg = xehe::obs::Registry::global();
     for (int i = 0; i < 2; ++i) {
-        reports[i] =
-            run_batch_serving(host, spec, opts, workload, queue_counts[i]);
-        const auto &r = reports[i];
-        std::printf("%8zu%10zu%14.3f%12.3f%14.0f%11.0f%%\n", r.queues, r.ops,
-                    r.makespan_ms, r.busy_ms, r.throughput_ops_per_s(),
-                    100.0 * r.parallel_efficiency());
-        metrics.push_back({"batch_serving/q" + std::to_string(r.queues) +
-                               "/makespan_ms",
-                           r.makespan_ms, "ms"});
-        metrics.push_back({"batch_serving/q" + std::to_string(r.queues) +
-                               "/kernel_ms",
-                           r.kernel_ms, "ms"});
+        ServerConfig cfg;
+        cfg.max_batch = trace.size();
+        cfg.queue_count = queue_counts[i];
+        cfg.functional = false;
+        InferenceServer server(host, spec, opts, cfg);
+        server.set_keys(relin, galois);
+        for (const Request &req : trace) {
+            server.submit(req);
+        }
+        server.run();
+        const auto stats = server.stats();
+        if (stats.requests != trace.size()) {
+            std::fprintf(stderr, "error: %zu of %zu requests served\n",
+                         stats.requests, trace.size());
+            return 2;
+        }
+        const std::size_t lanes = server.lane_count();
+        const double busy_ms = reg.gauge("xgpu.busy_ns").value() * 1e-6;
+        makespan_ms[i] = stats.makespan_ms;
+        kernel_ms[i] = reg.gauge("xgpu.kernel_ns").value() * 1e-6;
+        std::printf("%8zu%10zu%14.3f%12.3f%14.0f%11.0f%%\n", lanes,
+                    stats.requests, stats.makespan_ms, busy_ms,
+                    stats.throughput_rps,
+                    100.0 * busy_ms /
+                        (stats.makespan_ms * static_cast<double>(lanes)));
+        const std::string prefix = "batch_serving/q" + std::to_string(lanes);
+        metrics.push_back({prefix + "/makespan_ms", makespan_ms[i], "ms"});
+        metrics.push_back({prefix + "/kernel_ms", kernel_ms[i], "ms"});
     }
-    const double serving_speedup =
-        reports[0].makespan_ms / reports[1].makespan_ms;
+    const double serving_speedup = makespan_ms[0] / makespan_ms[1];
     std::printf("\nmulti-tile serving speedup: %.2fx "
                 "(aggregate kernel time invariant: %.3f vs %.3f ms)\n",
-                serving_speedup, reports[0].kernel_ms, reports[1].kernel_ms);
+                serving_speedup, kernel_ms[0], kernel_ms[1]);
     metrics.push_back(
         {"batch_serving/multitile_speedup", serving_speedup, "x"});
 

@@ -111,7 +111,7 @@ int main(int argc, char **argv) {
     xehe::core::GpuOptions opts;
     opts.isa = IsaMode::InlineAsm;
 
-    // Shared tenant keys, as in run_batch_serving.
+    // Shared tenant keys: every session evaluates under one keyset.
     xehe::ckks::KeyGenerator keygen(host, 99);
     const auto relin = keygen.create_relin_keys();
     const int steps[] = {1};

@@ -1,45 +1,46 @@
 // Batch serving: four concurrent user sessions on one dual-tile device.
 //
-// Each session encrypts its own inputs, is pinned round-robin to a
-// per-tile queue of the GpuEvaluatorPool, evaluates MulLinRS on the GPU
-// evaluator of its lane, and decrypts its own result — sessions on
-// different tiles overlap on the simulated timeline while every session's
-// kernel chain stays in-order on its lane.  Prints per-session accuracy
-// and the multi-queue speedup over serialized execution.
+// Each session encrypts its own inputs and sends one MulLinRS request to
+// an InferenceServer, which pins it round-robin to a per-tile lane of its
+// evaluator pool; every session then decrypts its own response.  Sessions
+// on different tiles overlap on the simulated timeline while every
+// session's kernel chain stays in-order on its lane.  Prints per-session
+// accuracy and the overlap across lanes; exits non-zero if a request
+// fails or a result is off.
 #include <cmath>
 #include <cstdio>
 #include <vector>
 
 #include "ckks/encoder.h"
-#include "xehe/evaluator_pool.h"
+#include "obs/metrics.h"
+#include "serve/server.h"
 
 int main() {
     using namespace xehe;
 
     const ckks::CkksContext context(
         ckks::EncryptionParameters::create(8192, 3));
-    const double scale = std::ldexp(1.0, 40);
 
     ckks::CkksEncoder encoder(context);
     ckks::KeyGenerator keygen(context);
     ckks::Encryptor encryptor(context, keygen.create_public_key());
     ckks::Decryptor decryptor(context, keygen.secret_key());
-    const auto relin_keys = keygen.create_relin_keys();
 
-    // A pool with one lane (queue + evaluator) per tile of Device1.
+    // A server with one lane (queue + evaluator) per tile of Device1,
+    // holding the tenant's evaluation keys.
     core::GpuOptions options;
     options.isa = xgpu::IsaMode::InlineAsm;
-    core::GpuEvaluatorPool pool(context, xgpu::device1(), options);
-    std::printf("serving on %zu per-tile queues\n\n", pool.lane_count());
+    serve::InferenceServer server(context, xgpu::device1(), options);
+    server.set_keys(keygen.create_relin_keys(), ckks::GaloisKeys{});
+    std::printf("serving on %zu per-tile queues\n\n", server.lane_count());
 
     constexpr std::size_t kSessions = 4;
     struct Session {
         std::vector<double> a, b;
-        core::GpuCiphertext ct_a, ct_b, result;
     };
     std::vector<Session> sessions(kSessions);
 
-    // Each session uploads private inputs to its lane.
+    // Each session encrypts private inputs and submits one request.
     for (std::size_t s = 0; s < kSessions; ++s) {
         auto &session = sessions[s];
         session.a.resize(encoder.slots());
@@ -48,39 +49,49 @@ int main() {
             session.a[i] = 0.001 * static_cast<double>((s + i) % 1000);
             session.b[i] = 1.0 + 0.25 * static_cast<double>(s);
         }
-        auto &gpu = pool.session_context(s);
-        session.ct_a = core::upload(
-            gpu, encryptor.encrypt(encoder.encode(
-                     std::span<const double>(session.a), scale)));
-        session.ct_b = core::upload(
-            gpu, encryptor.encrypt(encoder.encode(
-                     std::span<const double>(session.b), scale)));
+        serve::Request req;
+        req.session_id = s;
+        req.op = serve::Op::MulLinRS;
+        for (const auto *values : {&session.a, &session.b}) {
+            req.inputs.push_back(wire::serialize(
+                encryptor.encrypt(encoder.encode(
+                    std::span<const double>(*values),
+                    core::kWorkloadScale))));
+        }
+        server.submit(wire::serialize(req));
     }
 
     // Serve every session; chains stay ordered per lane, lanes overlap.
-    for (std::size_t s = 0; s < kSessions; ++s) {
-        sessions[s].result = pool.session_evaluator(s).mul_lin_rs(
-            sessions[s].ct_a, sessions[s].ct_b, relin_keys);
-    }
-    const double busy_ms = pool.busy_ns() * 1e-6;
-    pool.wait_all();
-    const double makespan_ms = pool.makespan_ns() * 1e-6;
+    const auto responses = server.run();
+    const serve::LatencyStats stats = server.stats();
+    const double busy_ms =
+        obs::Registry::global().gauge("xgpu.busy_ns").value() * 1e-6;
 
     // Each session decrypts its own result.
+    int failures = 0;
     std::printf("session  lane      slot[1]     expected      error\n");
-    for (std::size_t s = 0; s < kSessions; ++s) {
-        const auto ct = core::download(pool.session_context(s),
-                                       sessions[s].result);
+    for (const auto &resp : responses) {
+        const std::size_t s = resp.session_id;
+        if (!resp.ok) {
+            std::printf("%7zu FAILED: %s\n", s, resp.error.c_str());
+            ++failures;
+            continue;
+        }
+        const auto ct = wire::load_ciphertext(resp.result, context);
         const auto decoded = encoder.decode(decryptor.decrypt(ct));
         const double expect = sessions[s].a[1] * sessions[s].b[1];
-        std::printf("%7zu %5zu %12.5f %12.5f %10.2e\n", s, pool.lane_of(s),
-                    decoded[1].real(), expect,
-                    std::abs(decoded[1].real() - expect));
+        const double error = std::abs(decoded[1].real() - expect);
+        std::printf("%7zu %5zu %12.5f %12.5f %10.2e\n", s,
+                    s % server.lane_count(), decoded[1].real(), expect,
+                    error);
+        if (error > 1e-3) {
+            ++failures;
+        }
     }
 
     std::printf("\nsimulated serving: makespan %.3f ms, busy %.3f ms, "
                 "%.2fx overlap across %zu queues\n",
-                makespan_ms, busy_ms, busy_ms / makespan_ms,
-                pool.lane_count());
-    return 0;
+                stats.makespan_ms, busy_ms, busy_ms / stats.makespan_ms,
+                server.lane_count());
+    return failures == 0 && stats.requests == kSessions ? 0 : 1;
 }

@@ -12,7 +12,8 @@ using xgpu::KernelStats;
 
 /// Calibrated SLM exchange efficiency per variant (banking conflicts and
 /// barrier serialization of fine-grained radix-2 exchange versus the
-/// register-blocked high-radix kernels).  See EXPERIMENTS.md, "calibration".
+/// register-blocked high-radix kernels).  See README, "Benchmarks -> paper
+/// figures".
 double variant_slm_eff(NttVariant v) {
     switch (v) {
         case NttVariant::NaiveRadix2: return 1.0;  // unused: no SLM phase

@@ -34,11 +34,11 @@ enum class Op : uint8_t {
 
 const char *op_name(Op op);
 
-/// Per-request backend selection (wire v4).  Auto defers to the server:
-/// cost-model routing when configured, else the GPU pool when one is up.
-/// Host/Gpu pin the request; a Gpu-pinned request still degrades to the
-/// host backend (counted in LatencyStats::fallbacks) when no GPU backend
-/// is available, rather than failing.
+/// Per-request backend selection (wire v4).  Auto and Gpu run on the
+/// server's GPU pool when it is up; otherwise (the pool never came up, or
+/// "gpu" was switched off mid-run) they run on a host lane and count in
+/// LatencyStats::fallbacks rather than failing.  Host pins the request to
+/// a host lane.
 enum class BackendHint : uint8_t {
     Auto = 0,
     Host = 1,

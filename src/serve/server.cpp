@@ -14,8 +14,6 @@ namespace xehe::serve {
 
 namespace {
 
-constexpr double kScale = 1099511627776.0;  // 2^40
-
 /// Deterministic host-lane time model: per work unit, per RNS limb.
 /// The host backend has no device clock, so host-executed requests charge
 /// a synthetic, strictly positive lane time — batching, lane contention
@@ -193,7 +191,7 @@ bool InferenceServer::admit(Admitted &entry) {
                "matmul tile");
         return false;
     }
-    // Cost-only operands are fabricated (size 2, kScale, exactly
+    // Cost-only operands are fabricated (size 2, kWorkloadScale, exactly
     // input_level), so their facts are exact; otherwise sizes, scales and
     // (for a program run as lowered) levels are the client's.  Only client
     // circuits are re-planned, so only they assume alignment.
@@ -202,7 +200,7 @@ bool InferenceServer::admit(Admitted &entry) {
     facts.size = request.cost_only ? 2 : 0;
     facts.level =
         planned || request.cost_only ? input_level(request, *host_) : 0;
-    facts.scale = request.cost_only && !planned ? kScale : 0.0;
+    facts.scale = request.cost_only && !planned ? core::kWorkloadScale : 0.0;
     he::AnalyzerOptions aopts;
     aopts.assume_alignment = planned;
     // Decoding or building just validated structurally, and admission
@@ -338,7 +336,7 @@ std::shared_ptr<const he::Program> InferenceServer::compiled_program(
     // the compiler self-verifies its output.
     he::CompilerOptions copts;
     copts.input_level = input_level;
-    copts.input_scale = kScale;  // the serving admission scale
+    copts.input_scale = core::kWorkloadScale;  // the admission scale
     he::ProgramCompiler compiler(*host_, copts);
     auto compiled = std::make_shared<const he::Program>(
         compiler.compile(*entry.program).program);
@@ -435,10 +433,11 @@ public:
     std::optional<std::vector<he::Cipher>> cost_only_operands(
         std::size_t arity, std::size_t level) override {
         // Allocated at level with the upload charged, never encrypted
-        // (the paper's N = 32K operating point, as in run_batch_serving).
+        // (the paper's N = 32K operating point).
         std::vector<he::Cipher> operands;
         for (std::size_t a = 0; a < arity; ++a) {
-            auto ct = core::allocate_ciphertext(gpu_, 2, level, kScale);
+            auto ct = core::allocate_ciphertext(gpu_, 2, level,
+                                                core::kWorkloadScale);
             gpu_.queue().transfer(ct.all().size() * sizeof(uint64_t));
             operands.push_back(backend_.adopt(std::move(ct)));
         }
@@ -634,14 +633,19 @@ LatencyStats InferenceServer::stats() const {
     if (pool_) {
         reg.gauge("xgpu.makespan_ns").set(pool_->makespan_ns());
         reg.gauge("xgpu.busy_ns").set(pool_->busy_ns());
+        // Summed kernel time is invariant under the lane count; only the
+        // makespan shows the multi-tile overlap.
+        double kernel_ns = 0.0;
         std::size_t live = 0;
         std::size_t peak = 0;
         for (std::size_t lane = 0; lane < pool_->lane_count(); ++lane) {
-            const xgpu::MemoryCache::Stats &cache =
-                pool_->context(lane).queue().cache().stats();
+            xgpu::Queue &queue = pool_->context(lane).queue();
+            kernel_ns += queue.profiler().total_ns();
+            const xgpu::MemoryCache::Stats &cache = queue.cache().stats();
             live += cache.live_bytes;
             peak += cache.peak_live_bytes;
         }
+        reg.gauge("xgpu.kernel_ns").set(kernel_ns);
         reg.gauge("xgpu.cache.live_bytes").set(static_cast<double>(live));
         reg.gauge("xgpu.cache.peak_live_bytes")
             .set(static_cast<double>(peak));

@@ -8,6 +8,11 @@
 
 namespace xehe::core {
 
+/// The CKKS scale (2^40) of the benchmark workloads: the routine harness
+/// and the encrypted matmul encode at it, and the serving frontend
+/// fabricates cost-only operands and plans client circuits at it.
+inline constexpr double kWorkloadScale = 0x1p40;
+
 struct GpuCiphertext {
     xgpu::DeviceBuffer data;  ///< size * rns * n words, [poly][rns][N]
     std::size_t n = 0;

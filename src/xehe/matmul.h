@@ -18,7 +18,7 @@ struct MatmulConfig {
     std::size_t m = 10, n = 9, k = 8;
     std::size_t poly_degree = 8192;
     std::size_t levels = 2;
-    double scale = 1099511627776.0;  // 2^40
+    double scale = kWorkloadScale;
     GpuOptions gpu;
     xgpu::DeviceSpec device;
     /// When false, ciphertexts are fabricated without encryption and

@@ -45,25 +45,6 @@ const he::Program &routine_program_compiled(Routine r) {
     return programs[static_cast<std::size_t>(r)];
 }
 
-void run_routine(const GpuEvaluator &evaluator, Routine routine,
-                 const GpuCiphertext &a, const GpuCiphertext &b,
-                 const GpuCiphertext &c, const ckks::RelinKeys &relin,
-                 const ckks::GaloisKeys &galois) {
-    // A switched-off "gpu" surfaces as the typed he::BackendUnavailable.
-    he::require_backend("gpu");
-    he::GpuBackend backend(evaluator.gpu(), evaluator);
-    const he::Program &program = routine_program_compiled(routine);
-    const he::Cipher inputs[3] = {backend.wrap(a), backend.wrap(b),
-                                  backend.wrap(c)};
-    he::ProgramKeys keys;
-    keys.relin = &relin;
-    keys.galois = &galois;
-    he::run_program(program, backend,
-                    std::span<const he::Cipher>(inputs).first(
-                        program.num_inputs),
-                    keys);
-}
-
 RoutineBench::RoutineBench(const ckks::CkksContext &host,
                            xgpu::DeviceSpec device,
                            GpuOptions options, bool functional, uint64_t seed)
@@ -79,10 +60,10 @@ RoutineBench::RoutineBench(const ckks::CkksContext &host,
     input_c_ = make_input(2);
 }
 
-GpuCiphertext RoutineBench::make_input(std::size_t index, std::size_t size) {
-    constexpr double kScale = 1099511627776.0;  // 2^40
+GpuCiphertext RoutineBench::make_input(std::size_t index) {
     if (!functional_) {
-        return allocate_ciphertext(gpu_, size, host_->max_level(), kScale);
+        return allocate_ciphertext(gpu_, 2, host_->max_level(),
+                                   kWorkloadScale);
     }
     ckks::CkksEncoder encoder(*host_);
     // One encryptor per input with a seed derived from the bench seed and
@@ -97,7 +78,8 @@ GpuCiphertext RoutineBench::make_input(std::size_t index, std::size_t size) {
     for (auto &v : values) {
         v = dist(rng);
     }
-    const auto plain = encoder.encode(std::span<const double>(values), kScale);
+    const auto plain =
+        encoder.encode(std::span<const double>(values), kWorkloadScale);
     return upload(gpu_, encryptor.encrypt(plain));
 }
 
@@ -106,11 +88,22 @@ RoutineProfile profile_routine(const GpuEvaluator &evaluator, Routine routine,
                                const GpuCiphertext &c,
                                const ckks::RelinKeys &relin,
                                const ckks::GaloisKeys &galois) {
+    // A switched-off "gpu" surfaces as the typed he::BackendUnavailable.
+    he::require_backend("gpu");
+    he::GpuBackend backend(evaluator.gpu(), evaluator);
+    const he::Program &program = routine_program_compiled(routine);
+    const he::Cipher inputs[3] = {backend.wrap(a), backend.wrap(b),
+                                  backend.wrap(c)};
+    he::ProgramKeys keys;
+    keys.relin = &relin;
+    keys.galois = &galois;
+
     const xgpu::Profiler &profiler = evaluator.gpu().queue().profiler();
     const xgpu::Profiler::Snapshot before = profiler.snapshot();
-
-    run_routine(evaluator, routine, a, b, c, relin, galois);
-
+    he::run_program(program, backend,
+                    std::span<const he::Cipher>(inputs).first(
+                        program.num_inputs),
+                    keys);
     const xgpu::Profiler::Snapshot window = profiler.delta_since(before);
     RoutineProfile profile;
     profile.ntt_ms = window.ntt_ns * 1e-6;

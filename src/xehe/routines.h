@@ -17,26 +17,16 @@ inline constexpr Routine kAllRoutines[] = {
 const char *routine_name(Routine r);
 
 /// The canonical he::Program of one routine (cached; rotation step 1).
-/// Every execution path — RoutineBench, the batched evaluator pool, the
-/// serving frontend — interprets these over a GpuBackend, so the routines
-/// have exactly one definition.
+/// Every execution path — RoutineBench and the serving frontend —
+/// interprets these over a backend, so the routines have exactly one
+/// definition.
 const he::Program &routine_program(Routine r);
 
 /// The compiled form of routine_program(r) (cached).  The canonical
 /// routines are already in compiled normal form, so this pins the
-/// compiler's identity on them while routing the harness, the evaluator
-/// pool and the serving fixed-function path through the same compile
-/// step as client circuits.
+/// compiler's identity on them while routing the routine harness through
+/// the same compile step as client circuits.
 const he::Program &routine_program_compiled(Routine r);
-
-/// Runs one Section IV-C routine through `evaluator` on the given inputs
-/// by interpreting its canonical he::Program.  Shared by RoutineBench and
-/// the batched evaluator pool; the result is discarded (the paper
-/// benchmarks the kernels, not the outputs).
-void run_routine(const GpuEvaluator &evaluator, Routine routine,
-                 const GpuCiphertext &a, const GpuCiphertext &b,
-                 const GpuCiphertext &c, const ckks::RelinKeys &relin,
-                 const ckks::GaloisKeys &galois);
 
 struct RoutineProfile {
     double ntt_ms = 0.0;
@@ -84,7 +74,7 @@ public:
     }
 
 private:
-    GpuCiphertext make_input(std::size_t index, std::size_t size = 2);
+    GpuCiphertext make_input(std::size_t index);
 
     const ckks::CkksContext *host_;
     GpuContext gpu_;

@@ -99,7 +99,7 @@ public:
 
     /// Achieved int64 rate relative to the single-tile peak — the paper's
     /// "efficiency" metric (its dual-tile numbers reconcile against the
-    /// single-tile peak; see EXPERIMENTS.md).
+    /// single-tile peak; see README, "Benchmarks -> paper figures").
     double efficiency(const KernelStats &stats, double time_ns) const noexcept;
 
 private:

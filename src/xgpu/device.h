@@ -7,8 +7,9 @@
 // The paper keeps its two benchmark GPUs confidential and reports only
 // normalized time and efficiency.  The presets below are therefore
 // *synthetic but architecturally plausible* devices, calibrated (see
-// EXPERIMENTS.md) so the cost model reproduces the paper's ratios:
-// Device1 is a large dual-tile part, Device2 a smaller single-tile part.
+// README, "Benchmarks -> paper figures") so the cost model reproduces the
+// paper's ratios: Device1 is a large dual-tile part, Device2 a smaller
+// single-tile part.
 #pragma once
 
 #include <cstddef>
@@ -43,7 +44,7 @@ struct DeviceSpec {
     double slm_bytes_per_cycle_per_subslice = 64.0;
     double shuffle_lanes_per_cycle_per_eu = 8.0;
 
-    // --- calibrated pipeline efficiencies (see EXPERIMENTS.md) ---------
+    // --- calibrated pipeline efficiencies (README: paper figures) ------
     /// Fraction of peak int64 issue rate a fully occupied compute-bound
     /// kernel sustains (dependency stalls, address arithmetic co-issue).
     double alu_efficiency = 0.36;

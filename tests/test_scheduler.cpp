@@ -1,7 +1,8 @@
 // The event-based multi-queue scheduler: per-tile queue creation,
 // cross-queue event ordering (dependent kernels never reorder, waits are
 // deterministic), profiler aggregation invariance under the queue count,
-// and the batched serving layer's multi-tile speedup.
+// the evaluator pool's session-to-lane pinning, and the multi-queue
+// encrypted matmul.
 #include <gtest/gtest.h>
 
 #include "xehe/evaluator_pool.h"
@@ -239,21 +240,8 @@ TEST(EvaluatorPool, MoreSessionsThanLanesWrapAround) {
     ASSERT_EQ(pool.lane_count(), 2u);
     EXPECT_EQ(pool.lane_of(4), 0u);
     EXPECT_EQ(pool.lane_of(5), 1u);
-    EXPECT_EQ(&pool.session_evaluator(5), &pool.session_evaluator(1));
-
-    // A 5-session batch over 2 lanes serves every session exactly once.
-    xc::BatchWorkload workload;
-    workload.sessions = 5;
-    workload.rounds = 1;
-    workload.matmul_tiles = 1;
-    workload.functional = false;
-    const auto report =
-        xc::run_batch_serving(small_host(), xg::device1(), {}, workload, 0);
-    EXPECT_EQ(report.sessions, 5u);
-    EXPECT_EQ(report.queues, 2u);
-    EXPECT_EQ(report.ops, 5u * 6u);
-    // Odd session count over two lanes still overlaps (3+2 split).
-    EXPECT_GT(report.busy_ms, report.makespan_ms);
+    EXPECT_EQ(&pool.evaluator(pool.lane_of(5)),
+              &pool.evaluator(pool.lane_of(1)));
 }
 
 TEST(EvaluatorPool, LanePinningRoundRobin) {
@@ -262,52 +250,13 @@ TEST(EvaluatorPool, LanePinningRoundRobin) {
     EXPECT_EQ(pool.lane_of(0), 0u);
     EXPECT_EQ(pool.lane_of(1), 1u);
     EXPECT_EQ(pool.lane_of(2), 0u);
-    EXPECT_EQ(&pool.session_context(0), &pool.session_context(2));
-    EXPECT_NE(&pool.session_context(0), &pool.session_context(1));
+    EXPECT_EQ(&pool.context(pool.lane_of(0)),
+              &pool.context(pool.lane_of(2)));
+    EXPECT_NE(&pool.context(pool.lane_of(0)),
+              &pool.context(pool.lane_of(1)));
     // Every lane's context is bound to the scheduler's queue.
     EXPECT_EQ(&pool.context(0).queue(), &pool.scheduler().queue(0));
     EXPECT_EQ(&pool.context(1).queue(), &pool.scheduler().queue(1));
-}
-
-TEST(BatchServing, MultiTileSpeedupAndProfilerInvariance) {
-    xc::BatchWorkload workload;
-    workload.sessions = 4;
-    workload.rounds = 1;
-    workload.matmul_tiles = 1;
-    workload.functional = false;
-
-    const auto single = xc::run_batch_serving(small_host(), xg::device1(),
-                                              {}, workload, 1);
-    const auto dual = xc::run_batch_serving(small_host(), xg::device1(),
-                                            {}, workload, 0);
-    ASSERT_EQ(single.queues, 1u);
-    ASSERT_EQ(dual.queues, 2u);
-    EXPECT_EQ(single.ops, dual.ops);
-    EXPECT_GT(single.ops, 0u);
-
-    // The acceptance bar: >= 1.5x simulated throughput on two tiles.
-    const double speedup = single.makespan_ms / dual.makespan_ms;
-    EXPECT_GE(speedup, 1.5) << "single " << single.makespan_ms << " dual "
-                            << dual.makespan_ms;
-    EXPECT_GE(dual.throughput_ops_per_s(),
-              1.5 * single.throughput_ops_per_s());
-
-    // Aggregate kernel time and the NTT split are queue-count-invariant.
-    EXPECT_NEAR(dual.kernel_ms, single.kernel_ms, 1e-9 * single.kernel_ms);
-    EXPECT_NEAR(dual.ntt_ms, single.ntt_ms, 1e-9 * single.ntt_ms);
-}
-
-TEST(BatchServing, FunctionalModeServes) {
-    xc::BatchWorkload workload;
-    workload.sessions = 2;
-    workload.rounds = 1;
-    workload.matmul_tiles = 1;
-    workload.functional = true;
-    const auto report =
-        xc::run_batch_serving(small_host(), xg::device1(), {}, workload, 0);
-    EXPECT_EQ(report.ops, 2u * 6u);
-    EXPECT_GT(report.kernel_ms, 0.0);
-    EXPECT_GT(report.makespan_ms, 0.0);
 }
 
 TEST(MatmulMultiQueue, BitExactAndFaster) {

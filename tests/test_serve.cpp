@@ -501,7 +501,13 @@ TEST(Serve, DeterministicPerSeedAcrossRuns) {
 
 TEST(Serve, MultiLaneThroughputBeatsSingleLane) {
     ServeBench b;
-    auto run_with_lanes = [&](int queue_count) {
+    obs::Registry &reg = obs::Registry::global();
+    struct Run {
+        serve::LatencyStats stats;
+        bool gpu = false;
+        double kernel_ns = 0.0;
+    };
+    auto run_with_lanes = [&](int queue_count, uint64_t sessions) {
         ServerConfig cfg;
         cfg.max_batch = 8;
         cfg.functional = false;
@@ -509,20 +515,38 @@ TEST(Serve, MultiLaneThroughputBeatsSingleLane) {
         auto server = b.server(cfg);
         for (uint64_t s = 0; s < 16; ++s) {
             Request req;
-            req.session_id = s;
+            req.session_id = s % sessions;
             req.op = static_cast<Op>(s % 5);
             req.cost_only = true;
             server.submit(std::move(req));
         }
         server.run();
-        return server.stats();
+        Run run;
+        run.stats = server.stats();
+        // stats() publishes the device gauges when a GPU pool is up.
+        run.gpu = server.gpu_pool_active();
+        run.kernel_ns = reg.gauge("xgpu.kernel_ns").value();
+        return run;
     };
-    const auto single = run_with_lanes(1);
-    const auto dual = run_with_lanes(0);  // one lane per tile: 2 on device1
-    ASSERT_EQ(single.requests, 16u);
-    ASSERT_EQ(dual.requests, 16u);
-    EXPECT_GE(dual.throughput_rps / single.throughput_rps, 1.5);
-    EXPECT_LE(dual.p99_ms, single.p99_ms);
+    const Run single = run_with_lanes(1, 16);
+    const Run dual = run_with_lanes(0, 16);  // one lane per tile on device1
+    ASSERT_EQ(single.stats.requests, 16u);
+    ASSERT_EQ(dual.stats.requests, 16u);
+    EXPECT_GE(dual.stats.throughput_rps / single.stats.throughput_rps, 1.5);
+    EXPECT_LE(dual.stats.p99_ms, single.stats.p99_ms);
+
+    // Aggregate kernel time is lane-count-invariant; only the makespan
+    // moves.
+    if (single.gpu && dual.gpu) {
+        EXPECT_GT(single.kernel_ns, 0.0);
+        EXPECT_NEAR(dual.kernel_ns, single.kernel_ns,
+                    1e-9 * single.kernel_ns);
+    }
+
+    // Five sessions wrap around two lanes (a 3+2 split) and still overlap.
+    const Run wrapped = run_with_lanes(0, 5);
+    ASSERT_EQ(wrapped.stats.requests, 16u);
+    EXPECT_LT(wrapped.stats.makespan_ms, 0.8 * single.stats.makespan_ms);
 }
 
 }  // namespace
