@@ -69,19 +69,6 @@ void mad(std::span<const uint64_t> a, std::span<const uint64_t> b,
     }
 }
 
-void mul_scalar(std::span<const uint64_t> a, std::span<const uint64_t> scalars,
-                std::span<uint64_t> out, std::span<const Modulus> moduli,
-                std::size_t n) {
-    check(a, moduli, n);
-    for (std::size_t r = 0; r < moduli.size(); ++r) {
-        const Modulus &q = moduli[r];
-        const uint64_t s = scalars[r];
-        for (std::size_t i = r * n; i < (r + 1) * n; ++i) {
-            out[i] = util::mul_mod(a[i], s, q);
-        }
-    }
-}
-
 void ntt(std::span<uint64_t> a, std::span<const ntt::NttTables> tables,
          std::size_t n) {
     for (std::size_t r = 0; r < tables.size(); ++r) {

@@ -104,11 +104,6 @@ void mad(std::span<const uint64_t> a, std::span<const uint64_t> b,
          std::span<uint64_t> out, std::span<const Modulus> moduli,
          std::size_t n);
 
-/// out = a * scalar[r] per component.
-void mul_scalar(std::span<const uint64_t> a, std::span<const uint64_t> scalars,
-                std::span<uint64_t> out, std::span<const Modulus> moduli,
-                std::size_t n);
-
 /// Forward/inverse NTT of every component of one RNS polynomial.
 void ntt(std::span<uint64_t> a, std::span<const ntt::NttTables> tables,
          std::size_t n);

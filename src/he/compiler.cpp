@@ -499,4 +499,30 @@ CompiledProgram ProgramCompiler::compile(
     return run_passes(context_, program, inputs, inputs);
 }
 
+std::shared_ptr<const Program> CompileCache::find(
+    const Program &program, std::span<const InputFacts> inputs) {
+    const uint64_t fp = fingerprint(program);
+    for (const Entry &entry : entries_) {
+        if (entry.fingerprint == fp &&
+            std::ranges::equal(entry.facts, inputs) &&
+            structurally_equal(entry.source, program)) {
+            ++hits_;
+            return entry.compiled;
+        }
+    }
+    return nullptr;
+}
+
+std::shared_ptr<const Program> CompileCache::insert(
+    const Program &program, std::span<const InputFacts> inputs) {
+    auto compiled = std::make_shared<const Program>(
+        ProgramCompiler(*context_).compile(program, inputs).program);
+    if (entries_.size() >= kCapacity) {
+        entries_.clear();
+    }
+    entries_.push_back({fingerprint(program),
+                        {inputs.begin(), inputs.end()}, program, compiled});
+    return compiled;
+}
+
 }  // namespace xehe::he

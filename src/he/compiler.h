@@ -114,4 +114,38 @@ private:
     CompilerOptions options_;
 };
 
+/// The compiled-program cache of both frontends (he::Session::run and
+/// serve::InferenceServer), keyed on the program and the per-input facts
+/// it was planned for: fingerprint, then facts, then structural equality
+/// (fingerprints can collide; a wrong program must never run).  Clears
+/// when it holds kCapacity entries, so cycling circuits cannot grow it.
+class CompileCache {
+public:
+    static constexpr std::size_t kCapacity = 256;
+
+    explicit CompileCache(const ckks::CkksContext &ctx) : context_(&ctx) {}
+
+    /// The cached compiled form of `program` for `inputs`, or null.
+    std::shared_ptr<const Program> find(const Program &program,
+                                        std::span<const InputFacts> inputs);
+    /// Compiles `program` for `inputs` (throws like compile()), caches
+    /// and returns it.
+    std::shared_ptr<const Program> insert(const Program &program,
+                                          std::span<const InputFacts> inputs);
+
+    std::size_t size() const noexcept { return entries_.size(); }
+    std::size_t hits() const noexcept { return hits_; }
+
+private:
+    struct Entry {
+        uint64_t fingerprint;
+        std::vector<InputFacts> facts;
+        Program source;
+        std::shared_ptr<const Program> compiled;
+    };
+    const ckks::CkksContext *context_;
+    std::vector<Entry> entries_;
+    std::size_t hits_ = 0;
+};
+
 }  // namespace xehe::he

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "he/analyze.h"
-#include "he/compiler.h"
 
 namespace xehe::he {
 
@@ -27,7 +26,7 @@ Program one_node_program(OpCode op) {
 }  // namespace
 
 Session::Session(Backend &backend)
-    : backend_(&backend),
+    : backend_(&backend), compile_cache_(backend.context()),
       scale_(default_input_facts(backend.context()).scale),
       waterline_(16.0 * scale_), encoder_(backend.context()),
       keygen_(backend.context(), kSeed),
@@ -154,34 +153,25 @@ std::vector<Cipher> Session::run(const Program &program,
     for (const Cipher &c : inputs) {
         facts.push_back(facts_of(c));
     }
-    const uint64_t fp = fingerprint(program);
-    for (const auto &entry : compiled_cache_) {
-        if (entry.fingerprint == fp && entry.facts == facts &&
-            structurally_equal(entry.source, program)) {
-            return run_program(*entry.compiled, *backend_, inputs, keys);
+    std::shared_ptr<const Program> compiled =
+        compile_cache_.find(program, facts);
+    if (!compiled) {
+        AnalyzerOptions aopts;
+        aopts.assume_alignment = true;
+        aopts.set_keys(keys);
+        aopts.snap_scale = scale_;
+        AnalysisReport report =
+            ProgramAnalyzer(backend_->context(), std::move(aopts))
+                .analyze(program, facts);
+        if (!report.ok()) {
+            // Sequenced before the move: function-argument evaluation
+            // order is unspecified, and summary() reads the diagnostics.
+            std::string what = "he: program rejected: " + report.summary();
+            throw ProgramRejected(std::move(what),
+                                  std::move(report.diagnostics));
         }
+        compiled = compile_cache_.insert(program, facts);
     }
-
-    AnalyzerOptions aopts;
-    aopts.assume_alignment = true;
-    aopts.set_keys(keys);
-    aopts.snap_scale = scale_;
-    AnalysisReport report =
-        ProgramAnalyzer(backend_->context(), std::move(aopts))
-            .analyze(program, facts);
-    if (!report.ok()) {
-        // Sequenced before the move: function-argument evaluation order
-        // is unspecified, and summary() reads the diagnostics.
-        std::string what = "he: program rejected: " + report.summary();
-        throw ProgramRejected(std::move(what), std::move(report.diagnostics));
-    }
-    auto compiled = std::make_shared<const Program>(
-        ProgramCompiler(backend_->context()).compile(program, facts).program);
-    constexpr std::size_t kCacheCap = 64;
-    if (compiled_cache_.size() >= kCacheCap) {
-        compiled_cache_.clear();
-    }
-    compiled_cache_.push_back({fp, std::move(facts), program, compiled});
     return run_program(*compiled, *backend_, inputs, keys);
 }
 

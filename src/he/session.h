@@ -30,7 +30,7 @@
 #pragma once
 
 #include "ckks/encoder.h"
-#include "he/program.h"
+#include "he/compiler.h"
 
 namespace xehe::he {
 
@@ -86,17 +86,7 @@ private:
     Cipher run_pair(const Program &program, const Cipher &a, const Cipher &b);
 
     Backend *backend_;
-    /// Compiled-program cache keyed on the program and the input facts it
-    /// was planned for: fingerprint precheck, then structural equality
-    /// (fingerprints can collide; a wrong program must never run).
-    /// Bounded: the cache clears when it outgrows its cap.
-    struct CompiledEntry {
-        uint64_t fingerprint;
-        std::vector<InputFacts> facts;
-        Program source;
-        std::shared_ptr<const Program> compiled;
-    };
-    std::vector<CompiledEntry> compiled_cache_;
+    CompileCache compile_cache_;  ///< run()'s analyzed, compiled programs
     double scale_;
     double waterline_;
     ckks::CkksEncoder encoder_;

@@ -59,13 +59,6 @@ const std::vector<JsonValue> &JsonValue::as_array() const {
     return array_;
 }
 
-const std::map<std::string, JsonValue> &JsonValue::as_object() const {
-    if (type_ != Type::Object) {
-        throw JsonError("json: value is not an object");
-    }
-    return object_;
-}
-
 const JsonValue *JsonValue::find(const std::string &key) const {
     if (type_ != Type::Object) {
         return nullptr;

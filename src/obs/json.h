@@ -31,7 +31,6 @@ public:
     enum class Type : uint8_t { Null, Bool, Number, String, Array, Object };
 
     Type type() const noexcept { return type_; }
-    bool is_null() const noexcept { return type_ == Type::Null; }
     bool is_object() const noexcept { return type_ == Type::Object; }
     bool is_array() const noexcept { return type_ == Type::Array; }
     bool is_number() const noexcept { return type_ == Type::Number; }
@@ -42,7 +41,6 @@ public:
     double as_number() const;
     const std::string &as_string() const;
     const std::vector<JsonValue> &as_array() const;
-    const std::map<std::string, JsonValue> &as_object() const;
 
     /// Object member lookup; nullptr when absent or not an object.
     const JsonValue *find(const std::string &key) const;

@@ -60,11 +60,7 @@ class BaseConverter {
 public:
     BaseConverter(const RnsBase &in, std::vector<Modulus> out);
 
-    std::size_t in_size() const noexcept { return in_->size(); }
-    std::size_t out_size() const noexcept { return out_.size(); }
-
-    /// Converts one residue vector (size in_size) to base `out` (size
-    /// out_size).
+    /// Converts one residue vector (size of the input base) to base `out`.
     void convert(std::span<const uint64_t> in, std::span<uint64_t> out) const;
 
 private:

@@ -45,6 +45,20 @@ std::size_t kswitch_bytes(const ckks::KSwitchKey &key) {
 
 }  // namespace
 
+KeyStats &KeyStats::operator+=(const KeyStats &other) {
+    sessions += other.sessions;
+    resident += other.resident;
+    hits += other.hits;
+    misses += other.misses;
+    evictions += other.evictions;
+    reexpand_ms += other.reexpand_ms;
+    resident_bytes += other.resident_bytes;
+    peak_resident_bytes += other.peak_resident_bytes;
+    budget_bytes += other.budget_bytes;
+    cold_bytes += other.cold_bytes;
+    return *this;
+}
+
 std::size_t expanded_key_bytes(const ckks::RelinKeys &relin,
                                const ckks::GaloisKeys &galois) {
     std::size_t bytes = kswitch_bytes(relin.key);

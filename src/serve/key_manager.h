@@ -49,6 +49,9 @@ struct KeyStats {
     std::size_t peak_resident_bytes = 0;  ///< never exceeds budget_bytes
     std::size_t budget_bytes = 0;
     std::size_t cold_bytes = 0;
+
+    /// Adds every field of `other` (a fleet's view of its shards' caches).
+    KeyStats &operator+=(const KeyStats &other);
 };
 
 /// Expanded in-memory footprint of a keyset: the key ciphertexts' residue

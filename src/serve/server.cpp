@@ -101,7 +101,8 @@ InferenceServer::InferenceServer(const ckks::CkksContext &host,
       key_manager_(key_manager
                        ? std::move(key_manager)
                        : std::make_shared<KeyManager>(
-                             host, config.key_budget_bytes, pool)) {
+                             host, config.key_budget_bytes, pool)),
+      compile_cache_(host) {
     try {
         pool_ = std::make_unique<core::GpuEvaluatorPool>(
             host, spec, options, config_.queue_count, pool);
@@ -162,7 +163,7 @@ void InferenceServer::submit(Request request) {
         reject(request.session_id, Status::ParseError, e.what());
         return;
     }
-    Admitted entry{std::move(request), nullptr};
+    Admitted entry{std::move(request), nullptr, {}};
     if (admit(entry)) {
         pending_.push_back(std::move(entry));
     }
@@ -181,6 +182,20 @@ bool InferenceServer::admit(Admitted &entry) {
         util::require(request.cost_only ||
                           request.inputs.size() == entry.program->num_inputs,
                       "input count does not match the program");
+        // Exact facts of the operands the program will run on, for the
+        // analyzer, the compiler and the lane: a cost-only request's are
+        // fabricated (size 2, input_level, 2^40), else each header's.
+        if (request.cost_only) {
+            entry.facts.assign(entry.program->num_inputs,
+                               {2, input_level(request, *host_),
+                                core::kWorkloadScale});
+        } else {
+            for (const auto &bytes : request.inputs) {
+                const wire::CiphertextHeader h =
+                    wire::load_ciphertext_header(bytes, *host_);
+                entry.facts.push_back({h.size, h.rns, h.scale});
+            }
+        }
     } catch (const std::exception &e) {
         reject(request.session_id, Status::ParseError, e.what());
         return false;
@@ -191,24 +206,16 @@ bool InferenceServer::admit(Admitted &entry) {
                "matmul tile");
         return false;
     }
-    // Cost-only operands are fabricated (size 2, kWorkloadScale, exactly
-    // input_level), so their facts are exact; otherwise sizes, scales and
-    // (for a program run as lowered) levels are the client's.  Only client
-    // circuits are re-planned, so only they assume alignment.
-    const bool planned = client && config_.compile_programs;
-    he::InputFacts facts;
-    facts.size = request.cost_only ? 2 : 0;
-    facts.level =
-        planned || request.cost_only ? input_level(request, *host_) : 0;
-    facts.scale = request.cost_only && !planned ? core::kWorkloadScale : 0.0;
     he::AnalyzerOptions aopts;
-    aopts.assume_alignment = planned;
+    // Only client circuits are re-planned, so only they assume alignment.
+    aopts.assume_alignment = client && config_.compile_programs;
     // Decoding or building just validated structurally, and admission
     // acts on ok() and the first error only.
     aopts.assume_validated = true;
     aopts.errors_only = true;
     const he::ProgramAnalyzer analyzer(*host_, std::move(aopts));
-    const he::AnalysisReport report = analyzer.analyze(*entry.program, facts);
+    const he::AnalysisReport report =
+        analyzer.analyze(*entry.program, entry.facts);
     if (span.active()) {
         span.set_detail(std::to_string(entry.program->nodes.size()) +
                         " nodes, " + std::to_string(report.error_count()) +
@@ -312,43 +319,6 @@ std::vector<Response> InferenceServer::run() {
     return responses;
 }
 
-std::shared_ptr<const he::Program> InferenceServer::compiled_program(
-    const Admitted &entry, std::size_t input_level) {
-    // Session id + input level + program bytes: a hit is a byte-equal
-    // submission compiled under identical assumptions.
-    const uint64_t session_id = entry.request.session_id;
-    const std::vector<uint8_t> &bytes = entry.request.program;
-    std::string key;
-    key.reserve(2 * sizeof(uint64_t) + bytes.size());
-    const uint64_t level64 = input_level;
-    key.append(reinterpret_cast<const char *>(&session_id),
-               sizeof(session_id));
-    key.append(reinterpret_cast<const char *>(&level64), sizeof(level64));
-    key.append(reinterpret_cast<const char *>(bytes.data()), bytes.size());
-    if (auto it = program_cache_.find(key); it != program_cache_.end()) {
-        ++program_cache_hits_;
-        ServeMetrics::instance().program_cache_hits.add();
-        return it->second;
-    }
-    ServeMetrics::instance().programs_compiled.add();
-
-    // Admission analyzed this circuit (rejected ones never occupy a slot);
-    // the compiler self-verifies its output.
-    he::CompilerOptions copts;
-    copts.input_level = input_level;
-    copts.input_scale = core::kWorkloadScale;  // the admission scale
-    he::ProgramCompiler compiler(*host_, copts);
-    auto compiled = std::make_shared<const he::Program>(
-        compiler.compile(*entry.program).program);
-
-    constexpr std::size_t kCacheCap = 256;
-    if (program_cache_.size() >= kCacheCap) {
-        program_cache_.clear();
-    }
-    program_cache_.emplace(std::move(key), compiled);
-    return compiled;
-}
-
 Response InferenceServer::dispatch(const Admitted &entry,
                                    double dispatch_time) {
     const Request &request = entry.request;
@@ -392,10 +362,10 @@ public:
     /// limbs (a device lane's kernels charge themselves).
     virtual void charge_compute(std::size_t /*units*/,
                                 std::size_t /*limbs*/) {}
-    /// Operands of a cost-only request, or nullopt when the lane charges
-    /// cost-only requests without executing them.
+    /// Operands of a cost-only request, with the admitted facts, or
+    /// nullopt when the lane charges cost-only requests without executing.
     virtual std::optional<std::vector<he::Cipher>> cost_only_operands(
-        std::size_t /*arity*/, std::size_t /*level*/) {
+        std::span<const he::InputFacts> /*facts*/) {
         return std::nullopt;
     }
     /// Charges moving a result the response does not carry off the lane.
@@ -431,13 +401,13 @@ public:
         evaluator_.charge_key_upload(bytes);
     }
     std::optional<std::vector<he::Cipher>> cost_only_operands(
-        std::size_t arity, std::size_t level) override {
-        // Allocated at level with the upload charged, never encrypted
-        // (the paper's N = 32K operating point).
+        std::span<const he::InputFacts> facts) override {
+        // Allocated with the upload charged, never encrypted (the paper's
+        // N = 32K operating point).
         std::vector<he::Cipher> operands;
-        for (std::size_t a = 0; a < arity; ++a) {
-            auto ct = core::allocate_ciphertext(gpu_, 2, level,
-                                                core::kWorkloadScale);
+        for (const he::InputFacts &f : facts) {
+            auto ct = core::allocate_ciphertext(gpu_, f.size, f.level,
+                                                f.scale);
             gpu_.queue().transfer(ct.all().size() * sizeof(uint64_t));
             operands.push_back(backend_.adopt(std::move(ct)));
         }
@@ -588,11 +558,17 @@ std::vector<uint8_t> InferenceServer::evaluate(const Admitted &entry,
     }
     const std::size_t level = input_level(request, *host_);
 
-    // A client circuit runs in compiled form when compile_programs is on,
-    // cached per session so a re-submitted circuit pays the compile once.
+    // A client circuit runs compiled for the facts admission accepted it
+    // against (so it compiles), cached so a repeat pays the compile once.
     std::shared_ptr<const he::Program> program = entry.program;
     if (request.op == Op::Program && config_.compile_programs) {
-        program = compiled_program(entry, level);
+        program = compile_cache_.find(*entry.program, entry.facts);
+        if (program) {
+            ServeMetrics::instance().program_cache_hits.add();
+        } else {
+            ServeMetrics::instance().programs_compiled.add();
+            program = compile_cache_.insert(*entry.program, entry.facts);
+        }
     }
     require_keys(*program, keys, host_->n());
     lane.charge_compute(work_units(*program), level + 1);
@@ -601,7 +577,7 @@ std::vector<uint8_t> InferenceServer::evaluate(const Admitted &entry,
     he::Backend &backend = lane.backend();
     std::optional<std::vector<he::Cipher>> operands;
     if (request.cost_only) {
-        operands = lane.cost_only_operands(program->num_inputs, level);
+        operands = lane.cost_only_operands(entry.facts);
     } else {
         operands.emplace();
         for (const auto &bytes : request.inputs) {
@@ -626,32 +602,42 @@ std::vector<uint8_t> InferenceServer::evaluate(const Admitted &entry,
 LatencyStats InferenceServer::stats() const {
     LatencyStats stats = counts_;
     stats.keys = key_manager_->stats();
-
-    // Publish the device-side aggregates that only exist at stats points
-    // (per-kernel registry updates would put atomics on the hot path).
-    auto &reg = obs::Registry::global();
-    if (pool_) {
-        reg.gauge("xgpu.makespan_ns").set(pool_->makespan_ns());
-        reg.gauge("xgpu.busy_ns").set(pool_->busy_ns());
-        // Summed kernel time is invariant under the lane count; only the
-        // makespan shows the multi-tile overlap.
-        double kernel_ns = 0.0;
-        std::size_t live = 0;
-        std::size_t peak = 0;
-        for (std::size_t lane = 0; lane < pool_->lane_count(); ++lane) {
-            xgpu::Queue &queue = pool_->context(lane).queue();
-            kernel_ns += queue.profiler().total_ns();
-            const xgpu::MemoryCache::Stats &cache = queue.cache().stats();
-            live += cache.live_bytes;
-            peak += cache.peak_live_bytes;
-        }
-        reg.gauge("xgpu.kernel_ns").set(kernel_ns);
-        reg.gauge("xgpu.cache.live_bytes").set(static_cast<double>(live));
-        reg.gauge("xgpu.cache.peak_live_bytes")
-            .set(static_cast<double>(peak));
-    }
+    const InferenceServer *self = this;
+    publish_device_gauges({&self, 1});
     latency_.summarize(stats);
     return stats;
+}
+
+void InferenceServer::publish_device_gauges(
+    std::span<const InferenceServer *const> servers) {
+    // Published at stats points only: per-kernel registry updates would
+    // put atomics on the hot path.
+    double makespan = 0.0, busy = 0.0, kernel = 0.0, live = 0.0, peak = 0.0;
+    bool gpu = false;
+    for (const InferenceServer *server : servers) {
+        core::GpuEvaluatorPool *pool = server->pool_.get();
+        if (pool == nullptr) {
+            continue;
+        }
+        gpu = true;
+        makespan = std::max(makespan, pool->makespan_ns());
+        busy += pool->busy_ns();
+        for (std::size_t lane = 0; lane < pool->lane_count(); ++lane) {
+            xgpu::Queue &queue = pool->context(lane).queue();
+            kernel += queue.profiler().total_ns();
+            const xgpu::MemoryCache::Stats &cache = queue.cache().stats();
+            live += static_cast<double>(cache.live_bytes);
+            peak += static_cast<double>(cache.peak_live_bytes);
+        }
+    }
+    if (gpu) {
+        auto &reg = obs::Registry::global();
+        reg.gauge("xgpu.makespan_ns").set(makespan);
+        reg.gauge("xgpu.busy_ns").set(busy);
+        reg.gauge("xgpu.kernel_ns").set(kernel);
+        reg.gauge("xgpu.cache.live_bytes").set(live);
+        reg.gauge("xgpu.cache.peak_live_bytes").set(peak);
+    }
 }
 
 }  // namespace xehe::serve

@@ -4,14 +4,19 @@
 //
 // Clients submit wire-serialized Requests (monolithic envelopes or bounded
 // chunk-frame streams); the server validates each and lowers it at
-// admission to one he::Program the analyzer accepts (a client circuit
-// decoded, a fixed-function op via serve::canonical_program), forms
-// dynamic batches (dispatch when the batch fills or the admission window
-// expires), and runs each request on its session's lane — one session's
-// chain stays in-order while distinct sessions overlap across tiles
-// (Section III-D per request).  Every request runs through the program
-// interpreter over he::Backend; a GPU pool lane and a simulated host lane
-// differ only in what their Lane supplies.  Per-session evaluation keys
+// admission to one he::Program (a client circuit decoded, a
+// fixed-function op via serve::canonical_program) that the analyzer
+// accepts against the exact size, level and scale of its operands (the
+// fabricated operands of a cost-only request, else each ciphertext's
+// wire header).  A client circuit runs compiled for those same facts,
+// through the he::CompileCache he::Session::run uses: one compile rule
+// for both frontends.  The server forms dynamic batches (dispatch when
+// the batch fills or the admission window expires), and runs each
+// request on its session's lane — one session's chain stays in-order
+// while distinct sessions overlap across tiles (Section III-D per
+// request).  Every request runs through the program interpreter over
+// he::Backend; a GPU pool lane and a simulated host lane differ only in
+// what their Lane supplies.  Per-session evaluation keys
 // live behind a serve::KeyManager (byte-budgeted LRU over a cold store of
 // c0 words and seeds), so sessions may far outnumber resident keys.
 // Responses carry enqueue/dispatch/complete timestamps off the simulated
@@ -20,9 +25,8 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 
-#include "he/program.h"
+#include "he/compiler.h"
 #include "serve/metrics.h"
 #include "xehe/evaluator_pool.h"
 
@@ -48,11 +52,12 @@ struct ServerConfig {
     /// Execute kernels and return real results; false = cost-only (the
     /// N = 32K sweep operating point), responses carry no result bytes.
     bool functional = true;
-    /// Compile client circuits on admission (he::ProgramCompiler:
-    /// CSE/DCE, rescale planning, fusion pre-lowering) with a
-    /// per-session compiled-program cache, so a session re-submitting
-    /// the same circuit pays the compile once.  Off = interpret client
-    /// programs exactly as shipped.
+    /// Compile client circuits before they run (he::ProgramCompiler:
+    /// CSE/DCE, rescale planning, fusion pre-lowering) for the exact
+    /// size, level and scale of their operands, through the
+    /// he::CompileCache he::Session::run also uses, so a repeat of the
+    /// same circuit on operands with the same facts pays the compile
+    /// once.  Off = interpret client programs exactly as shipped.
     bool compile_programs = true;
     /// Resident expanded-key budget for the per-session KeyManager
     /// (bytes, must be positive).  Ignored when a shared KeyManager is
@@ -122,17 +127,23 @@ public:
     /// (parse failures first).
     std::vector<Response> run();
 
+    /// Counters and latencies; publishes this server's xgpu.* gauges.
     LatencyStats stats() const;
+    /// Publishes the xgpu.* gauges over the GPU lanes of `servers` as one
+    /// fleet: the longest makespan, and the summed busy time, kernel time
+    /// and memory-cache bytes.  No-op when none has a GPU pool.
+    static void publish_device_gauges(
+        std::span<const InferenceServer *const> servers);
     /// The completed-request latencies behind stats().
     const LatencyWindow &latency_window() const noexcept { return latency_; }
 
     /// Compiled-program cache occupancy and hit count (for tests and
     /// capacity monitoring).
     std::size_t program_cache_size() const noexcept {
-        return program_cache_.size();
+        return compile_cache_.size();
     }
     std::size_t program_cache_hits() const noexcept {
-        return program_cache_hits_;
+        return compile_cache_.hits();
     }
 
 private:
@@ -141,10 +152,12 @@ private:
     class HostLane;
 
     /// An admitted request with the program it lowered to (the decoded
-    /// client circuit or the op's canonical program).
+    /// client circuit or the op's canonical program) and the exact facts
+    /// of its operands, one per program input.
     struct Admitted {
         Request request;
         std::shared_ptr<const he::Program> program;
+        std::vector<he::InputFacts> facts;
     };
 
     /// route() inside the request's trace identity, recording the
@@ -158,12 +171,8 @@ private:
     /// Keys, program, operands and evaluation; returns the serialized
     /// result (empty on cost-only servers).
     std::vector<uint8_t> evaluate(const Admitted &entry, Lane &lane);
-    /// The compiled form of an admitted client program, cached per
-    /// session, program bytes and assumed input level.
-    std::shared_ptr<const he::Program> compiled_program(
-        const Admitted &entry, std::size_t input_level);
-    /// Lowers the request to its program and analyzes it at the level it
-    /// will execute at; false when it was rejected.
+    /// Lowers the request to its program, reads its operands' facts and
+    /// analyzes the program against them; false when it was rejected.
     bool admit(Admitted &entry);
     /// Answers a request with a typed failure before it reaches a lane.
     void reject(uint64_t session_id, Status code, std::string error);
@@ -184,11 +193,7 @@ private:
     ckks::RelinKeys relin_;  ///< shared tenant keys (empty: none)
     ckks::GaloisKeys galois_;
 
-    /// Compiled client circuits (see compiled_program), bounded with
-    /// clear-on-overflow so a tenant cycling circuits cannot grow it.
-    std::unordered_map<std::string,
-                       std::shared_ptr<const he::Program>> program_cache_;
-    std::size_t program_cache_hits_ = 0;
+    he::CompileCache compile_cache_;  ///< compiled client circuits
 
     ChunkAssembler streams_;
 

@@ -211,6 +211,7 @@ LatencyStats ShardedServer::stats() const {
     // Shards drain concurrently, so the serving window spans the earliest
     // enqueue to the latest completion over every shard.
     LatencyWindow window;
+    std::vector<const InferenceServer *> fleet;
     for (const auto &shard : shards_) {
         const LatencyStats s = shard->stats();
         merged.failed += s.failed;
@@ -219,18 +220,12 @@ LatencyStats ShardedServer::stats() const {
         merged.batches += s.batches;
         merged.fallbacks += s.fallbacks;
         merged.host_requests += s.host_requests;
-        merged.keys.sessions += s.keys.sessions;
-        merged.keys.resident += s.keys.resident;
-        merged.keys.hits += s.keys.hits;
-        merged.keys.misses += s.keys.misses;
-        merged.keys.evictions += s.keys.evictions;
-        merged.keys.reexpand_ms += s.keys.reexpand_ms;
-        merged.keys.resident_bytes += s.keys.resident_bytes;
-        merged.keys.peak_resident_bytes += s.keys.peak_resident_bytes;
-        merged.keys.budget_bytes += s.keys.budget_bytes;
-        merged.keys.cold_bytes += s.keys.cold_bytes;
+        merged.keys += s.keys;
         window.merge(shard->latency_window());
+        fleet.push_back(shard.get());
     }
+    // Each shard's stats() published its own figures; the fleet's win.
+    InferenceServer::publish_device_gauges(fleet);
     window.summarize(merged);
     return merged;
 }

@@ -100,7 +100,8 @@ public:
     /// Merged view across shards: request/failure/overload counts and key
     /// counters are summed, latency percentiles are recomputed over every
     /// shard's completed requests, and the makespan spans first enqueue
-    /// to last completion over all shards.
+    /// to last completion over all shards.  Publishes the fleet's xgpu.*
+    /// gauges (InferenceServer::publish_device_gauges).
     LatencyStats stats() const;
 
 private:

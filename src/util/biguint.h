@@ -21,7 +21,6 @@ public:
 
     static BigUInt from_words(std::vector<uint64_t> words);
 
-    size_t word_count() const noexcept { return words_.size(); }
     uint64_t word(size_t i) const noexcept {
         return i < words_.size() ? words_[i] : 0;
     }

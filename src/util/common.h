@@ -24,11 +24,6 @@ constexpr bool is_power_of_two(uint64_t value) noexcept {
     return value != 0 && (value & (value - 1)) == 0;
 }
 
-/// floor(log2(value)); value must be nonzero.
-constexpr int log2_floor(uint64_t value) noexcept {
-    return 63 - std::countl_zero(value);
-}
-
 /// Exact log2 for powers of two.
 constexpr int log2_exact(uint64_t value) noexcept {
     return std::countr_zero(value);

@@ -94,11 +94,6 @@ std::vector<Modulus> generate_ntt_primes(int bit_size, size_t ntt_size,
     return result;
 }
 
-std::vector<Modulus> default_coeff_modulus(size_t ntt_size, size_t count,
-                                           int bit_size) {
-    return generate_ntt_primes(bit_size, ntt_size, count);
-}
-
 bool try_primitive_root(uint64_t group_size, const Modulus &q, uint64_t *root) {
     require(is_power_of_two(group_size), "group_size must be a power of two");
     const uint64_t order = q.value() - 1;

@@ -18,11 +18,6 @@ bool is_prime(uint64_t value);
 std::vector<Modulus> generate_ntt_primes(int bit_size, size_t ntt_size,
                                          size_t count);
 
-/// SEAL-style default coefficient modulus chain for CKKS benchmarks:
-/// `count` primes of `bit_size` bits, NTT-friendly for degree `ntt_size`.
-std::vector<Modulus> default_coeff_modulus(size_t ntt_size, size_t count,
-                                           int bit_size = 50);
-
 /// Finds a generator-derived primitive `group_size`-th root of unity mod q.
 /// group_size must be a power of two dividing q-1.  Returns false if none.
 bool try_primitive_root(uint64_t group_size, const Modulus &q, uint64_t *root);

@@ -222,7 +222,8 @@ uint64_t fnv1a64(std::span<const uint8_t> data) {
     return hash;
 }
 
-std::span<const uint8_t> open_envelope(std::span<const uint8_t> buffer) {
+std::span<const uint8_t> open_envelope(std::span<const uint8_t> buffer,
+                                       bool verify_checksum) {
     Reader r(buffer);
     if (buffer.size() < kEnvelopeBytes) {
         throw WireError("wire: buffer shorter than envelope");
@@ -237,7 +238,8 @@ std::span<const uint8_t> open_envelope(std::span<const uint8_t> buffer) {
     check(payload_len == buffer.size() - kEnvelopeBytes,
           "wire: payload length mismatch");
     const auto payload = r.bytes(payload_len);
-    check(r.u64() == fnv1a64(payload), "wire: checksum mismatch");
+    check(!verify_checksum || r.u64() == fnv1a64(payload),
+          "wire: checksum mismatch");
     return payload;
 }
 
@@ -361,13 +363,15 @@ void save(Writer &w, const ckks::Ciphertext &ct) {
 
 namespace {
 
-/// Shared ciphertext body parser.  `key_base` distinguishes the two legal
-/// shapes: ciphertexts nested inside keys live over the full key base
-/// (rns == key_rns, size 2), while data ciphertexts are capped at the
-/// data primes — no encryptor produces a ciphertext "at" the special
-/// prime, so the wire must not construct one either.
-void load_ciphertext_body(Reader &r, const ckks::CkksContext &ctx,
-                          ckks::Ciphertext &ct, bool key_base) {
+/// Reads and checks a ciphertext body up to its residue words.
+/// `key_base` distinguishes the two legal shapes: ciphertexts nested
+/// inside keys live over the full key base (rns == key_rns, size 2),
+/// while data ciphertexts are capped at the data primes — no encryptor
+/// produces a ciphertext "at" the special prime, so the wire must not
+/// construct one either.
+CiphertextHeader read_ciphertext_header(Reader &r,
+                                        const ckks::CkksContext &ctx,
+                                        bool key_base) {
     expect_tag(r, Tag::Ciphertext, "wire: expected Ciphertext");
     const uint64_t n = r.u64();
     const uint64_t size = r.u64();
@@ -385,6 +389,15 @@ void load_ciphertext_body(Reader &r, const ckks::CkksContext &ctx,
     const bool ntt_form = read_flag(r);
     const bool seeded = read_flag(r);
     check(!seeded || size == 2, "wire: seeded ciphertext must have size 2");
+    return {size, rns, scale, ntt_form, seeded};
+}
+
+/// Shared ciphertext body parser.
+void load_ciphertext_body(Reader &r, const ckks::CkksContext &ctx,
+                          ckks::Ciphertext &ct, bool key_base) {
+    const auto [size, rns, scale, ntt_form, seeded] =
+        read_ciphertext_header(r, ctx, key_base);
+    const std::size_t n = ctx.n();
     ct.resize(n, size, rns);
     ct.scale = scale;
     ct.ntt_form = ntt_form;
@@ -494,56 +507,10 @@ void load(Reader &r, const ckks::CkksContext &ctx, ckks::GaloisKeys &keys) {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Envelope-level helpers
-// ---------------------------------------------------------------------------
-
-util::Modulus load_modulus(std::span<const uint8_t> buffer) {
-    return load_enveloped<util::Modulus>(buffer);
-}
-
-std::vector<util::Modulus> load_modulus_chain(
-    std::span<const uint8_t> buffer) {
-    return load_enveloped<std::vector<util::Modulus>>(buffer);
-}
-
-ckks::EncryptionParameters load_parameters(std::span<const uint8_t> buffer) {
-    return load_enveloped<ckks::EncryptionParameters>(buffer);
-}
-
-ckks::Plaintext load_plaintext(std::span<const uint8_t> buffer,
-                               const ckks::CkksContext &ctx) {
-    return load_enveloped<ckks::Plaintext>(buffer, ctx);
-}
-
-ckks::Ciphertext load_ciphertext(std::span<const uint8_t> buffer,
-                                 const ckks::CkksContext &ctx) {
-    return load_enveloped<ckks::Ciphertext>(buffer, ctx);
-}
-
-ckks::SecretKey load_secret_key(std::span<const uint8_t> buffer,
-                                const ckks::CkksContext &ctx) {
-    return load_enveloped<ckks::SecretKey>(buffer, ctx);
-}
-
-ckks::PublicKey load_public_key(std::span<const uint8_t> buffer,
-                                const ckks::CkksContext &ctx) {
-    return load_enveloped<ckks::PublicKey>(buffer, ctx);
-}
-
-ckks::KSwitchKey load_kswitch_key(std::span<const uint8_t> buffer,
-                                  const ckks::CkksContext &ctx) {
-    return load_enveloped<ckks::KSwitchKey>(buffer, ctx);
-}
-
-ckks::RelinKeys load_relin_keys(std::span<const uint8_t> buffer,
-                                const ckks::CkksContext &ctx) {
-    return load_enveloped<ckks::RelinKeys>(buffer, ctx);
-}
-
-ckks::GaloisKeys load_galois_keys(std::span<const uint8_t> buffer,
-                                  const ckks::CkksContext &ctx) {
-    return load_enveloped<ckks::GaloisKeys>(buffer, ctx);
+CiphertextHeader load_ciphertext_header(std::span<const uint8_t> buffer,
+                                        const ckks::CkksContext &ctx) {
+    Reader r(detail::open_envelope(buffer, /*verify_checksum=*/false));
+    return read_ciphertext_header(r, ctx, /*key_base=*/false);
 }
 
 // ---------------------------------------------------------------------------

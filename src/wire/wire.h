@@ -160,8 +160,10 @@ void load(Reader &r, const ckks::CkksContext &ctx, ckks::GaloisKeys &keys);
 
 namespace detail {
 uint64_t fnv1a64(std::span<const uint8_t> data);
-/// Validates magic/version/length/checksum; returns the payload view.
-std::span<const uint8_t> open_envelope(std::span<const uint8_t> buffer);
+/// Validates magic/version/length and (unless told not to) the checksum;
+/// returns the payload view.
+std::span<const uint8_t> open_envelope(std::span<const uint8_t> buffer,
+                                       bool verify_checksum = true);
 }  // namespace detail
 
 /// Exact size in bytes of serialize(obj), without serializing.
@@ -253,22 +255,35 @@ std::vector<std::vector<uint8_t>> chunk_message(
 /// returns a view of its header fields and payload.  Throws WireError.
 ChunkView open_chunk(std::span<const uint8_t> frame);
 
-util::Modulus load_modulus(std::span<const uint8_t> buffer);
-std::vector<util::Modulus> load_modulus_chain(std::span<const uint8_t> buffer);
-ckks::EncryptionParameters load_parameters(std::span<const uint8_t> buffer);
-ckks::Plaintext load_plaintext(std::span<const uint8_t> buffer,
-                               const ckks::CkksContext &ctx);
-ckks::Ciphertext load_ciphertext(std::span<const uint8_t> buffer,
-                                 const ckks::CkksContext &ctx);
-ckks::SecretKey load_secret_key(std::span<const uint8_t> buffer,
-                                const ckks::CkksContext &ctx);
-ckks::PublicKey load_public_key(std::span<const uint8_t> buffer,
-                                const ckks::CkksContext &ctx);
-ckks::KSwitchKey load_kswitch_key(std::span<const uint8_t> buffer,
-                                  const ckks::CkksContext &ctx);
-ckks::RelinKeys load_relin_keys(std::span<const uint8_t> buffer,
-                                const ckks::CkksContext &ctx);
-ckks::GaloisKeys load_galois_keys(std::span<const uint8_t> buffer,
-                                  const ckks::CkksContext &ctx);
+// Typed loads of the enveloped objects a client and server exchange
+// (load_enveloped<T> reads any other).
+inline ckks::EncryptionParameters load_parameters(
+    std::span<const uint8_t> buffer) {
+    return load_enveloped<ckks::EncryptionParameters>(buffer);
+}
+inline ckks::Ciphertext load_ciphertext(std::span<const uint8_t> buffer,
+                                        const ckks::CkksContext &ctx) {
+    return load_enveloped<ckks::Ciphertext>(buffer, ctx);
+}
+inline ckks::RelinKeys load_relin_keys(std::span<const uint8_t> buffer,
+                                       const ckks::CkksContext &ctx) {
+    return load_enveloped<ckks::RelinKeys>(buffer, ctx);
+}
+inline ckks::GaloisKeys load_galois_keys(std::span<const uint8_t> buffer,
+                                         const ckks::CkksContext &ctx) {
+    return load_enveloped<ckks::GaloisKeys>(buffer, ctx);
+}
+
+/// The fields of a ciphertext body ahead of its residue words.
+struct CiphertextHeader {
+    std::size_t size, rns;  ///< rns: the active data primes, its level
+    double scale;
+    bool ntt_form, seeded;
+};
+/// Reads an enveloped data ciphertext's header with the reader that
+/// load_ciphertext's body parser starts with; decodes no residues and
+/// leaves the checksum to load_ciphertext.  Throws WireError.
+CiphertextHeader load_ciphertext_header(std::span<const uint8_t> buffer,
+                                        const ckks::CkksContext &ctx);
 
 }  // namespace xehe::wire

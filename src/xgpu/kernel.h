@@ -25,10 +25,6 @@ namespace xehe::xgpu {
 struct NdRange {
     std::size_t work_groups = 0;
     std::size_t local_size = 0;
-
-    std::size_t global_size() const noexcept {
-        return work_groups * local_size;
-    }
 };
 
 /// Per-work-group execution context: group id, local size, and an SLM

@@ -8,6 +8,8 @@
 // InferenceServer compile caches.
 #include "test_common.h"
 
+#include <algorithm>
+
 #include "he/analyze.h"
 #include "he/compiler.h"
 #include "he/session.h"
@@ -937,6 +939,111 @@ TEST(HeCompiler, ServerCompileCacheServesRepeatSubmissionsBitExact) {
         wire::load_ciphertext(raw_responses[0].result, rig.host.context),
         wire::load_ciphertext(responses[0].result, rig.host.context),
         "compiled vs raw server");
+}
+
+/// Serves `program` over `inputs` on a host lane and on a GPU lane of an
+/// InferenceServer holding the rig session's keys; returns the responses
+/// (host first).
+std::vector<serve::Response> serve_on_both_lanes(
+    OffDefaultInputRig &rig, const he::Program &program,
+    std::span<const he::Cipher> inputs) {
+    InferenceServer server(rig.context, xgpu::device1(), core::GpuOptions{},
+                           ServerConfig{});
+    server.set_keys(rig.session.relin_keys(), rig.session.galois_keys());
+    uint64_t session = 0;
+    for (const auto hint :
+         {serve::BackendHint::Host, serve::BackendHint::Gpu}) {
+        Request req;
+        req.session_id = session++;
+        req.op = Op::Program;
+        req.backend = hint;
+        req.program = wire::serialize(program);
+        for (const he::Cipher &c : inputs) {
+            req.inputs.push_back(wire::serialize(rig.backend.download(c)));
+        }
+        server.submit(wire::serialize(req));
+    }
+    auto responses = server.run();
+    std::sort(responses.begin(), responses.end(),
+              [](const serve::Response &a, const serve::Response &b) {
+                  return a.session_id < b.session_id;
+              });
+    return responses;
+}
+
+TEST(HeCompiler, ServedCircuitEqualsSessionRun) {
+    // The server plans a client circuit for its operands' real level and
+    // scale, as Session::run does, so both lanes answer Session::run's
+    // bits.  Case 1: the product's rescaled scale sits near the session
+    // scale (2^50 here), far from 2^40; case 2: one operand sits a level
+    // below the other.
+    OffDefaultInputRig rig;
+    he::ProgramBuilder mul_add(3);
+    mul_add.output(mul_add.add(
+        mul_add.rescale(mul_add.relinearize(
+            mul_add.multiply(mul_add.input(0), mul_add.input(1)))),
+        mul_add.input(2)));
+    const struct {
+        const char *name;
+        he::Program program;
+        std::vector<he::Cipher> inputs;
+        double expect;
+    } cases[] = {
+        {"rescale(relin(a*b)) + c", mul_add.build(),
+         {rig.enc(0.5), rig.enc(0.25), rig.enc(0.125)}, 0.25},
+        {"a + c one level down", rig.add_program,
+         {rig.enc(0.5), rig.backend.mod_switch(rig.enc(0.125))}, 0.625},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.name);
+        const auto expected = rig.backend.download(
+            rig.session.run(c.program, c.inputs).at(0));
+        const auto responses = serve_on_both_lanes(rig, c.program, c.inputs);
+        ASSERT_EQ(responses.size(), 2u);
+        for (const auto &resp : responses) {
+            ASSERT_EQ(resp.code, serve::Status::Ok) << resp.error;
+            const auto served = wire::load_ciphertext(resp.result, rig.context);
+            expect_bit_identical(served, expected, "served vs Session::run");
+            for (const double v :
+                 rig.session.decrypt(rig.backend.upload(served), 16)) {
+                EXPECT_NEAR(v, c.expect, 1e-4);
+            }
+        }
+    }
+}
+
+TEST(HeCompiler, ServedRequestsThatCannotRunAreRefusedAtAdmission) {
+    // A 2x scale gap is beyond kSnapTolerance: no plan can align it, so
+    // admission refuses it against the real scales, before any lane.
+    OffDefaultInputRig rig;
+    const he::Cipher a = rig.enc(0.25);
+    const he::Cipher inputs[] = {
+        a, rig.backend.set_scale(rig.enc(0.5), 2.0 * a.scale())};
+    for (const auto &resp : serve_on_both_lanes(rig, rig.add_program, inputs)) {
+        EXPECT_EQ(resp.code, serve::Status::InvalidProgram) << resp.error;
+        EXPECT_NE(resp.error.find("ScaleMismatch"), std::string::npos)
+            << resp.error;
+        EXPECT_EQ(resp.dispatch_ns, 0.0);
+        EXPECT_EQ(resp.complete_ns, 0.0);
+    }
+
+    // A fixed-function op runs as lowered, so its operands' real levels
+    // must already agree: a MulLinRS over a level gap is refused too.
+    InferenceServer server(rig.context, xgpu::device1(), core::GpuOptions{},
+                           ServerConfig{});
+    server.set_keys(rig.session.relin_keys(), rig.session.galois_keys());
+    Request req;
+    req.op = Op::MulLinRS;
+    for (const he::Cipher &c : {a, rig.backend.mod_switch(rig.enc(0.5))}) {
+        req.inputs.push_back(wire::serialize(rig.backend.download(c)));
+    }
+    server.submit(wire::serialize(req));
+    const auto responses = server.run();
+    ASSERT_EQ(responses.size(), 1u);
+    EXPECT_EQ(responses[0].code, serve::Status::InvalidProgram)
+        << responses[0].error;
+    EXPECT_NE(responses[0].error.find("LevelMismatch"), std::string::npos)
+        << responses[0].error;
 }
 
 TEST(HeCompiler, StaticallyRejectedProgramsNeverOccupyTheCompileCache) {

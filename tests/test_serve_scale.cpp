@@ -11,6 +11,7 @@
 
 #include <set>
 
+#include "obs/metrics.h"
 #include "serve/sharded_server.h"
 #include "xgpu/device.h"
 
@@ -552,6 +553,44 @@ TEST(ServeScale, ShardedResultsMatchSingleServerBitExact) {
     }
     EXPECT_EQ(sharded.stats().requests, 8u);
     EXPECT_EQ(sharded.stats().overloaded, 0u);
+}
+
+TEST(ServeScale, ShardedStatsPublishFleetDeviceGauges) {
+    // The xgpu.* gauges are process-global: after a sharded stats() they
+    // must hold the fleet's figures, not the last shard's.  Kernel time
+    // sums over the shards, so the same cost-only requests leave the same
+    // total as one server does.
+    ScaleBench b;
+    ShardedConfig cfg;
+    cfg.shard_count = 2;
+    cfg.shard.functional = false;
+    cfg.shard.queue_count = 1;
+    ShardedServer sharded(b.host.context, xgpu::device1(), core::GpuOptions{},
+                          cfg);
+    sharded.set_keys(b.relin, b.galois);
+    InferenceServer single(b.host.context, xgpu::device1(),
+                           core::GpuOptions{}, cfg.shard);
+    single.set_keys(b.relin, b.galois);
+    for (uint64_t s = 0; s < 16; ++s) {
+        Request req;
+        req.session_id = s;
+        req.op = static_cast<Op>(s % 5);
+        req.rotate_step = 1;
+        req.cost_only = true;
+        EXPECT_TRUE(sharded.submit(req));
+        single.submit(std::move(req));
+    }
+    ASSERT_EQ(sharded.run().size(), 16u);
+    ASSERT_EQ(single.run().size(), 16u);
+    if (!single.gpu_pool_active()) {
+        GTEST_SKIP() << "gpu backend disabled: no device gauges";
+    }
+    obs::Gauge &kernel_ns = obs::Registry::global().gauge("xgpu.kernel_ns");
+    EXPECT_EQ(single.stats().requests, 16u);
+    const double single_kernel = kernel_ns.value();
+    EXPECT_EQ(sharded.stats().requests, 16u);
+    EXPECT_GT(single_kernel, 0.0);
+    EXPECT_NEAR(kernel_ns.value(), single_kernel, 1e-9 * single_kernel);
 }
 
 // Both shards of a cost-only server re-expand keys on every request (a

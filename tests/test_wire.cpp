@@ -28,7 +28,7 @@ TEST(WireModulus, RoundTripBitExact) {
         const util::Modulus m(value);
         const auto bytes = wire::serialize(m);
         EXPECT_EQ(bytes.size(), wire::serialized_bytes(m));
-        const util::Modulus loaded = wire::load_modulus(bytes);
+        const auto loaded = wire::load_enveloped<util::Modulus>(bytes);
         EXPECT_EQ(loaded.value(), m.value());
         EXPECT_EQ(loaded.bit_count(), m.bit_count());
         EXPECT_EQ(loaded.const_ratio().lo, m.const_ratio().lo);
@@ -41,7 +41,8 @@ TEST(WireModulus, ChainRoundTrip) {
     const auto chain = util::generate_ntt_primes(50, 1024, 5);
     const auto bytes = wire::serialize(chain);
     EXPECT_EQ(bytes.size(), wire::serialized_bytes(chain));
-    const auto loaded = wire::load_modulus_chain(bytes);
+    const auto loaded =
+        wire::load_enveloped<std::vector<util::Modulus>>(bytes);
     ASSERT_EQ(loaded.size(), chain.size());
     for (std::size_t i = 0; i < chain.size(); ++i) {
         EXPECT_EQ(loaded[i].value(), chain[i].value());
@@ -71,7 +72,8 @@ TEST(WirePlaintext, RoundTripBitExact) {
         std::span<const complexd>(b.values(7)), kScale);
     const auto bytes = wire::serialize(plain);
     EXPECT_EQ(bytes.size(), wire::serialized_bytes(plain));
-    const auto loaded = wire::load_plaintext(bytes, b.context);
+    const auto loaded =
+        wire::load_enveloped<ckks::Plaintext>(bytes, b.context);
     EXPECT_EQ(loaded.data, plain.data);
     EXPECT_EQ(loaded.n, plain.n);
     EXPECT_EQ(loaded.rns, plain.rns);
@@ -153,7 +155,8 @@ TEST(WireKeys, SecretKeyRoundTrip) {
     const auto &sk = b.keygen.secret_key();
     const auto bytes = wire::serialize(sk);
     EXPECT_EQ(bytes.size(), wire::serialized_bytes(sk));
-    const auto loaded = wire::load_secret_key(bytes, b.context);
+    const auto loaded =
+        wire::load_enveloped<ckks::SecretKey>(bytes, b.context);
     EXPECT_EQ(loaded.data, sk.data);
 }
 
@@ -167,7 +170,8 @@ TEST(WireKeys, PublicKeySeedCompressedRoundTrip) {
                   static_cast<double>(wire::serialized_bytes(pk)),
               1.8);
     const auto bytes = wire::serialize(pk);
-    const auto loaded = wire::load_public_key(bytes, b.context);
+    const auto loaded =
+        wire::load_enveloped<ckks::PublicKey>(bytes, b.context);
     EXPECT_EQ(loaded.ct.data, pk.ct.data);
 
     // A reloaded public key encrypts; the original secret key decrypts.
@@ -417,12 +421,14 @@ TEST(WireFuzz, EveryLoadOverloadRejectsCorruption) {
 
     fuzz_enveloped(
         wire::serialize(util::Modulus((1ull << 50) - 27)),
-        [](std::span<const uint8_t> s) { return wire::load_modulus(s); },
+        [](std::span<const uint8_t> s) {
+            return wire::load_enveloped<util::Modulus>(s);
+        },
         "modulus");
     fuzz_enveloped(
         wire::serialize(util::generate_ntt_primes(50, 1024, 4)),
         [](std::span<const uint8_t> s) {
-            return wire::load_modulus_chain(s);
+            return wire::load_enveloped<std::vector<util::Modulus>>(s);
         },
         "modulus chain");
     fuzz_enveloped(
@@ -433,7 +439,7 @@ TEST(WireFuzz, EveryLoadOverloadRejectsCorruption) {
         wire::serialize(b.encoder.encode(
             std::span<const complexd>(b.values(81)), kScale)),
         [&](std::span<const uint8_t> s) {
-            return wire::load_plaintext(s, ctx);
+            return wire::load_enveloped<ckks::Plaintext>(s, ctx);
         },
         "plaintext");
     fuzz_enveloped(
@@ -445,20 +451,20 @@ TEST(WireFuzz, EveryLoadOverloadRejectsCorruption) {
     fuzz_enveloped(
         wire::serialize(b.keygen.secret_key()),
         [&](std::span<const uint8_t> s) {
-            return wire::load_secret_key(s, ctx);
+            return wire::load_enveloped<ckks::SecretKey>(s, ctx);
         },
         "secret key");
     fuzz_enveloped(
         wire::serialize(b.keygen.create_public_key()),
         [&](std::span<const uint8_t> s) {
-            return wire::load_public_key(s, ctx);
+            return wire::load_enveloped<ckks::PublicKey>(s, ctx);
         },
         "public key");
     const auto relin = b.keygen.create_relin_keys();
     fuzz_enveloped(
         wire::serialize(relin.key),
         [&](std::span<const uint8_t> s) {
-            return wire::load_kswitch_key(s, ctx);
+            return wire::load_enveloped<ckks::KSwitchKey>(s, ctx);
         },
         "kswitch key");
     fuzz_enveloped(
@@ -521,7 +527,8 @@ TEST(WireFuzz, HugePayloadLengthRejectedBeforeAllocation) {
         SCOPED_TRACE(len);
         EXPECT_THROW(wire::detail::open_envelope(craft(len)), WireError);
         EXPECT_THROW(serve::load_request(craft(len)), WireError);
-        EXPECT_THROW(wire::load_modulus(craft(len)), WireError);
+        EXPECT_THROW(wire::load_enveloped<util::Modulus>(craft(len)),
+                     WireError);
     }
 
     // Same property for chunk frames: an oversized payload_len header
@@ -547,8 +554,10 @@ TEST(WireFuzz, HugePayloadLengthRejectedBeforeAllocation) {
 TEST(WireFuzz, TypeConfusionRejected) {
     auto &b = bench();
     const auto ct_bytes = wire::serialize(b.enc(b.values(91)));
-    EXPECT_THROW(wire::load_public_key(ct_bytes, b.context), WireError);
-    EXPECT_THROW(wire::load_plaintext(ct_bytes, b.context), WireError);
+    EXPECT_THROW(wire::load_enveloped<ckks::PublicKey>(ct_bytes, b.context),
+                 WireError);
+    EXPECT_THROW(wire::load_enveloped<ckks::Plaintext>(ct_bytes, b.context),
+                 WireError);
     EXPECT_THROW(wire::load_parameters(ct_bytes), WireError);
     EXPECT_THROW(serve::load_request(ct_bytes), WireError);
 }
