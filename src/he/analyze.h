@@ -123,7 +123,7 @@ struct AnalyzerOptions {
     std::optional<std::size_t> galois_levels;
 
     /// When > 0, Rescale results outside kSnapTolerance of snap_scale get
-    /// a ScaleDrift warning (the Session snap range; advisory only).
+    /// a ScaleDrift warning (advisory only).
     double snap_scale = 0.0;
 
     /// Fills the key fields from the interpreter's key set.

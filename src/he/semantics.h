@@ -237,8 +237,8 @@ struct InputFacts {
 
 /// Relative scale distance within which two scales count as one: the
 /// planner repairs a gated cipher-cipher gap this small by adopting the
-/// partner's scale, and he::Session snaps a rescaled product landing this
-/// close to the session scale back onto it.
+/// partner's scale.  (he::Session's rescale snap uses the much tighter
+/// Session::snap_window(), derived from the prime chain.)
 inline constexpr double kSnapTolerance = 0.25;
 
 /// True when `a` and `b` lie within kSnapTolerance of each other, read

@@ -23,12 +23,27 @@ Program one_node_program(OpCode op) {
     return p;
 }
 
+/// Twice the widest relative gap between a data prime and `scale`: a
+/// product of two `scale` operands, rescaled by any data prime, lands
+/// within it, while a real scale error (a set_scale, a foreign client
+/// scale) lands far outside it and keeps its exact scale.
+double snap_window_for(const ckks::CkksContext &ctx, double scale) {
+    double widest = 0.0;
+    for (std::size_t i = 0; i < ctx.max_level(); ++i) {
+        const double q = static_cast<double>(ctx.key_modulus()[i].value());
+        widest = std::max(widest, std::abs(q / scale - 1.0));
+    }
+    return 2.0 * widest;
+}
+
 }  // namespace
 
 Session::Session(Backend &backend)
     : backend_(&backend), compile_cache_(backend.context()),
       scale_(default_input_facts(backend.context()).scale),
-      waterline_(16.0 * scale_), encoder_(backend.context()),
+      waterline_(16.0 * scale_),
+      snap_window_(snap_window_for(backend.context(), scale_)),
+      encoder_(backend.context()),
       keygen_(backend.context(), kSeed),
       public_key_(keygen_.create_public_key()),
       encryptor_(backend.context(), public_key_, kSeed ^ 0xE4C12F7ull),
@@ -79,10 +94,11 @@ Cipher Session::finish_product(Cipher prod) {
     while (prod.scale() >= waterline_ && prod.level() >= 2) {
         const double divisor = static_cast<double>(
             context().key_modulus()[prod.level() - 1].value());
-        // Snap to the session scale when the rescale lands close to it,
-        // so chained products keep one exact scale.
+        // Snap to the session scale when the rescale lands within the
+        // prime chain's own spread of it, so chained products keep one
+        // exact scale.
         const bool snap =
-            std::abs(prod.scale() / divisor / scale_ - 1.0) <= kSnapTolerance;
+            std::abs(prod.scale() / divisor / scale_ - 1.0) <= snap_window_;
         prod = backend_->rescale(prod, snap ? scale_ : 0.0);
     }
     return prod;

@@ -15,8 +15,12 @@
 //   need size 2).
 // - auto-rescale: a product whose scale crosses the waterline is rescaled
 //   until it is back under it; when the rescaled scale lands within
-//   kSnapTolerance of the session scale it snaps there exactly (free —
-//   metadata on a fresh ciphertext), so chains stay at one scale.
+//   snap_window() of the session scale — twice the widest gap between a
+//   data prime and the scale, 2^-33 to 2^-26 for the stock chains — it
+//   snaps there exactly (free — metadata on a fresh ciphertext), so
+//   chains stay at one scale.  A product of an operand off the session
+//   scale lands outside the window and keeps its exact scale, so it
+//   still decrypts to its true value.
 // - alignment: add, sub and multiply run as one-node Programs through
 //   run(), so the compiler's planner aligns their operands like any
 //   circuit's: the higher-level operand is mod-switched down, and add/sub
@@ -44,6 +48,9 @@ public:
     Backend &backend() noexcept { return *backend_; }
     double scale() const noexcept { return scale_; }
     double waterline() const noexcept { return waterline_; }
+    /// Relative distance from scale() within which a rescaled product
+    /// snaps onto it.
+    double snap_window() const noexcept { return snap_window_; }
 
     const ckks::RelinKeys &relin_keys() const noexcept { return relin_; }
     const ckks::GaloisKeys &galois_keys() const noexcept { return galois_; }
@@ -89,6 +96,7 @@ private:
     CompileCache compile_cache_;  ///< run()'s analyzed, compiled programs
     double scale_;
     double waterline_;
+    double snap_window_;
     ckks::CkksEncoder encoder_;
     ckks::KeyGenerator keygen_;
     ckks::PublicKey public_key_;

@@ -213,13 +213,58 @@ std::span<const uint8_t> Reader::bytes(std::size_t count) {
 
 namespace detail {
 
-uint64_t fnv1a64(std::span<const uint8_t> data) {
-    uint64_t hash = 14695981039346656037ull;
-    for (const uint8_t byte : data) {
-        hash ^= byte;
-        hash *= 1099511628211ull;
+namespace {
+
+constexpr uint64_t kChecksumSeed = 14695981039346656037ull;
+/// Odd, so multiplying by it is a bijection mod 2^64.
+constexpr uint64_t kChecksumPrime = 0x9E3779B97F4A7C15ull;
+
+/// One checksum step.  Both halves are bijections: for a fixed input the
+/// new state determines the old one, and for a fixed state the input
+/// determines the new state, so a change to one input always survives to
+/// the end of the chain.
+constexpr uint64_t checksum_step(uint64_t h, uint64_t input) {
+    h = (h ^ input) * kChecksumPrime;
+    return h ^ (h >> 29);
+}
+
+uint64_t load_le64(const uint8_t *p) {
+    uint64_t v = 0;
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(&v, p, 8);
+    } else {
+        for (int i = 0; i < 8; ++i) {
+            v |= static_cast<uint64_t>(p[i]) << (8 * i);
+        }
     }
-    return hash;
+    return v;
+}
+
+}  // namespace
+
+uint64_t checksum64(std::span<const uint8_t> data) {
+    // Four independent lanes, one 8-byte word each per 32-byte stride, so
+    // the multiplies of consecutive words overlap instead of queueing.
+    uint64_t lane0 = checksum_step(kChecksumSeed, 0);
+    uint64_t lane1 = checksum_step(kChecksumSeed, 1);
+    uint64_t lane2 = checksum_step(kChecksumSeed, 2);
+    uint64_t lane3 = checksum_step(kChecksumSeed, 3);
+    const uint8_t *p = data.data();
+    const uint8_t *const end = p + data.size();
+    for (; end - p >= 32; p += 32) {
+        lane0 = checksum_step(lane0, load_le64(p));
+        lane1 = checksum_step(lane1, load_le64(p + 8));
+        lane2 = checksum_step(lane2, load_le64(p + 16));
+        lane3 = checksum_step(lane3, load_le64(p + 24));
+    }
+    uint64_t h = checksum_step(kChecksumSeed, lane0);
+    h = checksum_step(h, lane1);
+    h = checksum_step(h, lane2);
+    h = checksum_step(h, lane3);
+    for (; p != end; ++p) {
+        h = checksum_step(h, *p);
+    }
+    return h ^ static_cast<uint64_t>(data.size());
 }
 
 std::span<const uint8_t> open_envelope(std::span<const uint8_t> buffer,
@@ -238,7 +283,7 @@ std::span<const uint8_t> open_envelope(std::span<const uint8_t> buffer,
     check(payload_len == buffer.size() - kEnvelopeBytes,
           "wire: payload length mismatch");
     const auto payload = r.bytes(payload_len);
-    check(!verify_checksum || r.u64() == fnv1a64(payload),
+    check(!verify_checksum || r.u64() == checksum64(payload),
           "wire: checksum mismatch");
     return payload;
 }
@@ -543,7 +588,7 @@ std::vector<std::vector<uint8_t>> chunk_message(uint64_t stream_id,
         w.u64(offset);
         w.u64(body.size());
         w.bytes(body.subspan(offset, len));
-        w.u64(detail::fnv1a64(w.buffer()));
+        w.u64(detail::checksum64(w.buffer()));
         frames.push_back(w.take());
     }
     return frames;
@@ -556,7 +601,7 @@ ChunkView open_chunk(std::span<const uint8_t> frame) {
     // header fields can be trusted for a finer-grained diagnosis.
     Reader tail(frame.subspan(frame.size() - 8));
     check(tail.u64() ==
-              detail::fnv1a64(frame.subspan(0, frame.size() - 8)),
+              detail::checksum64(frame.subspan(0, frame.size() - 8)),
           "wire: chunk checksum mismatch");
     Reader r(frame);
     check(r.u32() == kChunkMagic, "wire: bad chunk magic");

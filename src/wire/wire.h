@@ -5,13 +5,16 @@
 // Layout: every top-level object travels in an envelope
 //
 //   u32 magic "XEHE" | u16 version | u16 reserved | u64 payload_len |
-//   payload (tagged body) | u64 FNV-1a(payload)
+//   payload (tagged body) | u64 checksum64(payload)
 //
 // with all integers little-endian regardless of host byte order.  The
 // trailing checksum plus strict bounds/validity checks on every field mean
 // a truncated or bit-flipped buffer is rejected with a typed WireError —
 // deserialization never reads out of bounds and never constructs an
-// object that violates the scheme's invariants.
+// object that violates the scheme's invariants.  checksum64 (see
+// detail::checksum64) catches every change confined to one 8-byte word
+// or one tail byte, and runs at memory speed rather than a byte per
+// multiply.
 //
 // Seed compression: the uniform `a` component (poly 1) of fresh keys and
 // symmetric ciphertexts is replaced on the wire by the 8-byte PRNG seed it
@@ -36,13 +39,15 @@ public:
 };
 
 inline constexpr uint32_t kMagic = 0x45484558u;  ///< "XEHE", little-endian
-/// Version 4: adds the per-request backend-selection hint of
-/// serve::Request.  (Version 3 added the typed status code of
-/// serve::Response and the chunked streaming frames (kChunkMagic) that
-/// carry large requests as bounded, checksummed segments; version 2 the
-/// Program payload and the program field of serve::Request.)  Loads
+/// Version 5: the envelope and chunk-frame checksum is checksum64, a
+/// four-lane word checksum, instead of byte-serial FNV-1a; the layout and
+/// every size are unchanged.  (Version 4 added the per-request
+/// backend-selection hint of serve::Request; version 3 the typed status
+/// code of serve::Response and the chunked streaming frames (kChunkMagic)
+/// that carry large requests as bounded, checksummed segments; version 2
+/// the Program payload and the program field of serve::Request.)  Loads
 /// reject other versions.
-inline constexpr uint16_t kVersion = 4;
+inline constexpr uint16_t kVersion = 5;
 /// Envelope header: magic + version + reserved + payload length.
 inline constexpr std::size_t kHeaderBytes = 16;
 /// Envelope overhead: 16-byte header + 8-byte payload checksum.
@@ -159,7 +164,14 @@ void load(Reader &r, const ckks::CkksContext &ctx, ckks::GaloisKeys &keys);
 // ---------------------------------------------------------------------------
 
 namespace detail {
-uint64_t fnv1a64(std::span<const uint8_t> data);
+/// The envelope and chunk-frame checksum.  Four lanes each step
+/// h = (h ^ w) * P; h ^= h >> 29 over every fourth little-endian 8-byte
+/// word of each 32-byte stride; the lanes are then folded in order with
+/// the same step, the remaining (< 32) tail bytes are stepped in one at a
+/// time, and the length is xored in.  Every step is a bijection of the
+/// state and of its input, so any change confined to one 8-byte word of
+/// a stride, or to one tail byte, always changes the checksum.
+uint64_t checksum64(std::span<const uint8_t> data);
 /// Validates magic/version/length and (unless told not to) the checksum;
 /// returns the payload view.
 std::span<const uint8_t> open_envelope(std::span<const uint8_t> buffer,
@@ -202,7 +214,7 @@ std::vector<uint8_t> serialize(const T &obj) {
     w.u64(0);  // payload length, patched once the body is written
     save(w, obj);
     w.patch_u64(8, w.size() - kHeaderBytes);
-    w.u64(detail::fnv1a64(
+    w.u64(detail::checksum64(
         std::span<const uint8_t>(w.buffer()).subspan(kHeaderBytes)));
     return w.take();
 }
@@ -215,7 +227,7 @@ std::vector<uint8_t> serialize(const T &obj) {
 //
 //   u32 chunk magic "XEHC" | u16 version | u16 flags (bit 0: last chunk) |
 //   u64 stream_id | u32 seq | u32 payload_len | u64 offset | u64 total_len |
-//   payload | u64 FNV-1a(frame minus checksum)
+//   payload | u64 checksum64(frame minus checksum)
 //
 // Receivers validate magic/version/bounds/continuity per frame and feed
 // the payload straight to an incremental parser; corruption is caught at
@@ -230,7 +242,7 @@ inline constexpr std::size_t kMaxChunkPayload = 64 * 1024;
 inline constexpr uint64_t kMaxStreamBytes = uint64_t{1} << 28;
 /// Fixed frame overhead: the 40-byte header (magic u32, version u16,
 /// flags u16, stream_id u64, seq u32, payload_len u32, offset u64,
-/// total_len u64) plus the trailing 8-byte FNV-1a checksum.
+/// total_len u64) plus the trailing 8-byte checksum64.
 inline constexpr std::size_t kChunkHeaderBytes = 40;
 inline constexpr std::size_t kChunkOverheadBytes = kChunkHeaderBytes + 8;
 

@@ -290,7 +290,7 @@ TEST(HeSession, AutoRescaleHoldsTheWaterlineAndSnaps) {
 
     // One product: level drops, and the derived session scale makes the
     // rescale land exactly back on it (first rescale is exact, later ones
-    // snap within the tolerance).
+    // snap within the window).
     const auto prod = session.multiply(a, b);
     EXPECT_EQ(prod.level(), rig.context.max_level() - 1);
     EXPECT_LT(prod.scale(), session.waterline());
@@ -335,14 +335,15 @@ TEST(HeSession, MidRangeScaleGapRejected) {
 }
 
 /// What Session::multiply does after the product: relinearize, then
-/// rescale under the waterline, snapping onto the session scale.
+/// rescale under the waterline, snapping onto the session scale when the
+/// result lands within the session's snap window.
 he::Cipher finish_product(he::Session &s, he::Cipher prod) {
     prod = s.backend().relinearize(prod, s.relin_keys());
     while (prod.scale() >= s.waterline() && prod.level() >= 2) {
         const double q = static_cast<double>(
             s.context().key_modulus()[prod.level() - 1].value());
         const bool snap =
-            std::abs(prod.scale() / q / s.scale() - 1.0) <= he::kSnapTolerance;
+            std::abs(prod.scale() / q / s.scale() - 1.0) <= s.snap_window();
         prod = s.backend().rescale(prod, snap ? s.scale() : 0.0);
     }
     return prod;

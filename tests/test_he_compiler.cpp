@@ -852,6 +852,30 @@ TEST(HeCompiler, SessionPlansMixedInputScales) {
     }
 }
 
+TEST(HeCompiler, SessionProductOffTheSessionScaleKeepsItsTrueValue) {
+    // A product of an operand 1.1x off the session scale rescales onto
+    // 1.1x the scale, not onto the scale itself: snapping there would
+    // decrypt 0.5 * 0.5 / 1.1 as 0.25.  The window the snap uses comes
+    // from the prime chain, orders of magnitude below a 10% gap.
+    OffDefaultInputRig rig;
+    EXPECT_GT(rig.session.snap_window(), 0.0);
+    EXPECT_LT(rig.session.snap_window(), 1e-3);
+    const he::Cipher a = rig.enc(0.5);
+    const he::Cipher b =
+        rig.backend.set_scale(rig.enc(0.5), 1.1 * a.scale());
+    const he::Cipher prod = rig.session.multiply(a, b);
+    EXPECT_EQ(prod.level(), a.level() - 1);
+    EXPECT_NEAR(prod.scale() / rig.session.scale(), 1.1, 1e-3);
+    for (const double v : rig.session.decrypt(prod, 16)) {
+        EXPECT_NEAR(v, 0.25 / 1.1, 1e-4);
+    }
+    // A chain on the session scale still snaps back onto it exactly.
+    const he::Cipher sq = rig.session.multiply(a, a);
+    EXPECT_DOUBLE_EQ(sq.scale(), rig.session.scale());
+    EXPECT_DOUBLE_EQ(rig.session.multiply(sq, sq).scale(),
+                     rig.session.scale());
+}
+
 TEST(HeCompiler, SessionCompilesAgainstInputsBelowMaxLevel) {
     OffDefaultInputRig rig;
     // a*b + b: the planner aligns b to the rescaled product's level and

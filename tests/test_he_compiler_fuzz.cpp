@@ -628,10 +628,13 @@ TEST(HeCompilerFuzz, CompilerOutputAndAnalyzerVerdictsMatchGoldenDigests) {
 
     Fnv1a compiled;
     Fnv1a analyzed;
+    // The payload only: the envelope's version and checksum are framing,
+    // not compiler output.
     const auto compile_into = [&](const he::Program &p) {
         const std::vector<uint8_t> bytes =
             wire::serialize(compiler.compile(p).program);
-        compiled.bytes(bytes.data(), bytes.size());
+        compiled.bytes(bytes.data() + wire::kHeaderBytes,
+                       bytes.size() - wire::kEnvelopeBytes);
     };
     for (uint64_t seed = 1; seed <= 220; ++seed) {
         const he::Program raw = Generator(host, seed).run();
@@ -653,7 +656,7 @@ TEST(HeCompilerFuzz, CompilerOutputAndAnalyzerVerdictsMatchGoldenDigests) {
           he::rotate_program(1)}) {
         compile_into(p);
     }
-    EXPECT_EQ(compiled.h, 0x2bfecee8a7e91fb3ull) << std::hex << compiled.h;
+    EXPECT_EQ(compiled.h, 0xbd035b9ebf24e96eull) << std::hex << compiled.h;
     EXPECT_EQ(analyzed.h, 0x9a89b1809ffcf7a7ull) << std::hex << analyzed.h;
 }
 

@@ -3,7 +3,8 @@
 // guarantees, exact serialized_bytes accounting, and deserializer
 // robustness — every truncation and a sweep of single-bit corruptions of
 // every enveloped type must raise wire::WireError, never crash or read out
-// of bounds (the ASan/UBSan CI matrix runs this suite).
+// of bounds (the ASan/UBSan CI matrix runs this suite) — and known answers
+// plus exhaustive bit-flip sweeps pinning the checksum.
 #include "test_common.h"
 
 #include "serve/protocol.h"
@@ -296,7 +297,7 @@ TEST(WireProtocol, RotationStepIsAWireFieldRule) {
     for (std::size_t i = 0; i < 8; ++i) {
         forged[16 + 10 + i] = static_cast<uint8_t>(word >> (8 * i));
     }
-    const uint64_t sum = wire::detail::fnv1a64(std::span<const uint8_t>(
+    const uint64_t sum = wire::detail::checksum64(std::span<const uint8_t>(
         forged.data() + 16, forged.size() - 24));
     for (std::size_t i = 0; i < 8; ++i) {
         forged[forged.size() - 8 + i] = static_cast<uint8_t>(sum >> (8 * i));
@@ -329,7 +330,7 @@ TEST(WireProtocol, InvalidProgramResponseRoundTripsWithDiagnostics) {
     // Payload layout: tag 1, session 8, ok 1 puts the code at offset 10.
     auto forged = bytes;
     forged[16 + 10] = static_cast<uint8_t>(serve::Status::InvalidProgram) + 1;
-    const uint64_t sum = wire::detail::fnv1a64(std::span<const uint8_t>(
+    const uint64_t sum = wire::detail::checksum64(std::span<const uint8_t>(
         forged.data() + 16, forged.size() - 24));
     for (std::size_t i = 0; i < 8; ++i) {
         forged[forged.size() - 8 + i] = static_cast<uint8_t>(sum >> (8 * i));
@@ -339,7 +340,7 @@ TEST(WireProtocol, InvalidProgramResponseRoundTripsWithDiagnostics) {
     // An ok flag contradicting the failure code is rejected the same way.
     auto contradicted = bytes;
     contradicted[16 + 9] = 1;
-    const uint64_t sum2 = wire::detail::fnv1a64(std::span<const uint8_t>(
+    const uint64_t sum2 = wire::detail::checksum64(std::span<const uint8_t>(
         contradicted.data() + 16, contradicted.size() - 24));
     for (std::size_t i = 0; i < 8; ++i) {
         contradicted[contradicted.size() - 8 + i] =
@@ -372,13 +373,126 @@ TEST(WireProtocol, BackendHintRoundTripAndValidation) {
     // 43 (tag 1, session 8, op 1, rotate 8, matmul 8, arrival 8,
     // cost_only 1, cost_level 8).
     bytes[16 + 43] = 3;
-    const uint64_t sum = wire::detail::fnv1a64(std::span<const uint8_t>(
+    const uint64_t sum = wire::detail::checksum64(std::span<const uint8_t>(
         bytes.data() + 16, bytes.size() - 24));
     for (std::size_t i = 0; i < 8; ++i) {
         bytes[bytes.size() - 8 + i] =
             static_cast<uint8_t>(sum >> (8 * i));
     }
     EXPECT_THROW(serve::load_request(bytes), WireError);
+}
+
+// ---------------------------------------------------------------------------
+// Checksum
+// ---------------------------------------------------------------------------
+
+TEST(WireChecksum, KnownAnswers) {
+    // Pins the version-5 format: a changed checksum64 must come with a
+    // new kVersion, never drift silently.  Lengths cover the empty input,
+    // tail-only inputs, one full 32-byte stride and strides plus a tail.
+    std::vector<uint8_t> pattern(4096);
+    for (std::size_t i = 0; i < pattern.size(); ++i) {
+        pattern[i] = static_cast<uint8_t>(i * 131 + 7);
+    }
+    const std::pair<std::size_t, uint64_t> expected[] = {
+        {0, 0x89de55c1a347c45aull},    {1, 0x5b687d55d6a1cd18ull},
+        {7, 0x39339a190f2d81fdull},    {8, 0xe49b76706e3eb6ecull},
+        {31, 0x90a21bc793bc0d9eull},   {32, 0x8a832fd987cd0512ull},
+        {33, 0x4d2148f74ef2dc71ull},   {4096, 0xbe9dc46d3ab22c9full},
+    };
+    for (const auto &[len, sum] : expected) {
+        EXPECT_EQ(wire::detail::checksum64(
+                      std::span<const uint8_t>(pattern.data(), len)),
+                  sum)
+            << "length " << len;
+    }
+}
+
+/// Every single-bit flip of `bytes`, header and checksum included, must
+/// raise WireError from `load_fn`.
+template <typename LoadFn>
+void expect_every_bit_flip_rejected(std::vector<uint8_t> bytes,
+                                    LoadFn load_fn) {
+    for (std::size_t bit = 0; bit < bytes.size() * 8; ++bit) {
+        bytes[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+        EXPECT_THROW(load_fn(bytes), WireError) << "bit flip at " << bit;
+        bytes[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    }
+}
+
+TEST(WireChecksum, EveryBitFlipOfACiphertextEnvelopeIsRejected) {
+    // Unseeded and seed-compressed, so the seed word is swept too.
+    CkksBench tiny(8, 2);
+    ckks::Encryptor sym(tiny.context, tiny.keygen.create_public_key(),
+                        tiny.keygen.secret_key(), 0xFEED);
+    const auto values = tiny.values(5);
+    const ckks::Ciphertext cts[] = {
+        tiny.enc(values),
+        sym.encrypt_symmetric(tiny.encoder.encode(
+            std::span<const complexd>(values), kScale))};
+    for (const auto &ct : cts) {
+        SCOPED_TRACE(ct.a_seeded ? "seeded" : "unseeded");
+        const auto bytes = wire::serialize(ct);
+        ASSERT_NO_THROW(wire::load_ciphertext(bytes, tiny.context));
+        expect_every_bit_flip_rejected(
+            bytes, [&](std::span<const uint8_t> s) {
+                return wire::load_ciphertext(s, tiny.context);
+            });
+    }
+}
+
+TEST(WireChecksum, EveryBitFlipOfAChunkFrameIsRejected) {
+    std::vector<uint8_t> body(100);
+    for (std::size_t i = 0; i < body.size(); ++i) {
+        body[i] = static_cast<uint8_t>(i * 29 + 3);
+    }
+    const auto frames = wire::chunk_message(7, body, 64);
+    ASSERT_EQ(frames.size(), 2u);
+    for (const auto &frame : frames) {
+        ASSERT_NO_THROW(wire::open_chunk(frame));
+        expect_every_bit_flip_rejected(frame, [](std::span<const uint8_t> s) {
+            return wire::open_chunk(s);
+        });
+    }
+}
+
+/// Runs `load_fn` on `bytes` and returns the WireError's message ("" if
+/// nothing was thrown).
+template <typename LoadFn>
+std::string wire_error_of(const std::vector<uint8_t> &bytes, LoadFn load_fn) {
+    try {
+        load_fn(bytes);
+    } catch (const WireError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(WireChecksum, VersionFourIsRejectedEvenWithAValidChecksum) {
+    // The envelope checksum covers the payload only, so a version-4
+    // header around a version-5 body still checksums: the version check
+    // alone must refuse it.
+    auto envelope = wire::serialize(util::Modulus((1ull << 50) - 27));
+    envelope[4] = 4;
+    EXPECT_EQ(wire_error_of(envelope,
+                            [](std::span<const uint8_t> s) {
+                                return wire::load_enveloped<util::Modulus>(s);
+                            }),
+              "wire: unsupported version");
+
+    // A chunk frame checksums its header too: re-stamp it after the edit.
+    auto frame = wire::chunk_message(1, envelope).front();
+    frame[4] = 4;
+    const uint64_t sum = wire::detail::checksum64(
+        std::span<const uint8_t>(frame.data(), frame.size() - 8));
+    for (std::size_t i = 0; i < 8; ++i) {
+        frame[frame.size() - 8 + i] = static_cast<uint8_t>(sum >> (8 * i));
+    }
+    EXPECT_EQ(wire_error_of(frame,
+                            [](std::span<const uint8_t> s) {
+                                return wire::open_chunk(s);
+                            }),
+              "wire: unsupported chunk version");
 }
 
 // ---------------------------------------------------------------------------
@@ -543,7 +657,7 @@ TEST(WireFuzz, HugePayloadLengthRejectedBeforeAllocation) {
     w.u64(0);                         // offset
     w.u64(wire::kMaxStreamBytes);     // total_len
     auto frame = w.take();
-    const uint64_t sum = wire::detail::fnv1a64(frame);
+    const uint64_t sum = wire::detail::checksum64(frame);
     wire::Writer tail;
     tail.u64(sum);
     const auto tail_bytes = tail.take();
