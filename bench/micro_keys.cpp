@@ -1,13 +1,16 @@
-// Wall-clock microbenchmark of a tenant key miss: serve::KeyManager::acquire
+// Wall-clock microbenchmarks of a tenant key miss: serve::KeyManager::acquire
 // re-expanding one N = 32K, L = 8 relinearization keyset (the
 // tenant_programs serving shape) from its cold store.  Arg 0 expands on
 // the process-wide pool, as a standalone server does; arg 2 on a private
-// two-worker pool, as a serving shard does.
+// two-worker pool, as a serving shard does.  BM_ExpandUniformSeeded times
+// the serial kernel of a miss: one seeded key-base polynomial.
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <vector>
 
 #include "serve/key_manager.h"
+#include "util/rng.h"
 
 namespace xc = xehe::ckks;
 namespace xs = xehe::serve;
@@ -58,5 +61,25 @@ static void BM_KeyMissRelin32K(benchmark::State &state) {
     state.counters["expanded_mb"] = static_cast<double>(bytes) / (1 << 20);
 }
 BENCHMARK(BM_KeyMissRelin32K)->Arg(0)->Arg(2)->UseRealTime();
+
+// One N = 32K key-base polynomial (9 limbs) expanded from its seed on the
+// calling thread; `per_word` is wall time per output residue (seconds in
+// JSON, printed with an SI prefix, e.g. "4.5ns").
+static void BM_ExpandUniformSeeded(benchmark::State &state) {
+    const std::size_t n = 32768;
+    const auto moduli = xc::EncryptionParameters::create(n, 8).coeff_modulus;
+    std::vector<uint64_t> out(moduli.size() * n);
+    uint64_t seed = 0x5EA1C0DE;
+    for (auto _ : state) {
+        xehe::util::expand_uniform_seeded(out, moduli, n, seed++);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    state.counters["per_word"] = benchmark::Counter(
+        static_cast<double>(out.size()),
+        benchmark::Counter::kIsIterationInvariantRate |
+            benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_ExpandUniformSeeded)->UseRealTime();
 
 BENCHMARK_MAIN();

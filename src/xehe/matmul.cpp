@@ -3,13 +3,14 @@
 #include <random>
 
 #include "ckks/encoder.h"
+#include "util/rng.h"
 #include "xehe/evaluator_pool.h"
 
 namespace xehe::core {
 
 namespace {
 
-std::vector<double> random_slots(std::size_t count, std::mt19937_64 &rng) {
+std::vector<double> random_slots(std::size_t count, util::Mt19937_64 &rng) {
     std::uniform_real_distribution<double> dist(-1.0, 1.0);
     std::vector<double> v(count);
     for (auto &x : v) {
@@ -24,7 +25,7 @@ struct MatmulHost {
     ckks::KeyGenerator keygen;
     ckks::Encryptor encryptor;
     ckks::Decryptor decryptor;
-    std::mt19937_64 rng;
+    util::Mt19937_64 rng;
 
     MatmulHost(const ckks::CkksContext &host, const MatmulConfig &config)
         : encoder(host), keygen(host, config.seed),

@@ -5,6 +5,7 @@
 
 #include "ckks/encoder.h"
 #include "he/compiler.h"
+#include "util/rng.h"
 
 namespace xehe::core {
 
@@ -72,7 +73,7 @@ GpuCiphertext RoutineBench::make_input(std::size_t index) {
     // scheme produced three identical ciphertexts).
     ckks::Encryptor encryptor(*host_, keygen_.create_public_key(),
                               seed_ + 0x9E3779B97F4A7C15ull * (index + 1));
-    std::mt19937_64 rng(seed_ ^ (0xD1B54A32D192ED03ull * (index + 1)));
+    util::Mt19937_64 rng(seed_ ^ (0xD1B54A32D192ED03ull * (index + 1)));
     std::uniform_real_distribution<double> dist(-1.0, 1.0);
     std::vector<double> values(host_->slots());
     for (auto &v : values) {

@@ -344,3 +344,35 @@ TEST(Ckks, SmallDegreeParameters) {
     expect_close(bench.encoder.decode(bench.decryptor.decrypt(ct)), a, 1e-3,
                  "n=512");
 }
+
+// Pins the client-side randomness: the ciphertext words (and the drawn `a`
+// seed) of a symmetric and a public-key encryption under fixed key and
+// encryptor seeds.  Any change to the engine, to the ternary, error or
+// seeded-uniform samplers, or to the order of draws fails here rather than
+// silently changing what clients send.
+TEST(Ckks, SeededEncryptionsMatchGoldenDigests) {
+    const xc::CkksContext context(xc::EncryptionParameters::create(1024, 2));
+    xc::KeyGenerator keygen(context, 0x5EA1);
+    xc::Encryptor encryptor(context, keygen.create_public_key(),
+                            keygen.secret_key(), 0xE4C12f7);
+    xc::Plaintext plain;
+    plain.n = context.n();
+    plain.rns = context.max_level();
+    plain.scale = kScale;
+    plain.data.resize(plain.rns * plain.n);
+    for (std::size_t i = 0; i < plain.data.size(); ++i) {
+        plain.data[i] = i * 0x9E3779B9ull;  // < every 2-level data prime
+    }
+    const auto digest = [](const xc::Ciphertext &ct) {
+        uint64_t h = 0xcbf29ce484222325ULL ^ ct.a_seed;
+        for (const uint64_t w : ct.data) {
+            h = (h ^ w) * 0x100000001b3ULL;
+        }
+        return h;
+    };
+    const auto symmetric = encryptor.encrypt_symmetric(plain);
+    ASSERT_TRUE(symmetric.a_seeded);
+    const auto asymmetric = encryptor.encrypt(plain);
+    EXPECT_EQ(digest(symmetric), 0x8e16f6377be3679aULL);
+    EXPECT_EQ(digest(asymmetric), 0x4bdff619264b0cebULL);
+}
