@@ -1,9 +1,14 @@
 // Wall-clock microbenchmarks of a tenant key miss: serve::KeyManager::acquire
 // re-expanding one N = 32K, L = 8 relinearization keyset (the
-// tenant_programs serving shape) from its cold store.  Arg 0 expands on
-// the process-wide pool, as a standalone server does; arg 2 on a private
-// two-worker pool, as a serving shard does.  BM_ExpandUniformSeeded times
-// the serial kernel of a miss: one seeded key-base polynomial.
+// tenant_programs serving shape) from its cold store.  workers:0 expands
+// on the process-wide pool, as a standalone server does; workers:2 on a
+// private two-worker pool, as a serving shard does.  held:0 drops each
+// keyset before the next miss, so the miss refills the evicted keyset's
+// buffers in place (the steady state); held:1 keeps it, as an in-flight
+// request would, so the miss allocates fresh buffers.  The two held
+// figures converging means misses stopped recycling.
+// BM_ExpandUniformSeeded times the serial kernel of a miss: one seeded
+// key-base polynomial.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -38,6 +43,7 @@ struct Keyset {
 static void BM_KeyMissRelin32K(benchmark::State &state) {
     const Keyset &k = Keyset::instance();
     const auto workers = static_cast<unsigned>(state.range(0));
+    const bool hold = state.range(1) != 0;
     std::unique_ptr<xg::ThreadPool> pool;
     if (workers > 0) {
         pool = std::make_unique<xg::ThreadPool>(workers);
@@ -49,9 +55,13 @@ static void BM_KeyMissRelin32K(benchmark::State &state) {
     manager.register_session(0, k.relin, no_galois);
     manager.register_session(1, k.relin, no_galois);
     uint64_t session = 0;
+    xs::KeyManager::Acquired held;  // the next miss's victim, when holding
     for (auto _ : state) {
-        const auto acq = manager.acquire(session);
+        auto acq = manager.acquire(session);
         benchmark::DoNotOptimize(acq.keys.get());
+        if (hold) {
+            held = std::move(acq);
+        }
         session ^= 1;
     }
     const auto stats = manager.stats();
@@ -60,7 +70,10 @@ static void BM_KeyMissRelin32K(benchmark::State &state) {
     }
     state.counters["expanded_mb"] = static_cast<double>(bytes) / (1 << 20);
 }
-BENCHMARK(BM_KeyMissRelin32K)->Arg(0)->Arg(2)->UseRealTime();
+BENCHMARK(BM_KeyMissRelin32K)
+    ->ArgNames({"workers", "held"})
+    ->ArgsProduct({{0, 2}, {0, 1}})
+    ->UseRealTime();
 
 // One N = 32K key-base polynomial (9 limbs) expanded from its seed on the
 // calling thread; `per_word` is wall time per output residue (seconds in

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <functional>
 #include <limits>
+#include <string>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -43,6 +44,36 @@ std::size_t kswitch_bytes(const ckks::KSwitchKey &key) {
     return words * sizeof(uint64_t);
 }
 
+/// True when the cache's reference is the only one to `keys`, so its
+/// buffers may be refilled; only acquire() hands out references, under
+/// the mutex the caller holds.  use_count() is only a relaxed read, so a
+/// probe copy is taken and dropped: the drop is an acquire-release
+/// decrement of the same count (every shared_ptr release is, to order the
+/// last owner's delete), which orders the last other holder's reads,
+/// ending in its own release, before the refill's writes.
+bool sole_owner(const std::shared_ptr<SessionKeys> &keys) {
+    if (keys.use_count() != 1) {
+        return false;
+    }
+    std::shared_ptr<SessionKeys> probe = keys;
+    probe.reset();
+    return true;
+}
+
+/// Moves every key ciphertext's word buffer out of `keys` into `spare`.
+void donate(SessionKeys &keys, std::vector<std::vector<uint64_t>> &spare) {
+    const auto take = [&spare](ckks::KSwitchKey &key) {
+        for (ckks::Ciphertext &ct : key.keys) {
+            spare.push_back(std::move(ct.data));
+        }
+    };
+    take(keys.relin.key);
+    for (auto &[elt, key] : keys.galois.keys) {
+        (void)elt;
+        take(key);
+    }
+}
+
 }  // namespace
 
 KeyStats &KeyStats::operator+=(const KeyStats &other) {
@@ -78,7 +109,8 @@ KeyManager::KeyManager(const ckks::CkksContext &context,
 }
 
 KeyManager::ColdKSwitchKey KeyManager::make_cold(
-    const ckks::KSwitchKey &key, std::size_t &cold_bytes) const {
+    const ckks::KSwitchKey &key, std::size_t &cold_bytes,
+    std::size_t &expanded_bytes) const {
     const std::size_t n = context_->n();
     const std::size_t rns = context_->key_rns();
     util::require(key.keys.size() == context_->max_level(),
@@ -101,20 +133,30 @@ KeyManager::ColdKSwitchKey KeyManager::make_cold(
         c.a_seed = ct.a_seeded ? ct.a_seed : 0;
         cold_bytes += c.words.size() * sizeof(uint64_t) +
                       (c.a_seeded ? sizeof(c.a_seed) : 0);
+        expanded_bytes += ct.data.size() * sizeof(uint64_t);
         cold.push_back(std::move(c));
     }
     return cold;
 }
 
-std::shared_ptr<SessionKeys> KeyManager::expand(const Entry &entry) const {
+std::shared_ptr<SessionKeys> KeyManager::expand(
+    const Entry &entry, std::vector<Words> &spare) const {
+    obs::Span span("keys.reexpand", obs::Category::Keys);
     // Lay out every destination first (map nodes and vector slots stay
-    // put), then fill them: each key ciphertext expands from its own seed,
-    // so the fills are independent tasks.
+    // put, donated buffers are handed out), then fill them: each key
+    // ciphertext expands from its own seed, so the fills are independent
+    // tasks.
     auto keys = std::make_shared<SessionKeys>();
     std::vector<std::pair<const ColdCiphertext *, ckks::Ciphertext *>> jobs;
+    std::size_t recycled = 0;
     const auto lay_out = [&](const ColdKSwitchKey &from, ckks::KSwitchKey &to) {
         to.keys.resize(from.size());
         for (std::size_t i = 0; i < from.size(); ++i) {
+            if (!spare.empty()) {
+                to.keys[i].data = std::move(spare.back());
+                spare.pop_back();
+                ++recycled;
+            }
             jobs.emplace_back(&from[i], &to.keys[i]);
         }
     };
@@ -135,15 +177,26 @@ std::shared_ptr<SessionKeys> KeyManager::expand(const Entry &entry) const {
         ct.ntt_form = cold.ntt_form;
         ct.a_seeded = cold.a_seeded;
         ct.a_seed = cold.a_seed;
-        ct.data.reserve(2 * rns * n);
-        ct.data.assign(cold.words.begin(), cold.words.end());
-        if (cold.a_seeded) {
+        // Every key ciphertext has this shape (checked at registration),
+        // so a donated buffer is overwritten in place: no allocation, no
+        // zero fill.  Only a fresh one is sized (and c1 cleared) here.
+        if (ct.data.size() == 2 * rns * n) {
+            std::copy(cold.words.begin(), cold.words.end(), ct.data.begin());
+        } else {
+            ct.data.reserve(2 * rns * n);
+            ct.data.assign(cold.words.begin(), cold.words.end());
             ct.data.resize(2 * rns * n);
+        }
+        if (cold.a_seeded) {
             util::expand_uniform_seeded(ct.poly(1), context_->key_modulus(), n,
                                         cold.a_seed);
         }
     };
     pool_->parallel_for(jobs.size(), fill);
+    if (span.active()) {
+        span.set_detail("recycled " + std::to_string(recycled) + "/" +
+                        std::to_string(jobs.size()));
+    }
     return keys;
 }
 
@@ -153,9 +206,10 @@ void KeyManager::register_session(uint64_t session_id,
     // Build the cold form outside the lock: copying c0 is the expensive
     // part.
     Entry entry;
-    entry.relin = make_cold(relin.key, entry.cold_bytes);
+    entry.relin = make_cold(relin.key, entry.cold_bytes, entry.expanded_bytes);
     for (const auto &[elt, key] : galois.keys) {
-        entry.galois.emplace_back(elt, make_cold(key, entry.cold_bytes));
+        entry.galois.emplace_back(
+            elt, make_cold(key, entry.cold_bytes, entry.expanded_bytes));
     }
 
     util::MutexLock lock(mutex_);
@@ -175,24 +229,29 @@ void KeyManager::register_session(uint64_t session_id,
     stats_.sessions = entries_.size();
 }
 
-void KeyManager::make_room(std::size_t needed, uint64_t keep) {
+void KeyManager::make_room(std::size_t needed, std::vector<Words> &spare) {
     while (budget_bytes_ - resident_bytes_ < needed) {
         uint64_t victim = 0;
         uint64_t oldest = std::numeric_limits<uint64_t>::max();
         bool found = false;
         for (const auto &[id, e] : entries_) {
-            if (e.expanded && id != keep && e.last_use < oldest) {
+            if (e.expanded && e.last_use < oldest) {
                 oldest = e.last_use;
                 victim = id;
                 found = true;
             }
         }
         if (!found) {
-            break;  // nothing evictable; caller handles the oversize case
+            break;  // nothing evictable
         }
         Entry &e = entries_.at(victim);
         resident_bytes_ -= e.expanded_bytes;
-        e.expanded.reset();  // the cold store stays
+        // A held keyset stays intact with its holders; the cold store
+        // stays either way.
+        if (sole_owner(e.expanded)) {
+            donate(*e.expanded, spare);
+        }
+        e.expanded.reset();
         ++stats_.evictions;
         KeyMetrics::instance().evictions.add();
     }
@@ -207,6 +266,7 @@ KeyManager::Acquired KeyManager::acquire(uint64_t session_id) {
     entry.last_use = ++use_clock_;
 
     Acquired out;
+    out.expanded_bytes = entry.expanded_bytes;
     if (entry.expanded) {
         ++stats_.hits;
         KeyMetrics::instance().hits.add();
@@ -214,21 +274,24 @@ KeyManager::Acquired KeyManager::acquire(uint64_t session_id) {
             span.set_detail("hit");
         }
         out.keys = entry.expanded;
-        out.expanded_bytes = entry.expanded_bytes;
         return out;
     }
 
-    // Miss: re-expand from the cold store.  The seeded uniform expansion
-    // re-runs exactly, so the result is bit-exact against the originally
+    // Miss: evict first, so the victims' buffers take the new keyset, then
+    // re-expand from the cold store.  The seeded uniform expansion re-runs
+    // exactly, so the result is bit-exact against the originally
     // registered keys.  Kept under the lock for deterministic LRU
     // accounting; re-expansion time is measured and surfaced so the cost
-    // is visible, not hidden.
-    const auto t0 = std::chrono::steady_clock::now();
-    std::shared_ptr<SessionKeys> keys;
-    {
-        obs::Span expand_span("keys.reexpand", obs::Category::Keys);
-        keys = expand(entry);
+    // is visible, not hidden.  An oversize keyset (> whole budget) evicts
+    // nothing and is served transiently, never cached, so
+    // resident_bytes_ <= budget_bytes_ holds at every instant.
+    std::vector<Words> spare;  // victims' buffers; leftovers freed on return
+    const bool cacheable = entry.expanded_bytes <= budget_bytes_;
+    if (cacheable) {
+        make_room(entry.expanded_bytes, spare);
     }
+    const auto t0 = std::chrono::steady_clock::now();
+    std::shared_ptr<SessionKeys> keys = expand(entry, spare);
     const auto t1 = std::chrono::steady_clock::now();
     stats_.reexpand_ms +=
         std::chrono::duration<double, std::milli>(t1 - t0).count();
@@ -240,26 +303,18 @@ KeyManager::Acquired KeyManager::acquire(uint64_t session_id) {
         span.set_detail("miss");
     }
 
-    entry.expanded_bytes = expanded_key_bytes(keys->relin, keys->galois);
     out.miss = true;
-    out.expanded_bytes = entry.expanded_bytes;
     out.keys = keys;
-
-    if (entry.expanded_bytes <= budget_bytes_) {
-        make_room(entry.expanded_bytes, session_id);
-        if (budget_bytes_ - resident_bytes_ >= entry.expanded_bytes) {
-            entry.expanded = std::move(keys);
-            resident_bytes_ += entry.expanded_bytes;
-            stats_.peak_resident_bytes =
-                std::max(stats_.peak_resident_bytes, resident_bytes_);
-        }
+    if (cacheable && budget_bytes_ - resident_bytes_ >= entry.expanded_bytes) {
+        entry.expanded = std::move(keys);
+        resident_bytes_ += entry.expanded_bytes;
+        stats_.peak_resident_bytes =
+            std::max(stats_.peak_resident_bytes, resident_bytes_);
     }
     KeyMetrics::instance().resident_bytes.set(
         static_cast<double>(resident_bytes_));
     KeyMetrics::instance().peak_resident_bytes.set(
         static_cast<double>(stats_.peak_resident_bytes));
-    // An oversize keyset (> whole budget) is served transiently and never
-    // cached, so resident_bytes_ <= budget_bytes_ holds at every instant.
     return out;
 }
 

@@ -3,24 +3,37 @@
 // expanded form.  Cold keys are held in a server-owned form: per key
 // ciphertext its c0 words, the seed its uniform c1 expands from (c1 itself
 // for an unseeded ciphertext) and its metadata — about half the expanded
-// bytes.  A miss re-expands at memory speed: c0 is copied and c1
-// regenerated by util::expand_uniform_seeded straight into the new keyset,
-// one key ciphertext per task on the owner's thread pool (the seeds are
-// independent).  The expansion draws the standard mt19937_64 sequence a
-// 312-word block at a time from the branch-free util::Mt19937_64 and
-// reduces each word by Barrett, about 4 ns per residue on one x86-64 core
+// bytes.  An LRU policy under a byte budget decides which expanded keysets
+// survive.  This is what lets sessions >> resident-key memory share one
+// server without unbounded growth.
+//
+// A miss evicts first, then expands.  Each LRU victim that no request
+// still holds gives its key ciphertexts' word buffers to the new keyset,
+// so in the steady state a miss refills already-mapped memory in place:
+// c0 is copied over the old words and c1 regenerated over them by
+// util::expand_uniform_seeded, one key ciphertext per task on the owner's
+// thread pool (the seeds are independent).  A fresh buffer is allocated
+// only when no donated one is left: at cold start, when a victim is still
+// held by an in-flight request, or for a keyset larger than the budget.
+// The expansion draws the standard mt19937_64 sequence a 312-word block
+// at a time from the branch-free util::Mt19937_64 and reduces each word
+// by Barrett, about 4 ns per residue on one x86-64 core
 // (bench/micro_keys: BM_ExpandUniformSeeded, and BM_KeyMissRelin32K for a
-// whole N = 32K, L = 8 relin miss, 5-8 ms on a 4-core container).  There
-// is no envelope, checksum or canonicity pass — the
-// shape is checked once, at registration — and the result is bit-identical
-// to the registered keys and to their wire round trip.  An LRU policy
-// under a byte budget decides which expanded keysets survive.  This is
-// what lets sessions >> resident-key memory share one server without
-// unbounded growth.
+// whole N = 32K, L = 8 relin miss).  There is no envelope, checksum or
+// canonicity pass — the shape is checked once, at registration — and the
+// result is bit-identical to the registered keys and to their wire round
+// trip, whatever the recycled buffers held before.
+//
+// Memory bound: live expanded key bytes never exceed the budget plus the
+// keysets that in-flight requests hold outside the cache — evicted ones,
+// and an oversize one, which is served but never cached.  A miss evicts
+// before it expands, so the cache never holds more than the budget, not
+// even for the moment the new keyset is built.
 //
 // Thread safety: every public member is safe to call concurrently (one
 // internal mutex).  acquire() returns shared ownership, so an in-flight
-// request keeps its keyset alive even if the cache evicts it mid-request.
+// request keeps its keyset alive, untouched, even if the cache evicts it
+// mid-request.
 #pragma once
 
 #include <memory>
@@ -91,7 +104,8 @@ public:
     };
 
     /// Expanded keys for `session_id`, re-expanding from the cold store on
-    /// a miss (LRU-evicting under the budget first).  Throws
+    /// a miss (LRU-evicting under the budget first, into the victims'
+    /// buffers when no one else holds them).  Throws
     /// std::invalid_argument for an unregistered session.
     Acquired acquire(uint64_t session_id);
 
@@ -103,9 +117,11 @@ public:
     KeyStats stats() const;
 
 private:
+    using Words = std::vector<uint64_t>;
+
     /// One key ciphertext in cold form.
     struct ColdCiphertext {
-        std::vector<uint64_t> words;  ///< c0, then c1 when not seeded
+        Words words;  ///< c0, then c1 when not seeded
         double scale = 1.0;
         bool ntt_form = true;
         bool a_seeded = false;
@@ -117,21 +133,29 @@ private:
         ColdKSwitchKey relin;
         std::vector<std::pair<uint64_t, ColdKSwitchKey>> galois;
         std::size_t cold_bytes = 0;
-        std::shared_ptr<const SessionKeys> expanded;  ///< null when cold
-        std::size_t expanded_bytes = 0;  ///< known after first expansion
+        std::size_t expanded_bytes = 0;
+        /// Null when cold.  Not const: an evicted keyset that no one else
+        /// holds gives its word buffers to the next miss.
+        std::shared_ptr<SessionKeys> expanded;
         uint64_t last_use = 0;
     };
 
-    /// Evicts least-recently-used resident entries (never `keep`) until
-    /// `needed` more bytes fit under the budget.
-    void make_room(std::size_t needed, uint64_t keep) REQUIRES(mutex_);
+    /// Evicts least-recently-used resident entries until `needed` more
+    /// bytes fit under the budget.  A victim no acquirer still holds
+    /// moves its key ciphertexts' word buffers into `spare`.
+    void make_room(std::size_t needed, std::vector<Words> &spare)
+        REQUIRES(mutex_);
 
     /// Checks one key-switch key's shape and returns its cold form,
-    /// adding the bytes it holds to `cold_bytes`.
+    /// adding the bytes it holds to `cold_bytes` and the bytes it expands
+    /// to to `expanded_bytes`.
     ColdKSwitchKey make_cold(const ckks::KSwitchKey &key,
-                             std::size_t &cold_bytes) const;
-    /// A fresh keyset expanded from `entry`'s cold store.
-    std::shared_ptr<SessionKeys> expand(const Entry &entry) const;
+                             std::size_t &cold_bytes,
+                             std::size_t &expanded_bytes) const;
+    /// A keyset expanded from `entry`'s cold store, refilling buffers
+    /// taken from `spare` while any are left and allocating after.
+    std::shared_ptr<SessionKeys> expand(const Entry &entry,
+                                        std::vector<Words> &spare) const;
 
     const ckks::CkksContext *context_;
     std::size_t budget_bytes_;

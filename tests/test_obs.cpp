@@ -18,6 +18,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/trace_export.h"
+#include "serve/key_manager.h"
 #include "serve/server.h"
 #include "serve/sharded_server.h"
 #include "xgpu/device.h"
@@ -445,6 +446,40 @@ TEST(ObsTrace, RaiiSpansNestByConstruction) {
     EXPECT_LE(spans[1].start_ns, spans[0].start_ns);
     EXPECT_GE(spans[1].end_ns, spans[0].end_ns)
         << "outer window contains inner";
+}
+
+TEST(ObsTrace, KeyReexpandSpanSaysHowManyBuffersWereRecycled) {
+    // A slow key miss explains itself: the keys.reexpand detail counts the
+    // key ciphertexts refilled in the evicted keyset's buffers out of the
+    // keyset's total; the rest were allocated.
+    OBS_REQUIRE_TRACING();
+    CkksBench host(1024, 3);
+    const ckks::RelinKeys relin = host.keygen.create_relin_keys();
+    const int steps[] = {1};
+    const ckks::GaloisKeys galois = host.keygen.create_galois_keys(steps);
+    const std::size_t total =
+        relin.key.keys.size() + galois.keys.begin()->second.keys.size();
+    // Room for one keyset: each session's miss evicts the other's.
+    serve::KeyManager manager(host.context,
+                              serve::expanded_key_bytes(relin, galois));
+    manager.register_session(1, relin, galois);
+    manager.register_session(2, relin, galois);
+    RecorderGuard guard;
+
+    manager.acquire(1);                      // cold start: all allocated
+    manager.acquire(2);                      // 1 unheld: all refilled
+    const auto held = manager.acquire(1);    // 2 unheld: all refilled
+    const auto fresh = manager.acquire(2);   // 1 held: all allocated
+    std::vector<std::string> details;
+    for (const auto &span : obs::TraceRecorder::instance().snapshot()) {
+        if (span.name == "keys.reexpand") {
+            details.push_back(span.detail);
+        }
+    }
+    const std::string all = std::to_string(total) + "/" + std::to_string(total);
+    const std::string none = "recycled 0/" + std::to_string(total);
+    EXPECT_EQ(details, (std::vector<std::string>{none, "recycled " + all,
+                                                 "recycled " + all, none}));
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 // Production-scale serving: the byte-budgeted session key cache (LRU
 // eviction order, bit-exact re-expansion from the cold store on the
-// process-wide or a private pool, budget invariants, malformed keysets
+// process-wide or a private pool, misses refilling an unheld victim's
+// buffers and never a held one's, budget invariants, malformed keysets
 // refused at registration), the chunked request path (round-trip equal to
 // monolithic, truncation/bit-flip/reorder rejection), consistent-hash
 // session sharding with credit backpressure (typed Overloaded rejections,
@@ -9,7 +10,9 @@
 // misconfigured server from coming up.
 #include "test_common.h"
 
+#include <atomic>
 #include <set>
+#include <thread>
 
 #include "obs/metrics.h"
 #include "serve/sharded_server.h"
@@ -273,18 +276,137 @@ TEST(KeyManager, UnregisteredSessionIsAnError) {
     EXPECT_THROW(manager.acquire(99), std::invalid_argument);
 }
 
+/// A second tenant's keys: a fresh generator over the same context draws a
+/// different secret, so every key word differs from ScaleBench's.
+struct OtherKeys {
+    ckks::RelinKeys relin;
+    ckks::GaloisKeys galois;
+
+    explicit OtherKeys(const ckks::CkksContext &context) {
+        ckks::KeyGenerator keygen(context);
+        relin = keygen.create_relin_keys();
+        const int steps[] = {1, -1};
+        galois = keygen.create_galois_keys(steps);
+    }
+};
+
+/// The word buffers of every key ciphertext in a keyset.
+std::set<const uint64_t *> word_buffers(const serve::SessionKeys &keys) {
+    std::set<const uint64_t *> out;
+    for (const auto &ct : keys.relin.key.keys) {
+        out.insert(ct.data.data());
+    }
+    for (const auto &[elt, key] : keys.galois.keys) {
+        (void)elt;
+        for (const auto &ct : key.keys) {
+            out.insert(ct.data.data());
+        }
+    }
+    return out;
+}
+
 // An in-flight request keeps its keyset alive across an eviction: the
-// shared_ptr returned by acquire() owns the expansion, not the cache slot.
+// shared_ptr returned by acquire() owns the expansion, not the cache slot,
+// and the next miss must not refill a keyset someone still holds.
 TEST(KeyManager, AcquiredKeysSurviveEviction) {
     ScaleBench b;
+    const OtherKeys other(b.host.context);
     KeyManager manager(b.host.context, b.keyset_bytes);
     manager.register_session(1, b.relin, b.galois);
-    manager.register_session(2, b.relin, b.galois);
+    manager.register_session(2, other.relin, other.galois);
     const auto held = manager.acquire(1);
-    manager.acquire(2);  // evicts 1
+    const auto next = manager.acquire(2);  // evicts 1
     EXPECT_FALSE(manager.resident(1));
     ASSERT_NE(held.keys, nullptr);
-    EXPECT_EQ(held.keys->relin.key.keys.size(), b.relin.key.keys.size());
+    expect_same_keys(*held.keys, b.relin, b.galois);
+    expect_same_keys(*next.keys, other.relin, other.galois);
+}
+
+// A miss evicts first and expands into the buffers of a victim no one
+// holds: in the steady state it allocates nothing.  A held victim keeps
+// its buffers, so the miss allocates fresh ones instead.
+TEST(KeyManager, UnheldVictimBuffersRefillTheNextMiss) {
+    ScaleBench b;
+    const OtherKeys other(b.host.context);
+    KeyManager manager(b.host.context, b.keyset_bytes);
+    manager.register_session(1, b.relin, b.galois);
+    manager.register_session(2, other.relin, other.galois);
+
+    const auto first = word_buffers(*manager.acquire(1).keys);
+    const auto second = manager.acquire(2);  // evicts the unheld 1
+    ASSERT_TRUE(second.miss);
+    const auto held = word_buffers(*second.keys);
+    EXPECT_EQ(held, first);
+    expect_same_keys(*second.keys, other.relin, other.galois);
+
+    // 2 is still held: 1's miss evicts it but must not take its buffers.
+    const auto again = manager.acquire(1);
+    ASSERT_TRUE(again.miss);
+    EXPECT_FALSE(manager.resident(2));
+    for (const uint64_t *buffer : word_buffers(*again.keys)) {
+        EXPECT_EQ(held.count(buffer), 0u);
+    }
+    expect_same_keys(*second.keys, other.relin, other.galois);
+    expect_same_keys(*again.keys, b.relin, b.galois);
+}
+
+// A keyset its holder reads and drops on another thread is refilled by the
+// next miss without a data race: the holder's reads happen before the
+// refill's writes even though nothing else orders the two threads (the
+// handoff flag is relaxed).  The TSan CI lane watches this.
+TEST(KeyManager, KeysetReleasedOnAnotherThreadIsRefilledRaceFree) {
+    ScaleBench b;
+    const OtherKeys other(b.host.context);
+    KeyManager manager(b.host.context, b.keyset_bytes);
+    manager.register_session(1, b.relin, b.galois);
+    manager.register_session(2, other.relin, other.galois);
+
+    std::atomic<bool> released{false};
+    uint64_t read_hash = 0;
+    std::thread holder(
+        [&released, &read_hash](KeyManager::Acquired acq) {
+            read_hash = keyset_hash(*acq.keys);
+            acq.keys.reset();
+            released.store(true, std::memory_order_relaxed);
+        },
+        manager.acquire(1));
+    while (!released.load(std::memory_order_relaxed)) {
+        std::this_thread::yield();
+    }
+    const auto refill = manager.acquire(2);  // evicts the released 1
+    holder.join();
+    ASSERT_TRUE(refill.miss);
+    expect_same_keys(*refill.keys, other.relin, other.galois);
+    EXPECT_EQ(read_hash, keyset_hash(*manager.acquire(1).keys));
+}
+
+// Refilled buffers keep nothing of their previous tenant: two sessions
+// with different secrets alternate through a one-keyset budget, one of
+// them with an unseeded key ciphertext (its whole c1 is copied rather
+// than regenerated), so both fill paths overwrite the other's words.
+TEST(KeyManager, RecycledBuffersCarryNoStaleWords) {
+    ScaleBench b;
+    OtherKeys other(b.host.context);
+    ckks::Ciphertext &unseeded = other.relin.key.keys[0];
+    ASSERT_TRUE(unseeded.a_seeded);
+    unseeded.a_seeded = false;
+    unseeded.a_seed = 0;
+
+    KeyManager manager(b.host.context, b.keyset_bytes);
+    manager.register_session(1, b.relin, b.galois);
+    manager.register_session(2, other.relin, other.galois);
+    for (int round = 0; round < 8; ++round) {
+        SCOPED_TRACE(round);
+        const uint64_t session = 1 + round % 2;
+        const auto acq = manager.acquire(session);
+        ASSERT_TRUE(acq.miss);
+        if (session == 1) {
+            expect_same_keys(*acq.keys, b.relin, b.galois);
+        } else {
+            expect_same_keys(*acq.keys, other.relin, other.galois);
+        }
+    }
+    EXPECT_EQ(manager.stats().evictions, 7u);
 }
 
 // ---------------------------------------------------------------------------
