@@ -52,21 +52,6 @@ CkksContext::CkksContext(EncryptionParameters params)
             half_mod_[j][i] = util::barrett_reduce_64(half_[j], qi);
         }
     }
-    // Eagerly built (they are cheap next to the NTT tables) so the
-    // context is immutable after construction — serving shards on
-    // concurrent host threads share one `const CkksContext &` and a lazy
-    // fill-in here would be a data race.
-    data_bases_.resize(max_level() + 1);
-    for (std::size_t level = 1; level <= max_level(); ++level) {
-        std::vector<Modulus> moduli(params_.coeff_modulus.begin(),
-                                    params_.coeff_modulus.begin() + level);
-        data_bases_[level] = std::make_unique<RnsBase>(std::move(moduli));
-    }
-}
-
-const RnsBase &CkksContext::data_base(std::size_t level) const {
-    util::require(level >= 1 && level <= max_level(), "bad level");
-    return *data_bases_[level];
 }
 
 }  // namespace xehe::ckks

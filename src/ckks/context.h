@@ -6,16 +6,15 @@
 // time (the "level" of a ciphertext is its active data-prime count).
 #pragma once
 
-#include <memory>
+#include <span>
 #include <vector>
 
 #include "ntt/ntt_tables.h"
-#include "rns/rns_base.h"
+#include "util/modarith.h"
 
 namespace xehe::ckks {
 
 using ntt::NttTables;
-using rns::RnsBase;
 using util::Modulus;
 using util::MultiplyModOperand;
 
@@ -60,11 +59,6 @@ public:
         return {tables_.data(), count};
     }
 
-    /// RNS base of the first `level` data primes (precomputed at
-    /// construction; the context is immutable and thread-safe to share
-    /// after that), used by decode.
-    const RnsBase &data_base(std::size_t level) const;
-
     /// (q_j)^{-1} mod q_i, for dropping modulus j onto component i < j —
     /// used by Rescale (j = level-1) and key-switch mod-down (j = special).
     const MultiplyModOperand &inv_mod(std::size_t j,
@@ -84,7 +78,6 @@ private:
     std::vector<std::vector<MultiplyModOperand>> inv_last_;
     std::vector<uint64_t> half_;
     std::vector<std::vector<uint64_t>> half_mod_;
-    std::vector<std::unique_ptr<RnsBase>> data_bases_;
 };
 
 }  // namespace xehe::ckks

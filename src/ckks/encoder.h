@@ -51,12 +51,33 @@ public:
     Plaintext encode(double value, double scale,
                      std::size_t rns_count = 0) const;
 
-    /// Inverse of encode.
+    /// Inverse of encode.  Each coefficient's residues y_i mod the level's
+    /// primes q_0..q_{l-1} are composed by Garner's mixed-radix rule, in
+    /// fixed-width words: digits a_0 = y_0 and
+    ///   a_i = (y_i - [a_0 + a_1 q_0 + ... + a_{i-1} q_0⋯q_{i-2}]_{q_i}) · c_i
+    /// mod q_i, with c_i = (q_0⋯q_{i-1})^{-1} mod q_i, give the unique
+    /// x = Σ a_i q_0⋯q_{i-1} < Q_l = q_0⋯q_{l-1}.  Sign convention: an
+    /// x >= floor(Q_l / 2) decodes as the negative x - Q_l.  Throws
+    /// std::invalid_argument on a plaintext whose degree, level or data
+    /// size does not match the context.
     std::vector<std::complex<double>> decode(const Plaintext &plain) const;
 
 private:
+    /// Garner digits (the rule on decode) of the x < Q_l with
+    /// x ≡ residues[i] (mod q_i), l = residues.size(); residues[i] < q_i.
+    void garner_digits(std::span<const uint64_t> residues,
+                       std::span<uint64_t> digits) const;
+
     const CkksContext *context_;
     ComplexFft fft_;
+    /// garner_inv_[i] = c_i = (q_0⋯q_{i-1})^{-1} mod q_i; no c_i depends on
+    /// the level, so one table serves them all.
+    std::vector<MultiplyModOperand> garner_inv_;
+    /// radix_mod_[i][j] = q_j mod q_i, for j < i.
+    std::vector<std::vector<uint64_t>> radix_mod_;
+    /// half_digits_[l] = the Garner digits of floor(Q_l / 2), the sign
+    /// threshold at level l.
+    std::vector<std::vector<uint64_t>> half_digits_;
     /// Slot i of the message lives at transform position index_map_[i]
     /// (and its conjugate at index_map_[i + slots]): the 3^i Galois
     /// ordering that makes rotations act as cyclic slot shifts.

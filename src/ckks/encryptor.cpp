@@ -116,6 +116,9 @@ Plaintext Decryptor::decrypt(const Ciphertext &ct) const {
     const std::size_t n = context_->n();
     util::require(ct.ntt_form, "decrypt expects NTT form");
     util::require(ct.size >= 2 && ct.size <= 3, "unsupported ciphertext size");
+    util::require(ct.n == n && ct.rns >= 1 && ct.rns <= context_->max_level() &&
+                      ct.data.size() == ct.size * ct.rns * n,
+                  "malformed ciphertext");
 
     Plaintext plain;
     plain.n = n;

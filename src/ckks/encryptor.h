@@ -40,7 +40,9 @@ class Decryptor {
 public:
     Decryptor(const CkksContext &context, SecretKey secret_key);
 
-    /// m = c0 + c1·s (+ c2·s^2) mod q_l, NTT form.
+    /// m = c0 + c1·s (+ c2·s^2) mod q_l, NTT form.  Throws
+    /// std::invalid_argument on a ciphertext whose size, degree, level or
+    /// data size does not match the context.
     Plaintext decrypt(const Ciphertext &ct) const;
 
 private:

@@ -3,17 +3,15 @@
 namespace xehe::ckks::poly {
 
 namespace {
-void check(std::span<const uint64_t> a, std::span<const Modulus> moduli,
-           std::size_t n) {
-    util::require(a.size() == moduli.size() * n,
-                  "RNS polynomial size mismatch");
+void check(std::span<const uint64_t> a, std::size_t rns, std::size_t n) {
+    util::require(a.size() == rns * n, "RNS polynomial size mismatch");
 }
 }  // namespace
 
 void add(std::span<const uint64_t> a, std::span<const uint64_t> b,
          std::span<uint64_t> out, std::span<const Modulus> moduli,
          std::size_t n) {
-    check(a, moduli, n);
+    check(a, moduli.size(), n);
     for (std::size_t r = 0; r < moduli.size(); ++r) {
         const Modulus &q = moduli[r];
         for (std::size_t i = r * n; i < (r + 1) * n; ++i) {
@@ -25,7 +23,7 @@ void add(std::span<const uint64_t> a, std::span<const uint64_t> b,
 void sub(std::span<const uint64_t> a, std::span<const uint64_t> b,
          std::span<uint64_t> out, std::span<const Modulus> moduli,
          std::size_t n) {
-    check(a, moduli, n);
+    check(a, moduli.size(), n);
     for (std::size_t r = 0; r < moduli.size(); ++r) {
         const Modulus &q = moduli[r];
         for (std::size_t i = r * n; i < (r + 1) * n; ++i) {
@@ -36,7 +34,7 @@ void sub(std::span<const uint64_t> a, std::span<const uint64_t> b,
 
 void negate(std::span<const uint64_t> a, std::span<uint64_t> out,
             std::span<const Modulus> moduli, std::size_t n) {
-    check(a, moduli, n);
+    check(a, moduli.size(), n);
     for (std::size_t r = 0; r < moduli.size(); ++r) {
         const Modulus &q = moduli[r];
         for (std::size_t i = r * n; i < (r + 1) * n; ++i) {
@@ -48,7 +46,7 @@ void negate(std::span<const uint64_t> a, std::span<uint64_t> out,
 void mul(std::span<const uint64_t> a, std::span<const uint64_t> b,
          std::span<uint64_t> out, std::span<const Modulus> moduli,
          std::size_t n) {
-    check(a, moduli, n);
+    check(a, moduli.size(), n);
     for (std::size_t r = 0; r < moduli.size(); ++r) {
         const Modulus &q = moduli[r];
         for (std::size_t i = r * n; i < (r + 1) * n; ++i) {
@@ -60,7 +58,7 @@ void mul(std::span<const uint64_t> a, std::span<const uint64_t> b,
 void mad(std::span<const uint64_t> a, std::span<const uint64_t> b,
          std::span<uint64_t> out, std::span<const Modulus> moduli,
          std::size_t n) {
-    check(a, moduli, n);
+    check(a, moduli.size(), n);
     for (std::size_t r = 0; r < moduli.size(); ++r) {
         const Modulus &q = moduli[r];
         for (std::size_t i = r * n; i < (r + 1) * n; ++i) {
@@ -71,6 +69,7 @@ void mad(std::span<const uint64_t> a, std::span<const uint64_t> b,
 
 void ntt(std::span<uint64_t> a, std::span<const ntt::NttTables> tables,
          std::size_t n) {
+    check(a, tables.size(), n);
     for (std::size_t r = 0; r < tables.size(); ++r) {
         ntt::ntt_forward(a.subspan(r * n, n), tables[r]);
     }
@@ -78,6 +77,7 @@ void ntt(std::span<uint64_t> a, std::span<const ntt::NttTables> tables,
 
 void intt(std::span<uint64_t> a, std::span<const ntt::NttTables> tables,
           std::size_t n) {
+    check(a, tables.size(), n);
     for (std::size_t r = 0; r < tables.size(); ++r) {
         ntt::ntt_inverse(a.subspan(r * n, n), tables[r]);
     }

@@ -91,6 +91,33 @@ TEST(Ckks, EncryptDecrypt) {
                  "encrypt/decrypt noise");
 }
 
+// A ciphertext whose shape disagrees with the context is rejected before
+// any residue or key word is read.
+TEST(Ckks, DecryptRejectsMalformedCiphertext) {
+    TestBench bench(1024, 2);
+    const auto values = random_values(bench.encoder.slots(), 16);
+    const auto good = bench.enc(values);
+    ASSERT_NO_THROW(bench.decryptor.decrypt(good));
+    const auto rejects = [&](auto &&mutate) {
+        xc::Ciphertext bad = good;
+        mutate(bad);
+        EXPECT_THROW(bench.decryptor.decrypt(bad), std::invalid_argument);
+    };
+    rejects([](xc::Ciphertext &c) { c.rns = 0; });
+    rejects([&](xc::Ciphertext &c) {
+        c.rns = bench.context.max_level() + 1;
+        c.data.resize(c.size * c.rns * c.n);
+    });
+    rejects([&](xc::Ciphertext &c) {
+        c.rns = bench.context.max_level() + 2;
+        c.data.resize(c.size * c.rns * c.n);
+    });
+    rejects([](xc::Ciphertext &c) { c.data.resize(c.data.size() - 1); });
+    rejects([](xc::Ciphertext &c) { c.size = 3; });
+    rejects([](xc::Ciphertext &c) { c.size = 4; });
+    rejects([](xc::Ciphertext &c) { c.n /= 2; });
+}
+
 TEST(Ckks, AddSubNegate) {
     TestBench bench;
     const auto a = random_values(bench.encoder.slots(), 7);
