@@ -1,13 +1,18 @@
 // Wall-clock microbenchmarks (google-benchmark) of the reference host NTT
 // — the HEXL-equivalent CPU path used as the correctness oracle — and of
-// the host evaluator's key-switching routines at the serving size.
+// the host evaluator's key-switching routines at the serving size.  The
+// evaluator benches take `workers`: 0 runs the serial evaluator (no pool),
+// 1 splits its limb loops over a one-worker pool plus the caller, as a
+// host_serving lane does.
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <random>
 
 #include "ckks/encoder.h"
 #include "ckks/evaluator.h"
 #include "ntt/ntt_ref.h"
+#include "xgpu/threadpool.h"
 
 namespace xc = xehe::ckks;
 namespace xn = xehe::ntt;
@@ -29,19 +34,25 @@ struct Fixture {
 };
 
 /// A fresh size-2 ciphertext at N = 8192, L = 3 (the serving shape) with
-/// the relinearization and rotate-by-1 keys.
+/// the relinearization and rotate-by-1 keys, evaluated serially
+/// (`workers` 0) or on a pool of `workers` threads plus the caller.
 struct HostEval {
     static constexpr int kStep = 1;
+    std::unique_ptr<xehe::xgpu::ThreadPool> pool;
     xc::CkksContext context{xc::EncryptionParameters::create(8192, 3)};
     xc::CkksEncoder encoder{context};
     xc::KeyGenerator keygen{context};
-    xc::Evaluator evaluator{context};
+    xc::Evaluator evaluator;
     xc::RelinKeys relin = keygen.create_relin_keys();
     xc::GaloisKeys galois =
         keygen.create_galois_keys(std::span<const int>(&kStep, 1));
     xc::Ciphertext ct;
 
-    HostEval() {
+    explicit HostEval(unsigned workers)
+        : pool(workers == 0
+                   ? nullptr
+                   : std::make_unique<xehe::xgpu::ThreadPool>(workers)),
+          evaluator(context, pool.get()) {
         std::vector<double> values(context.slots());
         std::mt19937_64 rng(8192);
         std::uniform_real_distribution<double> dist(-1.0, 1.0);
@@ -90,29 +101,35 @@ static void BM_NttRoundtrip(benchmark::State &state) {
 BENCHMARK(BM_NttRoundtrip)->Arg(4096)->Arg(8192)->Arg(32768);
 
 static void BM_HostRelinearize(benchmark::State &state) {
-    HostEval f;
+    HostEval f(static_cast<unsigned>(state.range(0)));
     const auto product = f.evaluator.multiply(f.ct, f.ct);
     for (auto _ : state) {
         benchmark::DoNotOptimize(f.evaluator.relinearize(product, f.relin));
     }
 }
-BENCHMARK(BM_HostRelinearize)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_HostRelinearize)
+    ->ArgName("workers")->Arg(0)->Arg(1)
+    ->Unit(benchmark::kMicrosecond);
 
 static void BM_HostRescale(benchmark::State &state) {
-    HostEval f;
+    HostEval f(static_cast<unsigned>(state.range(0)));
     for (auto _ : state) {
         benchmark::DoNotOptimize(f.evaluator.rescale(f.ct));
     }
 }
-BENCHMARK(BM_HostRescale)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_HostRescale)
+    ->ArgName("workers")->Arg(0)->Arg(1)
+    ->Unit(benchmark::kMicrosecond);
 
 static void BM_HostRotate(benchmark::State &state) {
-    HostEval f;
+    HostEval f(static_cast<unsigned>(state.range(0)));
     for (auto _ : state) {
         benchmark::DoNotOptimize(
             f.evaluator.rotate(f.ct, HostEval::kStep, f.galois));
     }
 }
-BENCHMARK(BM_HostRotate)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_HostRotate)
+    ->ArgName("workers")->Arg(0)->Arg(1)
+    ->Unit(benchmark::kMicrosecond);
 
 BENCHMARK_MAIN();

@@ -2,6 +2,18 @@
 
 namespace xehe::ckks {
 
+namespace {
+
+/// A secret key covers every key limb (decryption and symmetric encryption
+/// slice it at r·N), so a short or long one is refused up front.
+SecretKey checked(const CkksContext &context, SecretKey sk) {
+    util::require(sk.data.size() == context.key_rns() * context.n(),
+                  "secret key does not match the context's key limbs");
+    return sk;
+}
+
+}  // namespace
+
 Encryptor::Encryptor(const CkksContext &context, PublicKey public_key,
                      uint64_t seed)
     : context_(&context), public_key_(std::move(public_key)), rng_(seed) {}
@@ -9,7 +21,8 @@ Encryptor::Encryptor(const CkksContext &context, PublicKey public_key,
 Encryptor::Encryptor(const CkksContext &context, PublicKey public_key,
                      SecretKey secret_key, uint64_t seed)
     : context_(&context), public_key_(std::move(public_key)),
-      secret_key_(std::move(secret_key)), has_secret_key_(true), rng_(seed) {}
+      secret_key_(checked(context, std::move(secret_key))),
+      has_secret_key_(true), rng_(seed) {}
 
 Ciphertext Encryptor::encrypt(const Plaintext &plain) {
     const std::size_t n = context_->n();
@@ -110,7 +123,8 @@ Ciphertext Encryptor::encrypt_symmetric(const Plaintext &plain) {
 }
 
 Decryptor::Decryptor(const CkksContext &context, SecretKey secret_key)
-    : context_(&context), secret_key_(std::move(secret_key)) {}
+    : context_(&context),
+      secret_key_(checked(context, std::move(secret_key))) {}
 
 Plaintext Decryptor::decrypt(const Ciphertext &ct) const {
     const std::size_t n = context_->n();

@@ -13,7 +13,8 @@ public:
               uint64_t seed = 0xE4C12f7);
 
     /// Additionally holds the secret key, enabling encrypt_symmetric —
-    /// the seed-compressible client-side path.
+    /// the seed-compressible client-side path.  Throws
+    /// std::invalid_argument unless the key covers every key limb.
     Encryptor(const CkksContext &context, PublicKey public_key,
               SecretKey secret_key, uint64_t seed = 0xE4C12f7);
 
@@ -38,6 +39,7 @@ private:
 
 class Decryptor {
 public:
+    /// Throws std::invalid_argument unless the key covers every key limb.
     Decryptor(const CkksContext &context, SecretKey secret_key);
 
     /// m = c0 + c1·s (+ c2·s^2) mod q_l, NTT form.  Throws

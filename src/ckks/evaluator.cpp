@@ -1,49 +1,93 @@
 #include "ckks/evaluator.h"
 
+#include <functional>
+#include <memory>
+
+#include "xgpu/threadpool.h"
+
 namespace xehe::ckks {
 
 namespace {
 
-/// Divides an RNS polynomial by one of its moduli with rounding — the
-/// shared core of Rescale and the key-switch mod-down.  `drop` is the
-/// NTT-form limb under key modulus `drop_idx`; for each j < count,
+/// Runs fn(i) for i in [0, count): as tasks on `pool`, or in order on the
+/// caller without one.  Each task writes only its own output limbs.
+void for_each_task(xgpu::ThreadPool *pool, std::size_t count,
+                   const std::function<void(std::size_t)> &fn) {
+    if (pool != nullptr) {
+        pool->parallel_for(count, fn);
+        return;
+    }
+    for (std::size_t i = 0; i < count; ++i) {
+        fn(i);
+    }
+}
+
+/// Throws unless `ct` is shaped like a ciphertext of `ctx`: checked
+/// before any task reads it.
+void require_shape(const CkksContext &ctx, const Ciphertext &ct) {
+    util::require(ct.n == ctx.n() && ct.rns >= 1 &&
+                      ct.rns <= ctx.max_level() &&
+                      ct.data.size() == ct.size * ct.rns * ct.n,
+                  "malformed ciphertext");
+}
+
+/// One RNS polynomial to divide by a modulus with rounding: `drop` is its
+/// NTT-form limb under the dropped modulus, `src` its remaining limbs, and
+/// the quotient is added into `dst`.
+struct RoundedDivision {
+    std::span<const uint64_t> drop;
+    std::span<const uint64_t> src;
+    std::span<uint64_t> dst;
+};
+
+/// Divides RNS polynomials by one of their moduli with rounding — the
+/// shared core of Rescale and the key-switch mod-down.  For each part,
 ///   r     = INTT(drop) + floor(q_drop / 2)           (mod q_drop),
+/// one task per part; then for each j < count, one task per (part, j):
 ///   v_j   = (src_j - NTT_j(r - floor(q_drop / 2))) · q_drop^{-1}  (mod q_j),
 /// and v_j is added into dst_j (a zeroed dst_j receives v_j itself).
-void divide_round(const CkksContext &ctx, std::span<const uint64_t> drop,
-                  std::size_t drop_idx, std::span<const uint64_t> src,
-                  std::span<uint64_t> dst, std::size_t count) {
+void divide_round(const CkksContext &ctx, xgpu::ThreadPool *pool,
+                  std::span<const RoundedDivision> parts,
+                  std::size_t drop_idx, std::size_t count) {
     const std::size_t n = ctx.n();
     const Modulus &q_drop = ctx.key_modulus()[drop_idx];
     const uint64_t half = ctx.half(drop_idx);
-    std::vector<uint64_t> rounded(drop.begin(), drop.end()), t(n);
-    ntt::ntt_inverse(rounded, ctx.table(drop_idx));
-    for (auto &x : rounded) {
-        x = util::add_mod(x, half, q_drop);
-    }
-    for (std::size_t j = 0; j < count; ++j) {
+    const auto rounded =
+        std::make_unique_for_overwrite<uint64_t[]>(parts.size() * n);
+    for_each_task(pool, parts.size(), [&](std::size_t p) {
+        const std::span<uint64_t> r(rounded.get() + p * n, n);
+        std::copy(parts[p].drop.begin(), parts[p].drop.end(), r.begin());
+        ntt::ntt_inverse(r, ctx.table(drop_idx));
+        for (auto &x : r) {
+            x = util::add_mod(x, half, q_drop);
+        }
+    });
+    for_each_task(pool, parts.size() * count, [&](std::size_t task) {
+        const std::size_t p = task / count, j = task % count;
         const Modulus &qj = ctx.key_modulus()[j];
         const uint64_t half_j = ctx.half_mod(drop_idx, j);
+        const uint64_t *r = rounded.get() + p * n;
+        const auto t = std::make_unique_for_overwrite<uint64_t[]>(n);
         for (std::size_t k = 0; k < n; ++k) {
-            t[k] = util::sub_mod(util::barrett_reduce_64(rounded[k], qj),
-                                 half_j, qj);
+            t[k] = util::sub_mod(util::barrett_reduce_64(r[k], qj), half_j,
+                                 qj);
         }
-        ntt::ntt_forward(t, ctx.table(j));
+        ntt::ntt_forward({t.get(), n}, ctx.table(j));
         const auto &inv = ctx.inv_mod(drop_idx, j);
-        const auto sj = src.subspan(j * n, n);
-        auto dj = dst.subspan(j * n, n);
+        const auto sj = parts[p].src.subspan(j * n, n);
+        const auto dj = parts[p].dst.subspan(j * n, n);
         for (std::size_t k = 0; k < n; ++k) {
             const uint64_t v = util::mul_mod(util::sub_mod(sj[k], t[k], qj),
                                              inv, qj);
             dj[k] = util::add_mod(dj[k], v, qj);
         }
-    }
+    });
 }
 
 }  // namespace
 
-Evaluator::Evaluator(const CkksContext &context)
-    : context_(&context), galois_(context.n()) {}
+Evaluator::Evaluator(const CkksContext &context, xgpu::ThreadPool *pool)
+    : context_(&context), pool_(pool), galois_(context.n()) {}
 
 void Evaluator::check_compatible(const Ciphertext &a,
                                  const Ciphertext &b) const {
@@ -120,17 +164,25 @@ Ciphertext Evaluator::multiply(const Ciphertext &a, const Ciphertext &b) const {
     util::require(a.n == b.n && a.rns == b.rns, "ciphertext level mismatch");
     util::require(a.ntt_form && b.ntt_form, "expected NTT form");
     util::require(a.size == 2 && b.size == 2, "multiply expects size-2 inputs");
+    require_shape(*context_, a);
+    require_shape(*context_, b);
     Ciphertext out;
     out.resize(a.n, 3, a.rns);
     out.ntt_form = true;
     out.scale = a.scale * b.scale;
-    const auto moduli =
-        std::span<const Modulus>(context_->key_modulus()).subspan(0, a.rns);
-    poly::mul(a.poly(0), b.poly(0), out.poly(0), moduli, a.n);
+    // One task per (output part p, limb r): d_p = a_x·b_y, with
     // d1 = a0·b1 + a1·b0 through the fused multiply-add.
-    poly::mul(a.poly(0), b.poly(1), out.poly(1), moduli, a.n);
-    poly::mad(a.poly(1), b.poly(0), out.poly(1), moduli, a.n);
-    poly::mul(a.poly(1), b.poly(1), out.poly(2), moduli, a.n);
+    for_each_task(pool_, 3 * a.rns, [&](std::size_t task) {
+        const std::size_t p = task / a.rns, r = task % a.rns;
+        const auto q =
+            std::span<const Modulus>(context_->key_modulus()).subspan(r, 1);
+        const std::size_t x = p == 2 ? 1 : 0, y = p == 0 ? 0 : 1;
+        const auto dst = out.component(p, r);
+        poly::mul(a.component(x, r), b.component(y, r), dst, q, a.n);
+        if (p == 1) {
+            poly::mad(a.component(1, r), b.component(0, r), dst, q, a.n);
+        }
+    });
     return out;
 }
 
@@ -144,8 +196,13 @@ void Evaluator::switch_key_inplace(Ciphertext &dest,
     const std::size_t n = context_->n();
     const std::size_t l = dest.rns;
     const std::size_t special = context_->key_rns() - 1;
+    // Every check runs before the first task, so no task throws.
+    util::require(l >= 1 && l <= context_->max_level() && dest.n == n &&
+                      dest.size >= 2 &&
+                      dest.data.size() == dest.size * l * n,
+                  "switch-key destination shape mismatch");
     util::require(target.size() == l * n, "switch-key target size mismatch");
-    util::require(key.keys.size() >= l, "key-switching key too short");
+    require_kswitch_key(*context_, key, l);
 
     // The inner products below sum l digit×key products, each of two
     // residues below 2^kMaxBits, in 128 bits before a single reduction.
@@ -154,39 +211,64 @@ void Evaluator::switch_key_inplace(Ciphertext &dest,
     util::require(l <= (std::size_t{1} << (128 - kProductBits)),
                   "too many key-switch digits for a 128-bit inner product");
 
-    // 1. Decomposition digits need the coefficient representation.
-    std::vector<uint64_t> target_coeff(target.begin(), target.end());
-    poly::intt(target_coeff, context_->tables(l), n);
+    // Extended base {q_0..q_{l-1}, p}: index j of it is key modulus
+    // mod_index(j).
+    const auto mod_index = [&](std::size_t j) { return j < l ? j : special; };
 
-    // 2. Inner products over the extended base {q_0..q_{l-1}, p}.
-    std::vector<uint64_t> acc0((l + 1) * n), acc1((l + 1) * n);
-    std::vector<uint64_t> digits(l * n);
-    std::vector<const uint64_t *> d(l), k0(l), k1(l);
-    for (std::size_t j = 0; j <= l; ++j) {
-        const std::size_t mod_idx = (j < l) ? j : special;
+    // The scratch below is written in full before it is read, so none of
+    // it is zero-filled.
+    //
+    // 1. Decomposition digits need the coefficient representation: one
+    //    INTT per target limb.
+    const auto target_coeff = std::make_unique_for_overwrite<uint64_t[]>(l * n);
+    for_each_task(pool_, l, [&](std::size_t i) {
+        const std::span<uint64_t> coeff(target_coeff.get() + i * n, n);
+        const auto limb = target.subspan(i * n, n);
+        std::copy(limb.begin(), limb.end(), coeff.begin());
+        ntt::ntt_inverse(coeff, context_->table(i));
+    });
+
+    // 2. Digit i as an integer polynomial with coefficients < q_i, reduced
+    //    into extended modulus m_j and NTT'ed under m_j: one task per
+    //    (j, i).  The diagonal (m_j = q_i) is the NTT-form input limb
+    //    itself: the limb holds canonical residues, so NTT(INTT(x)) = x.
+    const auto digits =
+        std::make_unique_for_overwrite<uint64_t[]>((l + 1) * l * n);
+    const auto digit = [&](std::size_t j, std::size_t i) {
+        return j == i ? target.data() + i * n
+                      : digits.get() + (j * l + i) * n;
+    };
+    for_each_task(pool_, (l + 1) * l, [&](std::size_t task) {
+        const std::size_t j = task / l, i = task % l;
+        if (j == i) {
+            return;
+        }
+        const Modulus &mj = context_->key_modulus()[mod_index(j)];
+        uint64_t *dst = digits.get() + task * n;
+        const uint64_t *src = target_coeff.get() + i * n;
+        for (std::size_t k = 0; k < n; ++k) {
+            dst[k] = util::barrett_reduce_64(src[k], mj);
+        }
+        ntt::ntt_forward({dst, n}, context_->table(mod_index(j)));
+    });
+
+    // 3. Inner products over the extended base: one task per (j, half of
+    //    the coefficients).
+    const auto acc0 = std::make_unique_for_overwrite<uint64_t[]>((l + 1) * n);
+    const auto acc1 = std::make_unique_for_overwrite<uint64_t[]>((l + 1) * n);
+    for_each_task(pool_, 2 * (l + 1), [&](std::size_t task) {
+        const std::size_t j = task / 2, mod_idx = mod_index(j);
         const Modulus &mj = context_->key_modulus()[mod_idx];
+        std::vector<const uint64_t *> d(l), k0(l), k1(l);
         for (std::size_t i = 0; i < l; ++i) {
-            // Digit i as an integer polynomial with coefficients < q_i,
-            // reduced into modulus m_j and NTT'ed under m_j.  Its diagonal
-            // (m_j = q_i) is the NTT-form input limb itself: the limb holds
-            // canonical residues, so NTT(INTT(x)) = x.
+            d[i] = digit(j, i);
             k0[i] = key.keys[i].component(0, mod_idx).data();
             k1[i] = key.keys[i].component(1, mod_idx).data();
-            if (mod_idx == i) {
-                d[i] = target.data() + i * n;
-                continue;
-            }
-            uint64_t *digit = digits.data() + i * n;
-            const uint64_t *src = target_coeff.data() + i * n;
-            for (std::size_t k = 0; k < n; ++k) {
-                digit[k] = util::barrett_reduce_64(src[k], mj);
-            }
-            ntt::ntt_forward({digit, n}, context_->table(mod_idx));
-            d[i] = digit;
         }
-        uint64_t *a0 = acc0.data() + j * n;
-        uint64_t *a1 = acc1.data() + j * n;
-        for (std::size_t k = 0; k < n; ++k) {
+        uint64_t *a0 = acc0.get() + j * n;
+        uint64_t *a1 = acc1.get() + j * n;
+        const std::size_t begin = (task % 2) * (n / 2);
+        for (std::size_t k = begin; k < begin + n / 2; ++k) {
             util::Uint128 s0, s1;
             for (std::size_t i = 0; i < l; ++i) {
                 const uint64_t di = d[i][k];
@@ -196,14 +278,14 @@ void Evaluator::switch_key_inplace(Ciphertext &dest,
             a0[k] = util::barrett_reduce_128(s0, mj);
             a1[k] = util::barrett_reduce_128(s1, mj);
         }
-    }
+    });
 
-    // 3. Mod-down by the special prime with rounding, accumulated into dest.
-    for (int part = 0; part < 2; ++part) {
-        const auto acc = std::span<const uint64_t>(part == 0 ? acc0 : acc1);
-        divide_round(*context_, acc.subspan(l * n, n), special, acc,
-                     dest.poly(part), l);
-    }
+    // 4. Mod-down by the special prime with rounding, accumulated into dest.
+    const RoundedDivision parts[] = {
+        {{acc0.get() + l * n, n}, {acc0.get(), l * n}, dest.poly(0)},
+        {{acc1.get() + l * n, n}, {acc1.get(), l * n}, dest.poly(1)},
+    };
+    divide_round(*context_, pool_, parts, special, l);
 }
 
 Ciphertext Evaluator::relinearize(const Ciphertext &a,
@@ -222,16 +304,18 @@ Ciphertext Evaluator::relinearize(const Ciphertext &a,
 Ciphertext Evaluator::rescale(const Ciphertext &a) const {
     util::require(a.rns >= 2, "cannot rescale at the last level");
     util::require(a.ntt_form, "expected NTT form");
+    require_shape(*context_, a);
     const std::size_t last = a.rns - 1;
     Ciphertext out;
     out.resize(a.n, a.size, last);
     out.ntt_form = true;
     out.scale = a.scale /
                 static_cast<double>(context_->key_modulus()[last].value());
+    std::vector<RoundedDivision> parts;
     for (std::size_t p = 0; p < a.size; ++p) {
-        divide_round(*context_, a.component(p, last), last, a.poly(p),
-                     out.poly(p), last);
+        parts.push_back({a.component(p, last), a.poly(p), out.poly(p)});
     }
+    divide_round(*context_, pool_, parts, last, last);
     return out;
 }
 

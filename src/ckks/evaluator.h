@@ -2,15 +2,30 @@
 // Rescale, ModSwitch and Rotate (Section II-A), with SEAL-style RNS key
 // switching through a single special prime.  This is the correctness oracle
 // the GPU evaluator (src/xehe) is validated against.
+//
+// Given a thread pool, the key switch, rescale and multiply run their
+// independent limb loops as pool tasks (HEXL-style limb-level
+// parallelism); without one the same loops run in order on the caller.
+// Every task writes its own limbs with the same arithmetic, so both give
+// bit-identical results.
 #pragma once
 
 #include "ckks/encryptor.h"
+
+namespace xehe::xgpu {
+class ThreadPool;
+}
 
 namespace xehe::ckks {
 
 class Evaluator {
 public:
-    explicit Evaluator(const CkksContext &context);
+    /// `pool` (optional, not owned) runs the key-switch, rescale and
+    /// multiply limb loops as tasks; null runs them serially on the
+    /// caller.  An
+    /// evaluator on a pool inherits its rule: one caller at a time.
+    explicit Evaluator(const CkksContext &context,
+                       xgpu::ThreadPool *pool = nullptr);
 
     // --- linear ops ---------------------------------------------------
     Ciphertext add(const Ciphertext &a, const Ciphertext &b) const;
@@ -59,6 +74,7 @@ private:
                             const GaloisKeys &keys) const;
 
     const CkksContext *context_;
+    xgpu::ThreadPool *pool_;
     GaloisTool galois_;
 };
 

@@ -27,6 +27,19 @@ std::vector<uint64_t> sample_small_ntt(const CkksContext &ctx, std::size_t rns,
 
 }  // namespace
 
+void require_kswitch_key(const CkksContext &context, const KSwitchKey &key,
+                         std::size_t l) {
+    const std::size_t n = context.n();
+    const std::size_t key_rns = context.key_rns();
+    util::require(key.keys.size() >= l, "key-switching key too short");
+    for (std::size_t i = 0; i < l; ++i) {
+        const Ciphertext &k = key.keys[i];
+        util::require(k.size == 2 && k.n == n && k.rns == key_rns &&
+                          k.data.size() == 2 * key_rns * n,
+                      "key-switching key shape mismatch");
+    }
+}
+
 KeyGenerator::KeyGenerator(const CkksContext &context, uint64_t seed)
     : context_(&context), rng_(seed), galois_(context.n()) {
     secret_key_.data =

@@ -26,6 +26,13 @@ struct KSwitchKey {
     std::vector<Ciphertext> keys;
 };
 
+/// Throws std::invalid_argument unless `key` can switch an `l`-limb
+/// target under `context`: at least l key ciphertexts, each of size 2 and
+/// degree N over the full key base.  Both evaluators check this before
+/// reading a key word, so keys of another context fail cleanly.
+void require_kswitch_key(const CkksContext &context, const KSwitchKey &key,
+                         std::size_t l);
+
 struct RelinKeys {
     KSwitchKey key;  ///< switches s^2 -> s
 };

@@ -104,10 +104,14 @@ protected:
 };
 
 /// Backend over the CPU reference evaluator (the correctness oracle).
+/// `pool` (optional, not owned) splits the evaluator's key-switch,
+/// rescale and multiply limb loops into tasks; without one they run
+/// serially.  The results are bit-identical either way.
 class HostBackend final : public Backend {
 public:
-    explicit HostBackend(const ckks::CkksContext &context)
-        : context_(&context), evaluator_(context) {}
+    explicit HostBackend(const ckks::CkksContext &context,
+                         xgpu::ThreadPool *pool = nullptr)
+        : context_(&context), evaluator_(context, pool) {}
 
     const ckks::CkksContext &context() const noexcept override {
         return *context_;

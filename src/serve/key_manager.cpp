@@ -115,13 +115,10 @@ KeyManager::ColdKSwitchKey KeyManager::make_cold(
     const std::size_t rns = context_->key_rns();
     util::require(key.keys.size() == context_->max_level(),
                   "keys: key-switch key count must equal max_level");
+    ckks::require_kswitch_key(*context_, key, key.keys.size());
     ColdKSwitchKey cold;
     cold.reserve(key.keys.size());
     for (const ckks::Ciphertext &ct : key.keys) {
-        util::require(ct.size == 2, "keys: key ciphertext size must be 2");
-        util::require(ct.rns == rns, "keys: key ciphertext rns != key_rns");
-        util::require(ct.n == n && ct.data.size() == 2 * rns * n,
-                      "keys: key ciphertext degree mismatch");
         ColdCiphertext c;
         // A seeded c1 is regenerated from its seed on expansion; only an
         // unseeded one has to be kept.

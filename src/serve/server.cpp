@@ -97,7 +97,8 @@ InferenceServer::InferenceServer(const ckks::CkksContext &host,
                                  std::shared_ptr<KeyManager> key_manager,
                                  xgpu::ThreadPool *pool)
     : host_(&host), config_((config.validate(), config)),
-      host_backend_(std::make_unique<he::HostBackend>(host)),
+      host_backend_(std::make_unique<he::HostBackend>(
+          host, pool != nullptr ? pool : &xgpu::ThreadPool::global())),
       key_manager_(key_manager
                        ? std::move(key_manager)
                        : std::make_shared<KeyManager>(

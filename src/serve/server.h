@@ -74,10 +74,11 @@ public:
     /// `key_manager` (optional) shares one key cache across servers — the
     /// sharded front end passes per-shard managers it owns; standalone
     /// servers build their own from `config.key_budget_bytes`.  `pool`
-    /// (optional) pins simulated kernel execution — and the seed
-    /// expansion of a self-built key cache — to a private host thread
-    /// pool so independent servers may run on concurrent threads
-    /// (ThreadPool::parallel_for is not reentrant across callers).
+    /// (optional) pins simulated kernel execution, the host backend's
+    /// limb tasks and the seed expansion of a self-built key cache to a
+    /// private host thread pool so independent servers may run on
+    /// concurrent threads (ThreadPool::parallel_for is not reentrant
+    /// across callers); without one they share ThreadPool::global().
     InferenceServer(const ckks::CkksContext &host, xgpu::DeviceSpec spec,
                     core::GpuOptions options, ServerConfig config = {},
                     std::shared_ptr<KeyManager> key_manager = nullptr,

@@ -269,7 +269,7 @@ void GpuEvaluator::switch_key_inplace(GpuCiphertext &dest,
     const std::size_t special = ctx_->key_rns() - 1;
     const Modulus &p = ctx_->special_prime();
     util::require(target.size() == l * n, "switch-key target size mismatch");
-    util::require(key.keys.size() >= l, "key-switching key too short");
+    ckks::require_kswitch_key(*ctx_, key, l);
     const bool fuse = gpu_->options().fuse_dyadic;
 
     // 1. Digits need the coefficient representation.

@@ -36,8 +36,19 @@ void ThreadPool::run_chunks(Job &job) {
             break;
         }
         const std::size_t end = std::min(begin + chunk, job.count);
-        for (std::size_t i = begin; i < end; ++i) {
-            (*job.fn)(i);
+        try {
+            for (std::size_t i = begin; i < end; ++i) {
+                (*job.fn)(i);
+            }
+        } catch (...) {
+            if (!job.failed.exchange(true)) {
+                job.error = std::current_exception();
+            }
+            // Hand out nothing more: claim the unclaimed tail as done.
+            const std::size_t claimed = job.next.exchange(job.count);
+            if (claimed < job.count) {
+                job.done.fetch_add(job.count - claimed);
+            }
         }
         job.done.fetch_add(end - begin);
     }
@@ -94,6 +105,9 @@ void ThreadPool::parallel_for(std::size_t count,
             cv_done_.wait(mutex_);
         }
         job_.reset();
+    }
+    if (job->failed.load()) {
+        std::rethrow_exception(job->error);
     }
 }
 

@@ -1,9 +1,11 @@
 // A small persistent thread pool used to execute simulated GPU work-groups
-// on host cores.  parallel_for blocks until all indices are processed;
-// work is handed out in chunks through an atomic counter.
+// and the host evaluator's limb loops on host cores.  parallel_for blocks
+// until all indices are processed; work is handed out in chunks through an
+// atomic counter.  Depends only on util/, so every layer may run on it.
 #pragma once
 
 #include <atomic>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <thread>
@@ -27,7 +29,10 @@ public:
     }
 
     /// Runs fn(i) for i in [0, count), distributing across workers.
-    /// The calling thread participates.  Blocks until complete.
+    /// The calling thread participates.  Blocks until complete.  If any
+    /// fn(i) throws, no further chunks are handed out, the call still
+    /// waits for every running chunk, and then rethrows the first
+    /// exception on the caller; the pool stays usable.
     void parallel_for(std::size_t count,
                       const std::function<void(std::size_t)> &fn);
 
@@ -40,6 +45,10 @@ private:
         const std::function<void(std::size_t)> *fn = nullptr;
         std::atomic<std::size_t> next{0};
         std::atomic<std::size_t> done{0};
+        /// Set once by the first throwing task, which alone then writes
+        /// `error`; read by the caller after `done` reaches `count`.
+        std::atomic<bool> failed{false};
+        std::exception_ptr error;
     };
 
     void worker_loop();

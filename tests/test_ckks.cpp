@@ -6,6 +6,7 @@
 #include "ckks/encoder.h"
 #include "ckks/evaluator.h"
 #include "test_common.h"
+#include "xgpu/threadpool.h"
 
 namespace xc = xehe::ckks;
 
@@ -402,4 +403,108 @@ TEST(Ckks, SeededEncryptionsMatchGoldenDigests) {
     const auto asymmetric = encryptor.encrypt(plain);
     EXPECT_EQ(digest(symmetric), 0x8e16f6377be3679aULL);
     EXPECT_EQ(digest(asymmetric), 0x4bdff619264b0cebULL);
+}
+
+// A secret key is sliced at r·N by decryption and symmetric encryption, so
+// one that does not cover every key limb is refused at construction.
+TEST(Ckks, SecretKeyMustCoverEveryKeyLimb) {
+    TestBench bench(1024, 2);
+    const std::size_t n = bench.context.n();
+    const xc::PublicKey pk = bench.keygen.create_public_key();
+    for (const std::size_t words :
+         {n, (bench.context.key_rns() - 1) * n,
+          (bench.context.key_rns() + 1) * n}) {
+        SCOPED_TRACE(words);
+        xc::SecretKey bad;
+        bad.data.assign(words, 0);
+        EXPECT_THROW(xc::Decryptor(bench.context, bad), std::invalid_argument);
+        EXPECT_THROW(xc::Encryptor(bench.context, pk, bad),
+                     std::invalid_argument);
+    }
+    EXPECT_NO_THROW(xc::Decryptor(bench.context, bench.keygen.secret_key()));
+    EXPECT_NO_THROW(xc::Encryptor(bench.context, pk,
+                                  bench.keygen.secret_key()));
+}
+
+// Key-switching keys of a smaller context are refused before any word is
+// read: too few keys at the top level, and keys over the wrong key base
+// one level down (where the count alone would pass).
+TEST(Ckks, KeySwitchRejectsKeysOfAnotherContext) {
+    TestBench bench(1024, 3);
+    const xc::CkksContext small(xc::EncryptionParameters::create(1024, 2));
+    xc::KeyGenerator small_keygen(small);
+    const xc::RelinKeys bad = small_keygen.create_relin_keys();
+    const int step = 1;
+    const xc::GaloisKeys bad_galois =
+        small_keygen.create_galois_keys(std::span<const int>(&step, 1));
+    xehe::xgpu::ThreadPool pool(1);
+    const xc::Evaluator pooled(bench.context, &pool);
+    auto ct = bench.enc(bench.values(3));
+    for (int down = 0; down < 2; ++down) {
+        SCOPED_TRACE(ct.rns);
+        const auto product = bench.evaluator.multiply(ct, ct);
+        const xc::Evaluator *const evaluators[] = {&bench.evaluator, &pooled};
+        for (const xc::Evaluator *eval : evaluators) {
+            EXPECT_THROW(eval->relinearize(product, bad),
+                         std::invalid_argument);
+            EXPECT_THROW(eval->rotate(ct, step, bad_galois),
+                         std::invalid_argument);
+        }
+        ct = bench.evaluator.mod_switch(ct);
+    }
+}
+
+// The pooled evaluator splits its key-switch, rescale and multiply limb
+// loops into tasks.  Every task writes its own limbs with the serial
+// arithmetic, so each result is the serial oracle's, word for word, on
+// any pool size and at every level.
+TEST(EvaluatorPool, BitIdenticalToSerialAtEveryLevel) {
+    struct Shape {
+        std::size_t n, levels;
+    };
+    for (const Shape shape : {Shape{1024, 2}, Shape{1024, 4}, Shape{8192, 3}}) {
+        TestBench bench(shape.n, shape.levels);
+        const xc::Evaluator &serial = bench.evaluator;
+        const xc::RelinKeys relin = bench.keygen.create_relin_keys();
+        const int steps[] = {1, -3};
+        const xc::GaloisKeys galois = bench.keygen.create_galois_keys(steps);
+        const xc::GaloisKeys conj = bench.keygen.create_conjugation_keys();
+        for (const unsigned workers : {1u, 3u}) {
+            xehe::xgpu::ThreadPool pool(workers);
+            const xc::Evaluator pooled(bench.context, &pool);
+            auto a = bench.enc(bench.values(1));
+            auto b = bench.enc(bench.values(2));
+            for (std::size_t level = shape.levels; level >= 1; --level) {
+                SCOPED_TRACE("N=" + std::to_string(shape.n) +
+                             " L=" + std::to_string(shape.levels) +
+                             " level=" + std::to_string(level) +
+                             " workers=" + std::to_string(workers));
+                const auto same = [](const xc::Ciphertext &x,
+                                     const xc::Ciphertext &y) {
+                    EXPECT_EQ(x.size, y.size);
+                    EXPECT_EQ(x.rns, y.rns);
+                    EXPECT_EQ(x.scale, y.scale);
+                    EXPECT_TRUE(x.data == y.data);
+                };
+                const auto product = serial.multiply(a, b);
+                same(pooled.multiply(a, b), product);
+                same(pooled.square(a), serial.square(a));
+                const auto lin = serial.relinearize(product, relin);
+                same(pooled.relinearize(product, relin), lin);
+                for (const int step : steps) {
+                    same(pooled.rotate(a, step, galois),
+                         serial.rotate(a, step, galois));
+                }
+                same(pooled.conjugate(a, conj), serial.conjugate(a, conj));
+                if (level == 1) {
+                    break;
+                }
+                same(pooled.rescale(lin), serial.rescale(lin));
+                same(pooled.rescale(product), serial.rescale(product));
+                same(pooled.mod_switch(a), serial.mod_switch(a));
+                a = serial.mod_switch(a);
+                b = serial.mod_switch(b);
+            }
+        }
+    }
 }

@@ -37,13 +37,15 @@ struct ServeBench {
         return s;
     }
 
-    std::vector<uint8_t> request_bytes(uint64_t session, Op op,
-                                       std::span<const uint64_t> value_seeds,
-                                       double arrival_ns = 0.0) {
+    std::vector<uint8_t> request_bytes(
+        uint64_t session, Op op, std::span<const uint64_t> value_seeds,
+        double arrival_ns = 0.0,
+        serve::BackendHint hint = serve::BackendHint::Auto) {
         Request req;
         req.session_id = session;
         req.op = op;
         req.arrival_ns = arrival_ns;
+        req.backend = hint;
         for (const uint64_t seed : value_seeds) {
             req.inputs.push_back(
                 wire::serialize(host.enc(host.values(seed))));
@@ -399,6 +401,91 @@ TEST(Serve, MissingKeysReportedPerRequest) {
     EXPECT_NE(responses[0].error.find("relin"), std::string::npos);
     EXPECT_FALSE(responses[1].ok);
     EXPECT_NE(responses[1].error.find("galois"), std::string::npos);
+}
+
+// Keys of another context are refused by either lane's key switch before
+// it reads a key word: that request answers ExecError, and the next one
+// on the same lane is served.
+TEST(Serve, MismatchedKeysAnswerExecError) {
+    ServeBench b;
+    const ckks::CkksContext small(ckks::EncryptionParameters::create(1024, 2));
+    ckks::KeyGenerator small_keygen(small);
+    InferenceServer server(b.host.context, xgpu::device1(),
+                           core::GpuOptions{});
+    server.set_keys(small_keygen.create_relin_keys(), b.galois);
+    const uint64_t one[] = {32};
+    uint64_t session = 0;
+    for (const serve::BackendHint hint :
+         {serve::BackendHint::Host, serve::BackendHint::Gpu}) {
+        server.submit(
+            b.request_bytes(session++, Op::SqrLinRS, one, 0.0, hint));
+        server.submit(b.request_bytes(session++, Op::Rotate, one, 0.0, hint));
+    }
+    const auto responses = server.run();
+    ASSERT_EQ(responses.size(), 4u);
+    for (std::size_t i = 0; i < responses.size(); i += 2) {
+        EXPECT_FALSE(responses[i].ok);
+        EXPECT_EQ(responses[i].code, serve::Status::ExecError);
+        EXPECT_NE(responses[i].error.find("key"), std::string::npos)
+            << responses[i].error;
+        EXPECT_TRUE(responses[i + 1].ok) << responses[i + 1].error;
+    }
+}
+
+// A host lane splits its key switches, rescales and products over the
+// server's thread pool (the process-wide one when none is given).  The
+// response bytes are those of the serial host backend on any pool.
+TEST(Serve, HostResponsesMatchTheSerialBackendOnEveryPool) {
+    ServeBench b;
+    const Op ops[] = {Op::MulLin, Op::MulLinRS, Op::SqrLinRS,
+                      Op::MulLinRSModSwAdd, Op::Rotate};
+    std::vector<Request> requests;
+    for (const Op op : ops) {
+        Request req;
+        req.session_id = requests.size();
+        req.op = op;
+        req.backend = serve::BackendHint::Host;
+        for (std::size_t i = 0; i < serve::op_arity(op); ++i) {
+            req.inputs.push_back(
+                wire::serialize(b.host.enc(b.host.values(40 + i))));
+        }
+        requests.push_back(std::move(req));
+    }
+
+    // The serial oracle: each canonical program on a pool-less backend.
+    std::vector<std::vector<uint8_t>> expected;
+    he::HostBackend serial(b.host.context);
+    const he::ProgramKeys keys{&b.relin, &b.galois};
+    for (const Request &req : requests) {
+        std::vector<he::Cipher> operands;
+        for (const auto &bytes : req.inputs) {
+            operands.push_back(serial.upload(
+                wire::load_ciphertext(bytes, b.host.context)));
+        }
+        const auto result = he::run_program(*serve::canonical_program(req),
+                                            serial, operands, keys);
+        expected.push_back(wire::serialize(serial.download(result.front())));
+    }
+
+    xgpu::ThreadPool one(1), three(3);
+    for (xgpu::ThreadPool *pool : {static_cast<xgpu::ThreadPool *>(nullptr),
+                                   &one, &three}) {
+        SCOPED_TRACE(pool == nullptr ? 0u : pool->worker_count());
+        InferenceServer server(b.host.context, xgpu::device1(),
+                               core::GpuOptions{}, ServerConfig{}, nullptr,
+                               pool);
+        server.set_keys(b.relin, b.galois);
+        for (const Request &req : requests) {
+            server.submit(wire::serialize(req));
+        }
+        const auto responses = server.run();
+        ASSERT_EQ(responses.size(), requests.size());
+        for (std::size_t i = 0; i < responses.size(); ++i) {
+            ASSERT_TRUE(responses[i].ok) << responses[i].error;
+            EXPECT_EQ(responses[i].session_id, requests[i].session_id);
+            EXPECT_TRUE(responses[i].result == expected[i]) << op_name(ops[i]);
+        }
+    }
 }
 
 TEST(Serve, DynamicBatchingFormsExpectedBatches) {

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <stdexcept>
 
 #include "ntt/ntt_gpu.h"
 #include "xgpu/queue.h"
@@ -35,6 +36,39 @@ TEST(ThreadPool, ReusableAcrossCalls) {
         pool.parallel_for(1000,
                           [&](std::size_t i) { sum += static_cast<long>(i); });
         EXPECT_EQ(sum.load(), 499500);
+    }
+}
+
+TEST(ThreadPool, PropagatesTaskExceptionsAndStaysUsable) {
+    for (unsigned workers : {1u, 3u}) {
+        SCOPED_TRACE(workers);
+        xg::ThreadPool pool(workers);
+        // Every index throws, so whichever thread runs the first chunk
+        // (caller or worker) raises; the rest are never handed out.
+        std::atomic<int> ran{0};
+        EXPECT_THROW(pool.parallel_for(1000,
+                                       [&](std::size_t) {
+                                           ++ran;
+                                           throw std::runtime_error("task");
+                                       }),
+                     std::runtime_error);
+        EXPECT_GE(ran.load(), 1);
+        EXPECT_LE(ran.load(), static_cast<int>(workers) + 1);
+        // One late index throws on whichever thread holds it.
+        EXPECT_THROW(pool.parallel_for(1000,
+                                       [](std::size_t i) {
+                                           if (i == 777) {
+                                               throw std::out_of_range("777");
+                                           }
+                                       }),
+                     std::out_of_range);
+        // The same pool then runs a clean job to completion.
+        std::vector<std::atomic<int>> hits(5000);
+        pool.parallel_for(hits.size(),
+                          [&](std::size_t i) { hits[i].fetch_add(1); });
+        for (const auto &h : hits) {
+            EXPECT_EQ(h.load(), 1);
+        }
     }
 }
 
