@@ -1,6 +1,9 @@
 // Wall-clock microbenchmarks (google-benchmark) of the reference host NTT
 // — the HEXL-equivalent CPU path used as the correctness oracle — and of
 // the host evaluator's key-switching routines at the serving size.  The
+// transform benches take the prime width `bits`: 50 (the data primes;
+// the AVX-512 IFMA path on a CPU that has it) or 60 (the special prime;
+// always the scalar loops).  The
 // evaluator benches take `workers`: 0 runs the serial evaluator (no pool),
 // 1 splits its limb loops over a one-worker pool plus the caller, as a
 // host_serving lane does.
@@ -24,8 +27,8 @@ struct Fixture {
     xn::NttTables tables;
     std::vector<uint64_t> data;
 
-    explicit Fixture(std::size_t n)
-        : tables(n, xu::generate_ntt_primes(50, n, 1)[0]), data(n) {
+    Fixture(std::size_t n, int bits)
+        : tables(n, xu::generate_ntt_primes(bits, n, 1)[0]), data(n) {
         std::mt19937_64 rng(n);
         for (auto &x : data) {
             x = rng() % tables.modulus().value();
@@ -68,7 +71,8 @@ struct HostEval {
 }  // namespace
 
 static void BM_NttForward(benchmark::State &state) {
-    Fixture f(static_cast<std::size_t>(state.range(0)));
+    Fixture f(static_cast<std::size_t>(state.range(0)),
+              static_cast<int>(state.range(1)));
     for (auto _ : state) {
         xn::ntt_forward(f.data, f.tables);
         benchmark::ClobberMemory();
@@ -76,10 +80,12 @@ static void BM_NttForward(benchmark::State &state) {
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_NttForward)
-    ->Arg(1024)->Arg(4096)->Arg(8192)->Arg(16384)->Arg(32768);
+    ->ArgNames({"n", "bits"})
+    ->ArgsProduct({{1024, 4096, 8192, 16384, 32768}, {50, 60}});
 
 static void BM_NttInverse(benchmark::State &state) {
-    Fixture f(static_cast<std::size_t>(state.range(0)));
+    Fixture f(static_cast<std::size_t>(state.range(0)),
+              static_cast<int>(state.range(1)));
     for (auto _ : state) {
         xn::ntt_inverse(f.data, f.tables);
         benchmark::ClobberMemory();
@@ -87,10 +93,11 @@ static void BM_NttInverse(benchmark::State &state) {
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_NttInverse)
-    ->Arg(1024)->Arg(4096)->Arg(8192)->Arg(16384)->Arg(32768);
+    ->ArgNames({"n", "bits"})
+    ->ArgsProduct({{1024, 4096, 8192, 16384, 32768}, {50, 60}});
 
 static void BM_NttRoundtrip(benchmark::State &state) {
-    Fixture f(static_cast<std::size_t>(state.range(0)));
+    Fixture f(static_cast<std::size_t>(state.range(0)), 50);
     for (auto _ : state) {
         xn::ntt_forward(f.data, f.tables);
         xn::ntt_inverse(f.data, f.tables);

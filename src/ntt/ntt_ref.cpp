@@ -1,8 +1,16 @@
 #include "ntt/ntt_ref.h"
 
+#include <cstddef>
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace xehe::ntt {
 
-void ntt_forward(std::span<uint64_t> a, const NttTables &tables) {
+namespace detail {
+
+void forward_scalar(std::span<uint64_t> a, const NttTables &tables) {
     const std::size_t n = tables.n();
     util::require(a.size() == n, "size mismatch");
     const Modulus q = tables.modulus();  // local copy: cannot alias `a`
@@ -33,7 +41,7 @@ void ntt_forward(std::span<uint64_t> a, const NttTables &tables) {
     }
 }
 
-void ntt_inverse(std::span<uint64_t> a, const NttTables &tables) {
+void inverse_scalar(std::span<uint64_t> a, const NttTables &tables) {
     const std::size_t n = tables.n();
     util::require(a.size() == n, "size mismatch");
     const Modulus q = tables.modulus();  // local copy: cannot alias `a`
@@ -69,6 +77,274 @@ void ntt_inverse(std::span<uint64_t> a, const NttTables &tables) {
         x[j] = util::mul_mod(u + v, inv_n, q);
         x[j + gap] = util::mul_mod(u - v + two_q, w_inv_n, q);
     }
+}
+
+}  // namespace detail
+
+#if defined(__x86_64__)
+namespace {
+
+// The 8-lane AVX-512 IFMA52 transforms (the scheme of Intel HEXL's CPU
+// NTT).  Each lane runs the scalar butterfly with a 52-bit Harvey quotient
+// w52 = floor(w·2^52/q), which is MultiplyModOperand::quotient >> 12
+// exactly, so no table is added.  For y < 2^52 the quotient
+// Q = floor(w52·y / 2^52) leaves w·y - Q·q in [0, 2q): the lazy product.
+// Every lazy value stays below 4q < 2^52 when q < 2^50.  Intermediate
+// lazy values may differ from the scalar loops' by q, but both paths end
+// in canonical residues, so their outputs are the same words.
+
+#define XEHE_IFMA __attribute__((target("avx512f,avx512ifma")))
+
+static_assert(sizeof(MultiplyModOperand) == 16 &&
+                  offsetof(MultiplyModOperand, operand) == 0 &&
+                  offsetof(MultiplyModOperand, quotient) == 8,
+              "twiddles are loaded as interleaved (operand, quotient) words");
+
+bool cpu_has_ifma() {
+    static const bool has = [] {
+        __builtin_cpu_init();
+        return __builtin_cpu_supports("avx512f") &&
+               __builtin_cpu_supports("avx512ifma");
+    }();
+    return has;
+}
+
+struct VecModulus {
+    __m512i q, two_q, neg_q;  // neg_q = 2^52 - q: adding Q·neg_q subtracts Q·q
+};
+
+struct VecTwiddle {
+    __m512i w, w52;
+};
+
+/// x - m where x >= m: [0, 2m) -> [0, m).  A compare and a masked subtract
+/// rather than min_epu64, whose GCC 12 expansion warns under -Werror.
+XEHE_IFMA inline __m512i reduce_once(__m512i x, __m512i m) {
+    return _mm512_mask_sub_epi64(x, _mm512_cmpge_epu64_mask(x, m), x, m);
+}
+
+/// w·y mod q in [0, 2q) for y < 2^52.
+XEHE_IFMA inline __m512i mul_lazy(__m512i y, const VecTwiddle &t,
+                                  const VecModulus &m) {
+    const __m512i zero = _mm512_setzero_si512();
+    const __m512i quot = _mm512_madd52hi_epu64(zero, t.w52, y);
+    const __m512i r = _mm512_madd52lo_epu64(
+        _mm512_madd52lo_epu64(zero, t.w, y), quot, m.neg_q);
+    return _mm512_and_si512(r, _mm512_set1_epi64((1ll << 52) - 1));
+}
+
+/// util::forward_butterfly on 8 lanes: X, Y in [0, 4q) -> [0, 4q).
+XEHE_IFMA inline void forward_butterfly(__m512i &x, __m512i &y,
+                                        const VecTwiddle &t,
+                                        const VecModulus &m) {
+    const __m512i u = reduce_once(x, m.two_q);
+    const __m512i v = mul_lazy(y, t, m);
+    x = _mm512_add_epi64(u, v);
+    y = _mm512_sub_epi64(_mm512_add_epi64(u, m.two_q), v);
+}
+
+/// util::inverse_butterfly on 8 lanes: X, Y in [0, 2q) -> [0, 2q).
+XEHE_IFMA inline void inverse_butterfly(__m512i &x, __m512i &y,
+                                        const VecTwiddle &t,
+                                        const VecModulus &m) {
+    const __m512i u = x;
+    x = reduce_once(_mm512_add_epi64(u, y), m.two_q);
+    y = mul_lazy(_mm512_sub_epi64(_mm512_add_epi64(u, m.two_q), y), t, m);
+}
+
+XEHE_IFMA inline VecModulus vec_modulus(uint64_t q) {
+    return {_mm512_set1_epi64(static_cast<long long>(q)),
+            _mm512_set1_epi64(static_cast<long long>(q << 1)),
+            _mm512_set1_epi64(static_cast<long long>((1ull << 52) - q))};
+}
+
+XEHE_IFMA inline VecTwiddle broadcast(const MultiplyModOperand &w) {
+    return {_mm512_set1_epi64(static_cast<long long>(w.operand)),
+            _mm512_set1_epi64(static_cast<long long>(w.quotient >> 12))};
+}
+
+/// The Count twiddles at t[0..Count) spread over 8 lanes, lane k taking
+/// t[k·Count/8]: the in-register rounds' twiddles for one 16-word block.
+template <int Count>
+XEHE_IFMA inline VecTwiddle spread(const MultiplyModOperand *t) {
+    static_assert(Count == 2 || Count == 4 || Count == 8);
+    const __m512i lo = _mm512_maskz_loadu_epi64(Count == 2 ? 0x0F : 0xFF, t);
+    const __m512i hi = Count == 8 ? _mm512_loadu_si512(t + 4) : lo;
+    // Lane k reads operand word op(k) and the quotient after it.
+    constexpr auto op = [](long long k) { return 2 * (k * Count / 8); };
+    const __m512i ops = _mm512_setr_epi64(op(0), op(1), op(2), op(3), op(4),
+                                          op(5), op(6), op(7));
+    const __m512i quots = _mm512_add_epi64(ops, _mm512_set1_epi64(1));
+    // maskz_srli: GCC 12's srli_epi64 warns like min_epu64 does.
+    return {_mm512_permutex2var_epi64(lo, ops, hi),
+            _mm512_maskz_srli_epi64(
+                0xFF, _mm512_permutex2var_epi64(lo, quots, hi), 12)};
+}
+
+/// Forward transform, N >= 16 and q < 2^50.  Rounds with gap >= 8 run 8
+/// butterflies of one group under a broadcast twiddle; the last three
+/// rounds (gap 4, 2, 1) and the [0, 4q) -> [0, q) reduction run on
+/// 16-word blocks in registers.
+XEHE_IFMA void forward_ifma(uint64_t *x, std::size_t n,
+                            const MultiplyModOperand *roots, uint64_t q) {
+    const VecModulus m = vec_modulus(q);
+    std::size_t round = 1;
+    for (std::size_t gap = n >> 1; gap >= 8; round <<= 1, gap >>= 1) {
+        for (std::size_t i = 0; i < round; ++i) {
+            const VecTwiddle w = broadcast(roots[round + i]);
+            uint64_t *lo = x + 2 * i * gap;
+            uint64_t *hi = lo + gap;
+            for (std::size_t j = 0; j < gap; j += 8) {
+                __m512i u = _mm512_loadu_si512(lo + j);
+                __m512i v = _mm512_loadu_si512(hi + j);
+                forward_butterfly(u, v, w, m);
+                _mm512_storeu_si512(lo + j, u);
+                _mm512_storeu_si512(hi + j, v);
+            }
+        }
+    }
+    // Block c = words a0..a7 b0..b7 at 16c; gap-4 groups 2c, 2c+1 use
+    // roots[N/8 + 2c..], gap-2 groups roots[N/4 + 4c..], gap-1 groups
+    // roots[N/2 + 8c..].  A permutex2var index selects lanes 0-7 from its
+    // first operand and 8-15 from its second.
+    const __m512i gap4_lo = _mm512_setr_epi64(0, 1, 2, 3, 8, 9, 10, 11);
+    const __m512i gap4_hi = _mm512_setr_epi64(4, 5, 6, 7, 12, 13, 14, 15);
+    const __m512i gap2_lo = _mm512_setr_epi64(0, 1, 8, 9, 4, 5, 12, 13);
+    const __m512i gap2_hi = _mm512_setr_epi64(2, 3, 10, 11, 6, 7, 14, 15);
+    const __m512i gap1_lo = _mm512_setr_epi64(0, 8, 2, 10, 4, 12, 6, 14);
+    const __m512i gap1_hi = _mm512_setr_epi64(1, 9, 3, 11, 5, 13, 7, 15);
+    const __m512i out_lo = _mm512_setr_epi64(0, 8, 1, 9, 2, 10, 3, 11);
+    const __m512i out_hi = _mm512_setr_epi64(4, 12, 5, 13, 6, 14, 7, 15);
+    for (std::size_t c = 0; c < n / 16; ++c) {
+        uint64_t *p = x + 16 * c;
+        const __m512i a = _mm512_loadu_si512(p);
+        const __m512i b = _mm512_loadu_si512(p + 8);
+        // X = a0..a3 b0..b3, Y = a4..a7 b4..b7.
+        __m512i u = _mm512_permutex2var_epi64(a, gap4_lo, b);
+        __m512i v = _mm512_permutex2var_epi64(a, gap4_hi, b);
+        forward_butterfly(u, v, spread<2>(roots + n / 8 + 2 * c), m);
+        // X = a0 a1 a4 a5 b0 b1 b4 b5, Y = a2 a3 a6 a7 b2 b3 b6 b7.
+        __m512i s = _mm512_permutex2var_epi64(u, gap2_lo, v);
+        __m512i t = _mm512_permutex2var_epi64(u, gap2_hi, v);
+        forward_butterfly(s, t, spread<4>(roots + n / 4 + 4 * c), m);
+        // X = a0 a2 a4 a6 b0 b2 b4 b6, Y = a1 a3 a5 a7 b1 b3 b5 b7.
+        u = _mm512_permutex2var_epi64(s, gap1_lo, t);
+        v = _mm512_permutex2var_epi64(s, gap1_hi, t);
+        forward_butterfly(u, v, spread<8>(roots + n / 2 + 8 * c), m);
+        u = reduce_once(reduce_once(u, m.two_q), m.q);
+        v = reduce_once(reduce_once(v, m.two_q), m.q);
+        _mm512_storeu_si512(p, _mm512_permutex2var_epi64(u, out_lo, v));
+        _mm512_storeu_si512(p + 8, _mm512_permutex2var_epi64(u, out_hi, v));
+    }
+}
+
+/// Inverse transform, N >= 16 and q < 2^50: the first three rounds (gap
+/// 1, 2, 4) on 16-word blocks in registers, rounds with gap >= 8 under a
+/// broadcast twiddle, and the last round with N^{-1} folded in.
+XEHE_IFMA void inverse_ifma(uint64_t *x, std::size_t n,
+                            const MultiplyModOperand *roots,
+                            const MultiplyModOperand &inv_n,
+                            const MultiplyModOperand &w_inv_n, uint64_t q) {
+    const VecModulus m = vec_modulus(q);
+    // The inverses of the forward block permutations, in reverse order;
+    // round m consumes its twiddles from roots[N - 2m + 1].
+    const __m512i even = _mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14);
+    const __m512i odd = _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15);
+    const __m512i gap2_lo = _mm512_setr_epi64(0, 8, 2, 10, 4, 12, 6, 14);
+    const __m512i gap2_hi = _mm512_setr_epi64(1, 9, 3, 11, 5, 13, 7, 15);
+    const __m512i gap4_lo = _mm512_setr_epi64(0, 1, 8, 9, 4, 5, 12, 13);
+    const __m512i gap4_hi = _mm512_setr_epi64(2, 3, 10, 11, 6, 7, 14, 15);
+    const __m512i out_lo = _mm512_setr_epi64(0, 1, 2, 3, 8, 9, 10, 11);
+    const __m512i out_hi = _mm512_setr_epi64(4, 5, 6, 7, 12, 13, 14, 15);
+    for (std::size_t c = 0; c < n / 16; ++c) {
+        uint64_t *p = x + 16 * c;
+        const __m512i a = _mm512_loadu_si512(p);
+        const __m512i b = _mm512_loadu_si512(p + 8);
+        __m512i u = _mm512_permutex2var_epi64(a, even, b);
+        __m512i v = _mm512_permutex2var_epi64(a, odd, b);
+        inverse_butterfly(u, v, spread<8>(roots + 1 + 8 * c), m);
+        __m512i s = _mm512_permutex2var_epi64(u, gap2_lo, v);
+        __m512i t = _mm512_permutex2var_epi64(u, gap2_hi, v);
+        inverse_butterfly(s, t, spread<4>(roots + n / 2 + 1 + 4 * c), m);
+        u = _mm512_permutex2var_epi64(s, gap4_lo, t);
+        v = _mm512_permutex2var_epi64(s, gap4_hi, t);
+        inverse_butterfly(u, v, spread<2>(roots + 3 * n / 4 + 1 + 2 * c), m);
+        _mm512_storeu_si512(p, _mm512_permutex2var_epi64(u, out_lo, v));
+        _mm512_storeu_si512(p + 8, _mm512_permutex2var_epi64(u, out_hi, v));
+    }
+    std::size_t gap = 8;
+    for (std::size_t round = n >> 4; round > 1; round >>= 1, gap <<= 1) {
+        const MultiplyModOperand *w = roots + n - 2 * round + 1;
+        for (std::size_t i = 0; i < round; ++i) {
+            const VecTwiddle t = broadcast(w[i]);
+            uint64_t *lo = x + 2 * i * gap;
+            uint64_t *hi = lo + gap;
+            for (std::size_t j = 0; j < gap; j += 8) {
+                __m512i u = _mm512_loadu_si512(lo + j);
+                __m512i v = _mm512_loadu_si512(hi + j);
+                inverse_butterfly(u, v, t, m);
+                _mm512_storeu_si512(lo + j, u);
+                _mm512_storeu_si512(hi + j, v);
+            }
+        }
+    }
+    // Last round: X' = (X + Y)·N^{-1}, Y' = (X - Y)·(W·N^{-1}), in [0, q).
+    const VecTwiddle scale = broadcast(inv_n);
+    const VecTwiddle w_scale = broadcast(w_inv_n);
+    for (std::size_t j = 0; j < gap; j += 8) {
+        const __m512i u = _mm512_loadu_si512(x + j);
+        const __m512i v = _mm512_loadu_si512(x + j + gap);
+        const __m512i sum = mul_lazy(_mm512_add_epi64(u, v), scale, m);
+        const __m512i diff = mul_lazy(
+            _mm512_sub_epi64(_mm512_add_epi64(u, m.two_q), v), w_scale, m);
+        _mm512_storeu_si512(x + j, reduce_once(sum, m.q));
+        _mm512_storeu_si512(x + j + gap, reduce_once(diff, m.q));
+    }
+}
+
+#undef XEHE_IFMA
+
+}  // namespace
+#endif  // __x86_64__
+
+bool detail::uses_ifma(const NttTables &tables) noexcept {
+#if defined(__x86_64__)
+    return tables.n() >= 16 && tables.modulus().value() < (1ull << 50) &&
+           cpu_has_ifma();
+#else
+    (void)tables;
+    return false;
+#endif
+}
+
+void ntt_forward(std::span<uint64_t> a, const NttTables &tables) {
+#if defined(__x86_64__)
+    if (detail::uses_ifma(tables)) {
+        util::require(a.size() == tables.n(), "size mismatch");
+        forward_ifma(a.data(), tables.n(), tables.root_powers().data(),
+                     tables.modulus().value());
+        return;
+    }
+#endif
+    detail::forward_scalar(a, tables);
+}
+
+void ntt_inverse(std::span<uint64_t> a, const NttTables &tables) {
+#if defined(__x86_64__)
+    if (detail::uses_ifma(tables)) {
+        const std::size_t n = tables.n();
+        util::require(a.size() == n, "size mismatch");
+        const Modulus &q = tables.modulus();
+        const MultiplyModOperand &inv_n = tables.inv_degree();
+        const MultiplyModOperand w_inv_n(
+            util::mul_mod(tables.inv_root_powers()[n - 1].operand, inv_n, q),
+            q);
+        inverse_ifma(a.data(), n, tables.inv_root_powers().data(), inv_n,
+                     w_inv_n, q.value());
+        return;
+    }
+#endif
+    detail::inverse_scalar(a, tables);
 }
 
 void naive_negacyclic_ntt(std::span<const uint64_t> a, std::span<uint64_t> out,

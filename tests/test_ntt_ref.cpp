@@ -1,6 +1,12 @@
 // Correctness of the reference negacyclic NTT against the O(N^2) oracle,
-// roundtrip identities, and the convolution theorem.
+// roundtrip identities, the convolution theorem, and the dispatched
+// (AVX-512 IFMA where available) transforms against the scalar loops.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <random>
+#include <string>
+#include <tuple>
 
 #include "ntt/ntt_ref.h"
 #include "test_common.h"
@@ -114,5 +120,117 @@ TEST(NttRef, ConstantPolynomialTransformsToConstant) {
     xn::ntt_forward(a, tables);
     for (auto x : a) {
         EXPECT_EQ(x, 12345 % q.value());
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Dispatched transforms against the scalar loops, word for word.  On a CPU
+// with AVX-512 IFMA the dispatched path is the 8-lane vector code for every
+// prime below 2^50; the 60-bit prime always takes the scalar loops.
+// ---------------------------------------------------------------------------
+
+struct PrimeChoice {
+    int bits;
+    std::size_t rank;  // 0: the largest bits-bit NTT prime for N
+};
+
+void PrintTo(const PrimeChoice &c, std::ostream *os) {
+    *os << c.bits << "-bit rank " << c.rank;
+}
+
+using DiffParam = std::tuple<std::size_t, PrimeChoice>;
+
+class NttDispatchTest : public ::testing::TestWithParam<DiffParam> {
+protected:
+    std::size_t n() const { return std::get<0>(GetParam()); }
+
+    xu::Modulus prime() const {
+        const PrimeChoice c = std::get<1>(GetParam());
+        return xu::generate_ntt_primes(c.bits, n(), c.rank + 1)[c.rank];
+    }
+
+    /// Random residues, all zeros, all q - 1, and lazy words below
+    /// `lazy_bound`·q (random, the first eight at the bound minus one).
+    std::vector<std::vector<uint64_t>> inputs(const xu::Modulus &q,
+                                              uint64_t lazy_bound) const {
+        std::vector<uint64_t> lazy(n());
+        std::mt19937_64 rng(n() ^ q.value());
+        for (auto &x : lazy) {
+            x = rng() % (lazy_bound * q.value());
+        }
+        std::fill_n(lazy.begin(), 8, lazy_bound * q.value() - 1);
+        return {random_poly(n(), q, n() + 3), std::vector<uint64_t>(n(), 0),
+                std::vector<uint64_t>(n(), q.value() - 1), lazy};
+    }
+};
+
+TEST_P(NttDispatchTest, ForwardMatchesScalar) {
+    const auto q = prime();
+    const xn::NttTables tables(n(), q);
+    for (const auto &input : inputs(q, 4)) {
+        auto expect = input;
+        xn::detail::forward_scalar(expect, tables);
+        auto got = input;
+        xn::ntt_forward(got, tables);
+        ASSERT_EQ(got, expect);
+    }
+}
+
+TEST_P(NttDispatchTest, InverseMatchesScalar) {
+    const auto q = prime();
+    const xn::NttTables tables(n(), q);
+    for (const auto &input : inputs(q, 2)) {
+        auto expect = input;
+        xn::detail::inverse_scalar(expect, tables);
+        auto got = input;
+        xn::ntt_inverse(got, tables);
+        ASSERT_EQ(got, expect);
+    }
+}
+
+TEST_P(NttDispatchTest, RoundtripMatchesScalar) {
+    const auto q = prime();
+    const xn::NttTables tables(n(), q);
+    for (const auto &input : inputs(q, 4)) {
+        auto expect = input;
+        xn::detail::forward_scalar(expect, tables);
+        xn::detail::inverse_scalar(expect, tables);
+        auto got = input;
+        xn::ntt_forward(got, tables);
+        xn::ntt_inverse(got, tables);
+        ASSERT_EQ(got, expect);
+        for (std::size_t i = 0; i < n(); ++i) {
+            ASSERT_EQ(got[i], input[i] % q.value()) << "i=" << i;
+        }
+    }
+}
+
+TEST_P(NttDispatchTest, DispatchRule) {
+    const auto q = prime();
+    const xn::NttTables tables(n(), q);
+    if (q.value() >= (1ull << 50)) {
+        EXPECT_FALSE(xn::detail::uses_ifma(tables));
+    }
+    RecordProperty("ifma", xn::detail::uses_ifma(tables) ? "yes" : "no");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SizesAndPrimes, NttDispatchTest,
+    ::testing::Combine(::testing::Values(16, 32, 64, 1024, 8192, 32768),
+                       ::testing::Values(PrimeChoice{30, 0}, PrimeChoice{40, 0},
+                                         PrimeChoice{50, 2},
+                                         PrimeChoice{50, 0},
+                                         PrimeChoice{60, 0})),
+    [](const ::testing::TestParamInfo<DiffParam> &info) {
+        const PrimeChoice c = std::get<1>(info.param);
+        return "N" + std::to_string(std::get<0>(info.param)) + "_q" +
+               std::to_string(c.bits) + "bit" +
+               (c.rank == 0 ? "_largest" : "_rank" + std::to_string(c.rank));
+    });
+
+TEST(NttDispatch, SmallTransformsTakeTheScalarLoops) {
+    for (const std::size_t n : {1, 2, 4, 8}) {
+        const xn::NttTables tables(n, xu::generate_ntt_primes(50, n, 1)[0]);
+        EXPECT_FALSE(xn::detail::uses_ifma(tables)) << "n=" << n;
     }
 }
