@@ -1,9 +1,9 @@
 // Wall-clock microbenchmarks (google-benchmark) of the reference host NTT
 // — the HEXL-equivalent CPU path used as the correctness oracle — and of
-// the host evaluator's key-switching routines at the serving size.  The
-// transform benches take the prime width `bits`: 50 (the data primes;
-// the AVX-512 IFMA path on a CPU that has it) or 60 (the special prime;
-// always the scalar loops).  The
+// the host evaluator's multiply and key-switching routines at the serving
+// size.  The transform benches take the prime width `bits`: 50 (the data
+// primes; the AVX-512 IFMA52 path on a CPU that has it) or 60 (the
+// special prime; the 64-bit AVX-512F/DQ path on a CPU that has it).  The
 // evaluator benches take `workers`: 0 runs the serial evaluator (no pool),
 // 1 splits its limb loops over a one-worker pool plus the caller, as a
 // host_serving lane does.
@@ -125,6 +125,16 @@ static void BM_HostRescale(benchmark::State &state) {
     }
 }
 BENCHMARK(BM_HostRescale)
+    ->ArgName("workers")->Arg(0)->Arg(1)
+    ->Unit(benchmark::kMicrosecond);
+
+static void BM_HostMultiply(benchmark::State &state) {
+    HostEval f(static_cast<unsigned>(state.range(0)));
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(f.evaluator.multiply(f.ct, f.ct));
+    }
+}
+BENCHMARK(BM_HostMultiply)
     ->ArgName("workers")->Arg(0)->Arg(1)
     ->Unit(benchmark::kMicrosecond);
 

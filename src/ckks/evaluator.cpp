@@ -64,23 +64,11 @@ void divide_round(const CkksContext &ctx, xgpu::ThreadPool *pool,
     });
     for_each_task(pool, parts.size() * count, [&](std::size_t task) {
         const std::size_t p = task / count, j = task % count;
-        const Modulus &qj = ctx.key_modulus()[j];
-        const uint64_t half_j = ctx.half_mod(drop_idx, j);
-        const uint64_t *r = rounded.get() + p * n;
         const auto t = std::make_unique_for_overwrite<uint64_t[]>(n);
-        for (std::size_t k = 0; k < n; ++k) {
-            t[k] = util::sub_mod(util::barrett_reduce_64(r[k], qj), half_j,
-                                 qj);
-        }
-        ntt::ntt_forward({t.get(), n}, ctx.table(j));
-        const auto &inv = ctx.inv_mod(drop_idx, j);
-        const auto sj = parts[p].src.subspan(j * n, n);
-        const auto dj = parts[p].dst.subspan(j * n, n);
-        for (std::size_t k = 0; k < n; ++k) {
-            const uint64_t v = util::mul_mod(util::sub_mod(sj[k], t[k], qj),
-                                             inv, qj);
-            dj[k] = util::add_mod(dj[k], v, qj);
-        }
+        detail::divide_round_limb(
+            {rounded.get() + p * n, n}, parts[p].src.subspan(j * n, n),
+            parts[p].dst.subspan(j * n, n), {t.get(), n}, ctx.table(j),
+            ctx.inv_mod(drop_idx, j), ctx.half_mod(drop_idx, j));
     });
 }
 
@@ -170,18 +158,17 @@ Ciphertext Evaluator::multiply(const Ciphertext &a, const Ciphertext &b) const {
     out.resize(a.n, 3, a.rns);
     out.ntt_form = true;
     out.scale = a.scale * b.scale;
-    // One task per (output part p, limb r): d_p = a_x·b_y, with
-    // d1 = a0·b1 + a1·b0 through the fused multiply-add.
+    // One task per (output part p, limb r): d0 = a0·b0, d1 = a0·b1 +
+    // a1·b0 (one two-term dot product), d2 = a1·b1.
     for_each_task(pool_, 3 * a.rns, [&](std::size_t task) {
         const std::size_t p = task / a.rns, r = task % a.rns;
-        const auto q =
-            std::span<const Modulus>(context_->key_modulus()).subspan(r, 1);
-        const std::size_t x = p == 2 ? 1 : 0, y = p == 0 ? 0 : 1;
-        const auto dst = out.component(p, r);
-        poly::mul(a.component(x, r), b.component(y, r), dst, q, a.n);
-        if (p == 1) {
-            poly::mad(a.component(1, r), b.component(0, r), dst, q, a.n);
-        }
+        const uint64_t *x[] = {a.component(p == 2 ? 1 : 0, r).data(),
+                               a.component(1, r).data()};
+        const uint64_t *y[] = {b.component(p == 0 ? 0 : 1, r).data(),
+                               b.component(0, r).data()};
+        const std::size_t terms = p == 1 ? 2 : 1;
+        detail::dot_mod({x, terms}, {y, terms}, out.component(p, r),
+                        context_->key_modulus()[r]);
     });
     return out;
 }
@@ -205,7 +192,8 @@ void Evaluator::switch_key_inplace(Ciphertext &dest,
     require_kswitch_key(*context_, key, l);
 
     // The inner products below sum l digit×key products, each of two
-    // residues below 2^kMaxBits, in 128 bits before a single reduction.
+    // residues below 2^kMaxBits; the scalar detail::dot_mod (the special
+    // prime's row always) sums them in 128 bits before a single reduction.
     constexpr int kProductBits = 2 * Modulus::kMaxBits;
     static_assert(kProductBits < 128, "digit×key product must fit 128 bits");
     util::require(l <= (std::size_t{1} << (128 - kProductBits)),
@@ -232,6 +220,9 @@ void Evaluator::switch_key_inplace(Ciphertext &dest,
     //    into extended modulus m_j and NTT'ed under m_j: one task per
     //    (j, i).  The diagonal (m_j = q_i) is the NTT-form input limb
     //    itself: the limb holds canonical residues, so NTT(INTT(x)) = x.
+    //    Where q_i < 4·m_j the coefficients are already in the transform's
+    //    input range [0, 4·m_j), which returns canonical words, so they go
+    //    in unreduced.
     const auto digits =
         std::make_unique_for_overwrite<uint64_t[]>((l + 1) * l * n);
     const auto digit = [&](std::size_t j, std::size_t i) {
@@ -246,8 +237,12 @@ void Evaluator::switch_key_inplace(Ciphertext &dest,
         const Modulus &mj = context_->key_modulus()[mod_index(j)];
         uint64_t *dst = digits.get() + task * n;
         const uint64_t *src = target_coeff.get() + i * n;
-        for (std::size_t k = 0; k < n; ++k) {
-            dst[k] = util::barrett_reduce_64(src[k], mj);
+        if (context_->key_modulus()[i].value() < 4 * mj.value()) {
+            std::copy(src, src + n, dst);
+        } else {
+            for (std::size_t k = 0; k < n; ++k) {
+                dst[k] = util::barrett_reduce_64(src[k], mj);
+            }
         }
         ntt::ntt_forward({dst, n}, context_->table(mod_index(j)));
     });
@@ -258,26 +253,16 @@ void Evaluator::switch_key_inplace(Ciphertext &dest,
     const auto acc1 = std::make_unique_for_overwrite<uint64_t[]>((l + 1) * n);
     for_each_task(pool_, 2 * (l + 1), [&](std::size_t task) {
         const std::size_t j = task / 2, mod_idx = mod_index(j);
-        const Modulus &mj = context_->key_modulus()[mod_idx];
+        const std::size_t begin = (task % 2) * (n / 2);
         std::vector<const uint64_t *> d(l), k0(l), k1(l);
         for (std::size_t i = 0; i < l; ++i) {
-            d[i] = digit(j, i);
-            k0[i] = key.keys[i].component(0, mod_idx).data();
-            k1[i] = key.keys[i].component(1, mod_idx).data();
+            d[i] = digit(j, i) + begin;
+            k0[i] = key.keys[i].component(0, mod_idx).data() + begin;
+            k1[i] = key.keys[i].component(1, mod_idx).data() + begin;
         }
-        uint64_t *a0 = acc0.get() + j * n;
-        uint64_t *a1 = acc1.get() + j * n;
-        const std::size_t begin = (task % 2) * (n / 2);
-        for (std::size_t k = begin; k < begin + n / 2; ++k) {
-            util::Uint128 s0, s1;
-            for (std::size_t i = 0; i < l; ++i) {
-                const uint64_t di = d[i][k];
-                s0 = util::add_uint128(s0, util::mul_uint64_wide(di, k0[i][k]));
-                s1 = util::add_uint128(s1, util::mul_uint64_wide(di, k1[i][k]));
-            }
-            a0[k] = util::barrett_reduce_128(s0, mj);
-            a1[k] = util::barrett_reduce_128(s1, mj);
-        }
+        const Modulus &mj = context_->key_modulus()[mod_idx];
+        detail::dot_mod(d, k0, {acc0.get() + j * n + begin, n / 2}, mj);
+        detail::dot_mod(d, k1, {acc1.get() + j * n + begin, n / 2}, mj);
     });
 
     // 4. Mod-down by the special prime with rounding, accumulated into dest.

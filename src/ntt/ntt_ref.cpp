@@ -2,9 +2,7 @@
 
 #include <cstddef>
 
-#if defined(__x86_64__)
-#include <immintrin.h>
-#endif
+#include "util/avx512.h"
 
 namespace xehe::ntt {
 
@@ -84,89 +82,50 @@ void inverse_scalar(std::span<uint64_t> a, const NttTables &tables) {
 #if defined(__x86_64__)
 namespace {
 
-// The 8-lane AVX-512 IFMA52 transforms (the scheme of Intel HEXL's CPU
-// NTT).  Each lane runs the scalar butterfly with a 52-bit Harvey quotient
-// w52 = floor(w·2^52/q), which is MultiplyModOperand::quotient >> 12
-// exactly, so no table is added.  For y < 2^52 the quotient
-// Q = floor(w52·y / 2^52) leaves w·y - Q·q in [0, 2q): the lazy product.
-// Every lazy value stays below 4q < 2^52 when q < 2^50.  Intermediate
-// lazy values may differ from the scalar loops' by q, but both paths end
-// in canonical residues, so their outputs are the same words.
+// The 8-lane AVX-512 transforms (the scheme of Intel HEXL's CPU NTT), one
+// template for both widths of util/avx512.h: Bits 52 runs the IFMA52
+// product (q < 2^50), Bits 64 the AVX-512F/DQ product (q < 2^61).  Each
+// lane runs the scalar butterfly.  Every lazy value stays below 4q, which
+// is below 2^52 at width 52 and below 2^63 at width 64.  At width 52
+// intermediate lazy values may differ from the scalar loops' by q; width
+// 64 computes the scalar formula itself.  Both end in canonical residues,
+// so every path writes the same words.
 
-#define XEHE_IFMA __attribute__((target("avx512f,avx512ifma")))
+using util::avx512::reduce_once;
+using util::avx512::VecModulus;
+using util::avx512::VecOperand;
 
 static_assert(sizeof(MultiplyModOperand) == 16 &&
                   offsetof(MultiplyModOperand, operand) == 0 &&
                   offsetof(MultiplyModOperand, quotient) == 8,
               "twiddles are loaded as interleaved (operand, quotient) words");
 
-bool cpu_has_ifma() {
-    static const bool has = [] {
-        __builtin_cpu_init();
-        return __builtin_cpu_supports("avx512f") &&
-               __builtin_cpu_supports("avx512ifma");
-    }();
-    return has;
-}
-
-struct VecModulus {
-    __m512i q, two_q, neg_q;  // neg_q = 2^52 - q: adding Q·neg_q subtracts Q·q
-};
-
-struct VecTwiddle {
-    __m512i w, w52;
-};
-
-/// x - m where x >= m: [0, 2m) -> [0, m).  A compare and a masked subtract
-/// rather than min_epu64, whose GCC 12 expansion warns under -Werror.
-XEHE_IFMA inline __m512i reduce_once(__m512i x, __m512i m) {
-    return _mm512_mask_sub_epi64(x, _mm512_cmpge_epu64_mask(x, m), x, m);
-}
-
-/// w·y mod q in [0, 2q) for y < 2^52.
-XEHE_IFMA inline __m512i mul_lazy(__m512i y, const VecTwiddle &t,
-                                  const VecModulus &m) {
-    const __m512i zero = _mm512_setzero_si512();
-    const __m512i quot = _mm512_madd52hi_epu64(zero, t.w52, y);
-    const __m512i r = _mm512_madd52lo_epu64(
-        _mm512_madd52lo_epu64(zero, t.w, y), quot, m.neg_q);
-    return _mm512_and_si512(r, _mm512_set1_epi64((1ll << 52) - 1));
-}
-
 /// util::forward_butterfly on 8 lanes: X, Y in [0, 4q) -> [0, 4q).
-XEHE_IFMA inline void forward_butterfly(__m512i &x, __m512i &y,
-                                        const VecTwiddle &t,
-                                        const VecModulus &m) {
+template <int Bits>
+XEHE_AVX512 inline void forward_butterfly(__m512i &x, __m512i &y,
+                                          const VecOperand &w,
+                                          const VecModulus &m) {
     const __m512i u = reduce_once(x, m.two_q);
-    const __m512i v = mul_lazy(y, t, m);
+    const __m512i v = util::avx512::mul_lazy<Bits>(y, w, m);
     x = _mm512_add_epi64(u, v);
     y = _mm512_sub_epi64(_mm512_add_epi64(u, m.two_q), v);
 }
 
 /// util::inverse_butterfly on 8 lanes: X, Y in [0, 2q) -> [0, 2q).
-XEHE_IFMA inline void inverse_butterfly(__m512i &x, __m512i &y,
-                                        const VecTwiddle &t,
-                                        const VecModulus &m) {
+template <int Bits>
+XEHE_AVX512 inline void inverse_butterfly(__m512i &x, __m512i &y,
+                                          const VecOperand &w,
+                                          const VecModulus &m) {
     const __m512i u = x;
     x = reduce_once(_mm512_add_epi64(u, y), m.two_q);
-    y = mul_lazy(_mm512_sub_epi64(_mm512_add_epi64(u, m.two_q), y), t, m);
-}
-
-XEHE_IFMA inline VecModulus vec_modulus(uint64_t q) {
-    return {_mm512_set1_epi64(static_cast<long long>(q)),
-            _mm512_set1_epi64(static_cast<long long>(q << 1)),
-            _mm512_set1_epi64(static_cast<long long>((1ull << 52) - q))};
-}
-
-XEHE_IFMA inline VecTwiddle broadcast(const MultiplyModOperand &w) {
-    return {_mm512_set1_epi64(static_cast<long long>(w.operand)),
-            _mm512_set1_epi64(static_cast<long long>(w.quotient >> 12))};
+    y = util::avx512::mul_lazy<Bits>(
+        _mm512_sub_epi64(_mm512_add_epi64(u, m.two_q), y), w, m);
 }
 
 /// The Count twiddles at t[0..Count) spread over 8 lanes, lane k taking
 /// t[k·Count/8]: the in-register rounds' twiddles for one 16-word block.
-template <int Count>
-XEHE_IFMA inline VecTwiddle spread(const MultiplyModOperand *t) {
+template <int Bits, int Count>
+XEHE_AVX512 inline VecOperand spread(const MultiplyModOperand *t) {
     static_assert(Count == 2 || Count == 4 || Count == 8);
     const __m512i lo = _mm512_maskz_loadu_epi64(Count == 2 ? 0x0F : 0xFF, t);
     const __m512i hi = Count == 8 ? _mm512_loadu_si512(t + 4) : lo;
@@ -175,29 +134,30 @@ XEHE_IFMA inline VecTwiddle spread(const MultiplyModOperand *t) {
     const __m512i ops = _mm512_setr_epi64(op(0), op(1), op(2), op(3), op(4),
                                           op(5), op(6), op(7));
     const __m512i quots = _mm512_add_epi64(ops, _mm512_set1_epi64(1));
-    // maskz_srli: GCC 12's srli_epi64 warns like min_epu64 does.
     return {_mm512_permutex2var_epi64(lo, ops, hi),
-            _mm512_maskz_srli_epi64(
-                0xFF, _mm512_permutex2var_epi64(lo, quots, hi), 12)};
+            util::avx512::quotient_lanes<Bits>(
+                _mm512_permutex2var_epi64(lo, quots, hi))};
 }
 
-/// Forward transform, N >= 16 and q < 2^50.  Rounds with gap >= 8 run 8
-/// butterflies of one group under a broadcast twiddle; the last three
-/// rounds (gap 4, 2, 1) and the [0, 4q) -> [0, q) reduction run on
-/// 16-word blocks in registers.
-XEHE_IFMA void forward_ifma(uint64_t *x, std::size_t n,
-                            const MultiplyModOperand *roots, uint64_t q) {
-    const VecModulus m = vec_modulus(q);
+/// Forward transform, N >= 16.  Rounds with gap >= 8 run 8 butterflies of
+/// one group under a broadcast twiddle; the last three rounds (gap 4, 2,
+/// 1) and the [0, 4q) -> [0, q) reduction run on 16-word blocks in
+/// registers.
+template <int Bits>
+XEHE_AVX512 void forward_vec(uint64_t *x, std::size_t n,
+                             const MultiplyModOperand *roots, uint64_t q) {
+    const VecModulus m = util::avx512::vec_modulus(q);
     std::size_t round = 1;
     for (std::size_t gap = n >> 1; gap >= 8; round <<= 1, gap >>= 1) {
         for (std::size_t i = 0; i < round; ++i) {
-            const VecTwiddle w = broadcast(roots[round + i]);
+            const VecOperand w =
+                util::avx512::broadcast<Bits>(roots[round + i]);
             uint64_t *lo = x + 2 * i * gap;
             uint64_t *hi = lo + gap;
             for (std::size_t j = 0; j < gap; j += 8) {
                 __m512i u = _mm512_loadu_si512(lo + j);
                 __m512i v = _mm512_loadu_si512(hi + j);
-                forward_butterfly(u, v, w, m);
+                forward_butterfly<Bits>(u, v, w, m);
                 _mm512_storeu_si512(lo + j, u);
                 _mm512_storeu_si512(hi + j, v);
             }
@@ -222,30 +182,34 @@ XEHE_IFMA void forward_ifma(uint64_t *x, std::size_t n,
         // X = a0..a3 b0..b3, Y = a4..a7 b4..b7.
         __m512i u = _mm512_permutex2var_epi64(a, gap4_lo, b);
         __m512i v = _mm512_permutex2var_epi64(a, gap4_hi, b);
-        forward_butterfly(u, v, spread<2>(roots + n / 8 + 2 * c), m);
+        forward_butterfly<Bits>(u, v, spread<Bits, 2>(roots + n / 8 + 2 * c),
+                                m);
         // X = a0 a1 a4 a5 b0 b1 b4 b5, Y = a2 a3 a6 a7 b2 b3 b6 b7.
         __m512i s = _mm512_permutex2var_epi64(u, gap2_lo, v);
         __m512i t = _mm512_permutex2var_epi64(u, gap2_hi, v);
-        forward_butterfly(s, t, spread<4>(roots + n / 4 + 4 * c), m);
+        forward_butterfly<Bits>(s, t, spread<Bits, 4>(roots + n / 4 + 4 * c),
+                                m);
         // X = a0 a2 a4 a6 b0 b2 b4 b6, Y = a1 a3 a5 a7 b1 b3 b5 b7.
         u = _mm512_permutex2var_epi64(s, gap1_lo, t);
         v = _mm512_permutex2var_epi64(s, gap1_hi, t);
-        forward_butterfly(u, v, spread<8>(roots + n / 2 + 8 * c), m);
-        u = reduce_once(reduce_once(u, m.two_q), m.q);
-        v = reduce_once(reduce_once(v, m.two_q), m.q);
+        forward_butterfly<Bits>(u, v, spread<Bits, 8>(roots + n / 2 + 8 * c),
+                                m);
+        u = util::avx512::reduce_4q(u, m);
+        v = util::avx512::reduce_4q(v, m);
         _mm512_storeu_si512(p, _mm512_permutex2var_epi64(u, out_lo, v));
         _mm512_storeu_si512(p + 8, _mm512_permutex2var_epi64(u, out_hi, v));
     }
 }
 
-/// Inverse transform, N >= 16 and q < 2^50: the first three rounds (gap
-/// 1, 2, 4) on 16-word blocks in registers, rounds with gap >= 8 under a
-/// broadcast twiddle, and the last round with N^{-1} folded in.
-XEHE_IFMA void inverse_ifma(uint64_t *x, std::size_t n,
-                            const MultiplyModOperand *roots,
-                            const MultiplyModOperand &inv_n,
-                            const MultiplyModOperand &w_inv_n, uint64_t q) {
-    const VecModulus m = vec_modulus(q);
+/// Inverse transform, N >= 16: the first three rounds (gap 1, 2, 4) on
+/// 16-word blocks in registers, rounds with gap >= 8 under a broadcast
+/// twiddle, and the last round with N^{-1} folded in.
+template <int Bits>
+XEHE_AVX512 void inverse_vec(uint64_t *x, std::size_t n,
+                             const MultiplyModOperand *roots,
+                             const MultiplyModOperand &inv_n,
+                             const MultiplyModOperand &w_inv_n, uint64_t q) {
+    const VecModulus m = util::avx512::vec_modulus(q);
     // The inverses of the forward block permutations, in reverse order;
     // round m consumes its twiddles from roots[N - 2m + 1].
     const __m512i even = _mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14);
@@ -262,13 +226,15 @@ XEHE_IFMA void inverse_ifma(uint64_t *x, std::size_t n,
         const __m512i b = _mm512_loadu_si512(p + 8);
         __m512i u = _mm512_permutex2var_epi64(a, even, b);
         __m512i v = _mm512_permutex2var_epi64(a, odd, b);
-        inverse_butterfly(u, v, spread<8>(roots + 1 + 8 * c), m);
+        inverse_butterfly<Bits>(u, v, spread<Bits, 8>(roots + 1 + 8 * c), m);
         __m512i s = _mm512_permutex2var_epi64(u, gap2_lo, v);
         __m512i t = _mm512_permutex2var_epi64(u, gap2_hi, v);
-        inverse_butterfly(s, t, spread<4>(roots + n / 2 + 1 + 4 * c), m);
+        inverse_butterfly<Bits>(
+            s, t, spread<Bits, 4>(roots + n / 2 + 1 + 4 * c), m);
         u = _mm512_permutex2var_epi64(s, gap4_lo, t);
         v = _mm512_permutex2var_epi64(s, gap4_hi, t);
-        inverse_butterfly(u, v, spread<2>(roots + 3 * n / 4 + 1 + 2 * c), m);
+        inverse_butterfly<Bits>(
+            u, v, spread<Bits, 2>(roots + 3 * n / 4 + 1 + 2 * c), m);
         _mm512_storeu_si512(p, _mm512_permutex2var_epi64(u, out_lo, v));
         _mm512_storeu_si512(p + 8, _mm512_permutex2var_epi64(u, out_hi, v));
     }
@@ -276,53 +242,59 @@ XEHE_IFMA void inverse_ifma(uint64_t *x, std::size_t n,
     for (std::size_t round = n >> 4; round > 1; round >>= 1, gap <<= 1) {
         const MultiplyModOperand *w = roots + n - 2 * round + 1;
         for (std::size_t i = 0; i < round; ++i) {
-            const VecTwiddle t = broadcast(w[i]);
+            const VecOperand t = util::avx512::broadcast<Bits>(w[i]);
             uint64_t *lo = x + 2 * i * gap;
             uint64_t *hi = lo + gap;
             for (std::size_t j = 0; j < gap; j += 8) {
                 __m512i u = _mm512_loadu_si512(lo + j);
                 __m512i v = _mm512_loadu_si512(hi + j);
-                inverse_butterfly(u, v, t, m);
+                inverse_butterfly<Bits>(u, v, t, m);
                 _mm512_storeu_si512(lo + j, u);
                 _mm512_storeu_si512(hi + j, v);
             }
         }
     }
     // Last round: X' = (X + Y)·N^{-1}, Y' = (X - Y)·(W·N^{-1}), in [0, q).
-    const VecTwiddle scale = broadcast(inv_n);
-    const VecTwiddle w_scale = broadcast(w_inv_n);
+    const VecOperand scale = util::avx512::broadcast<Bits>(inv_n);
+    const VecOperand w_scale = util::avx512::broadcast<Bits>(w_inv_n);
     for (std::size_t j = 0; j < gap; j += 8) {
         const __m512i u = _mm512_loadu_si512(x + j);
         const __m512i v = _mm512_loadu_si512(x + j + gap);
-        const __m512i sum = mul_lazy(_mm512_add_epi64(u, v), scale, m);
-        const __m512i diff = mul_lazy(
+        const __m512i sum =
+            util::avx512::mul_lazy<Bits>(_mm512_add_epi64(u, v), scale, m);
+        const __m512i diff = util::avx512::mul_lazy<Bits>(
             _mm512_sub_epi64(_mm512_add_epi64(u, m.two_q), v), w_scale, m);
         _mm512_storeu_si512(x + j, reduce_once(sum, m.q));
         _mm512_storeu_si512(x + j + gap, reduce_once(diff, m.q));
     }
 }
 
-#undef XEHE_IFMA
-
 }  // namespace
 #endif  // __x86_64__
 
-bool detail::uses_ifma(const NttTables &tables) noexcept {
-#if defined(__x86_64__)
-    return tables.n() >= 16 && tables.modulus().value() < (1ull << 50) &&
-           cpu_has_ifma();
-#else
-    (void)tables;
-    return false;
-#endif
+detail::Path detail::path(const NttTables &tables) noexcept {
+    const uint64_t q = tables.modulus().value();
+    if (tables.n() < 16) {
+        return Path::scalar;
+    }
+    if (q < (1ull << 50) && util::avx512::has_ifma()) {
+        return Path::ifma;
+    }
+    if (q < (1ull << Modulus::kMaxBits) && util::avx512::has_dq()) {
+        return Path::avx512;
+    }
+    return Path::scalar;
 }
 
 void ntt_forward(std::span<uint64_t> a, const NttTables &tables) {
 #if defined(__x86_64__)
-    if (detail::uses_ifma(tables)) {
+    const detail::Path path = detail::path(tables);
+    if (path != detail::Path::scalar) {
         util::require(a.size() == tables.n(), "size mismatch");
-        forward_ifma(a.data(), tables.n(), tables.root_powers().data(),
-                     tables.modulus().value());
+        const auto forward =
+            path == detail::Path::ifma ? forward_vec<52> : forward_vec<64>;
+        forward(a.data(), tables.n(), tables.root_powers().data(),
+                tables.modulus().value());
         return;
     }
 #endif
@@ -331,7 +303,8 @@ void ntt_forward(std::span<uint64_t> a, const NttTables &tables) {
 
 void ntt_inverse(std::span<uint64_t> a, const NttTables &tables) {
 #if defined(__x86_64__)
-    if (detail::uses_ifma(tables)) {
+    const detail::Path path = detail::path(tables);
+    if (path != detail::Path::scalar) {
         const std::size_t n = tables.n();
         util::require(a.size() == n, "size mismatch");
         const Modulus &q = tables.modulus();
@@ -339,8 +312,10 @@ void ntt_inverse(std::span<uint64_t> a, const NttTables &tables) {
         const MultiplyModOperand w_inv_n(
             util::mul_mod(tables.inv_root_powers()[n - 1].operand, inv_n, q),
             q);
-        inverse_ifma(a.data(), n, tables.inv_root_powers().data(), inv_n,
-                     w_inv_n, q.value());
+        const auto inverse =
+            path == detail::Path::ifma ? inverse_vec<52> : inverse_vec<64>;
+        inverse(a.data(), n, tables.inv_root_powers().data(), inv_n, w_inv_n,
+                q.value());
         return;
     }
 #endif

@@ -1,17 +1,21 @@
 // Reference (host) negacyclic NTT — the correctness oracle for all GPU
 // kernel variants, playing the role Intel HEXL's CPU path plays for the
-// paper.  Like HEXL, the transforms run 8-lane AVX-512 IFMA52 butterflies
-// where the CPU and the modulus allow and scalar Harvey butterflies
-// elsewhere; both give the same words.  Also provides an O(N^2) textbook
+// paper.  Like HEXL, the transforms run 8-lane AVX-512 butterflies where
+// the CPU and the modulus allow and scalar Harvey butterflies elsewhere;
+// every path gives the same words.  Also provides an O(N^2) textbook
 // negacyclic transform and polynomial multiplication used to validate the
 // fast transforms.
 //
-// Dispatch: ntt_forward/ntt_inverse take the vector path exactly when
-// detail::uses_ifma(tables) holds — the CPU reports AVX-512F and
-// AVX-512 IFMA (x86-64 builds only), q < 2^50 (so lazy values below 4q fit
-// the 52-bit multiplier) and N >= 16.  Otherwise they run the scalar
-// loops, detail::forward_scalar/inverse_scalar.  No option selects the
-// path; outputs are canonical residues, so both paths write the same words.
+// Dispatch (detail::path, x86-64 builds only; N >= 16 for either vector
+// path), three tiers:
+//   - IFMA52 lanes for q < 2^50, on a CPU with AVX-512F, DQ and IFMA
+//     (lazy values below 4q fit the 52-bit multiplier);
+//   - 64-bit AVX-512F/DQ lanes for q < 2^61 (Modulus::kMaxBits), on a CPU
+//     with AVX-512F and DQ: every other prime, the 60-bit special prime
+//     included, and every prime on a CPU without IFMA;
+//   - the scalar loops, detail::forward_scalar/inverse_scalar, otherwise.
+// No option selects the path; outputs are canonical residues, so every
+// path writes the same words.
 #pragma once
 
 #include <span>
@@ -44,14 +48,16 @@ void naive_negacyclic_multiply(std::span<const uint64_t> a,
 namespace detail {
 
 /// The scalar loops: one Harvey butterfly at a time, same contract as
-/// ntt_forward/ntt_inverse.  The only path when uses_ifma() is false, and
-/// the oracle the vector path is tested against.
+/// ntt_forward/ntt_inverse.  The path when path() is Path::scalar, and the
+/// oracle the vector paths are tested against.
 void forward_scalar(std::span<uint64_t> a, const NttTables &tables);
 void inverse_scalar(std::span<uint64_t> a, const NttTables &tables);
 
-/// True when ntt_forward/ntt_inverse run the AVX-512 IFMA path for these
-/// tables (the dispatch rule above).
-bool uses_ifma(const NttTables &tables) noexcept;
+enum class Path { scalar, avx512, ifma };
+
+/// The path ntt_forward/ntt_inverse run for these tables on this CPU (the
+/// dispatch rule above).
+Path path(const NttTables &tables) noexcept;
 
 }  // namespace detail
 

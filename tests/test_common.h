@@ -33,6 +33,21 @@ inline std::vector<uint64_t> test_moduli() {
             (1ull << 50) - 27, 1152921504606830593ull /* 2^60-ish NTT prime */};
 }
 
+/// One NTT prime for a transform size N: the (rank+1)-th largest
+/// `bits`-bit prime q ≡ 1 (mod 2N) (rank 0 is the largest).
+struct PrimeChoice {
+    int bits;
+    std::size_t rank;
+
+    util::Modulus prime(std::size_t n) const {
+        return util::generate_ntt_primes(bits, n, rank + 1)[rank];
+    }
+};
+
+inline void PrintTo(const PrimeChoice &c, std::ostream *os) {
+    *os << c.bits << "-bit rank " << c.rank;
+}
+
 // ---------------------------------------------------------------------------
 // Random generators (deterministic per seed)
 // ---------------------------------------------------------------------------

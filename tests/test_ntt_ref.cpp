@@ -1,6 +1,7 @@
 // Correctness of the reference negacyclic NTT against the O(N^2) oracle,
 // roundtrip identities, the convolution theorem, and the dispatched
-// (AVX-512 IFMA where available) transforms against the scalar loops.
+// (AVX-512 IFMA52 or 64-bit AVX-512F/DQ where available) transforms
+// against the scalar loops.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,10 +11,12 @@
 
 #include "ntt/ntt_ref.h"
 #include "test_common.h"
+#include "util/avx512.h"
 
 namespace xn = xehe::ntt;
 namespace xu = xehe::util;
 
+using xehe::test::PrimeChoice;
 using xehe::test::random_poly;
 
 class NttRefTest : public ::testing::TestWithParam<std::size_t> {};
@@ -125,18 +128,11 @@ TEST(NttRef, ConstantPolynomialTransformsToConstant) {
 
 // ---------------------------------------------------------------------------
 // Dispatched transforms against the scalar loops, word for word.  On a CPU
-// with AVX-512 IFMA the dispatched path is the 8-lane vector code for every
-// prime below 2^50; the 60-bit prime always takes the scalar loops.
+// with AVX-512 IFMA the dispatched path is the IFMA52 code for every prime
+// below 2^50, and on one with AVX-512F/DQ the 64-bit lanes for the rest
+// (51- to 61-bit, the 60-bit special prime and the largest 61-bit NTT
+// prime included); detail::path names the one taken.
 // ---------------------------------------------------------------------------
-
-struct PrimeChoice {
-    int bits;
-    std::size_t rank;  // 0: the largest bits-bit NTT prime for N
-};
-
-void PrintTo(const PrimeChoice &c, std::ostream *os) {
-    *os << c.bits << "-bit rank " << c.rank;
-}
 
 using DiffParam = std::tuple<std::size_t, PrimeChoice>;
 
@@ -144,10 +140,7 @@ class NttDispatchTest : public ::testing::TestWithParam<DiffParam> {
 protected:
     std::size_t n() const { return std::get<0>(GetParam()); }
 
-    xu::Modulus prime() const {
-        const PrimeChoice c = std::get<1>(GetParam());
-        return xu::generate_ntt_primes(c.bits, n(), c.rank + 1)[c.rank];
-    }
+    xu::Modulus prime() const { return std::get<1>(GetParam()).prime(n()); }
 
     /// Random residues, all zeros, all q - 1, and lazy words below
     /// `lazy_bound`·q (random, the first eight at the bound minus one).
@@ -206,21 +199,28 @@ TEST_P(NttDispatchTest, RoundtripMatchesScalar) {
 }
 
 TEST_P(NttDispatchTest, DispatchRule) {
+    using Path = xn::detail::Path;
     const auto q = prime();
     const xn::NttTables tables(n(), q);
-    if (q.value() >= (1ull << 50)) {
-        EXPECT_FALSE(xn::detail::uses_ifma(tables));
+    Path expect = Path::scalar;
+    if (q.value() < (1ull << 50) && xu::avx512::has_ifma()) {
+        expect = Path::ifma;
+    } else if (xu::avx512::has_dq()) {
+        expect = Path::avx512;
     }
-    RecordProperty("ifma", xn::detail::uses_ifma(tables) ? "yes" : "no");
+    EXPECT_EQ(xn::detail::path(tables), expect);
+    RecordProperty("path", static_cast<int>(expect));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     SizesAndPrimes, NttDispatchTest,
-    ::testing::Combine(::testing::Values(16, 32, 64, 1024, 8192, 32768),
-                       ::testing::Values(PrimeChoice{30, 0}, PrimeChoice{40, 0},
-                                         PrimeChoice{50, 2},
-                                         PrimeChoice{50, 0},
-                                         PrimeChoice{60, 0})),
+    ::testing::Combine(
+        ::testing::Values(16, 32, 64, 256, 1024, 8192, 32768),
+        ::testing::Values(PrimeChoice{30, 0}, PrimeChoice{40, 0},
+                          PrimeChoice{50, 2}, PrimeChoice{50, 0},
+                          PrimeChoice{51, 0}, PrimeChoice{55, 1},
+                          PrimeChoice{60, 0}, PrimeChoice{61, 3},
+                          PrimeChoice{61, 0})),
     [](const ::testing::TestParamInfo<DiffParam> &info) {
         const PrimeChoice c = std::get<1>(info.param);
         return "N" + std::to_string(std::get<0>(info.param)) + "_q" +
@@ -230,7 +230,31 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(NttDispatch, SmallTransformsTakeTheScalarLoops) {
     for (const std::size_t n : {1, 2, 4, 8}) {
-        const xn::NttTables tables(n, xu::generate_ntt_primes(50, n, 1)[0]);
-        EXPECT_FALSE(xn::detail::uses_ifma(tables)) << "n=" << n;
+        for (const int bits : {50, 60}) {
+            const xn::NttTables tables(n,
+                                       xu::generate_ntt_primes(bits, n, 1)[0]);
+            EXPECT_EQ(xn::detail::path(tables), xn::detail::Path::scalar)
+                << "n=" << n << " bits=" << bits;
+        }
+    }
+}
+
+TEST(NttDispatch, LargestPrimeLazyInputsMatchScalar) {
+    // The largest 61-bit NTT prime with every word at the top of the lazy
+    // ranges, where 4q - 1 is within 2^61 of 2^63 and the 64-bit lanes'
+    // high products are largest.
+    const std::size_t n = 4096;
+    const xn::NttTables tables(n, xu::generate_ntt_primes(61, n, 1)[0]);
+    const uint64_t q = tables.modulus().value();
+    for (const uint64_t top : {4 * q - 1, 2 * q - 1}) {
+        std::vector<uint64_t> expect(n, top), got(n, top);
+        if (top == 4 * q - 1) {
+            xn::detail::forward_scalar(expect, tables);
+            xn::ntt_forward(got, tables);
+        } else {
+            xn::detail::inverse_scalar(expect, tables);
+            xn::ntt_inverse(got, tables);
+        }
+        ASSERT_EQ(got, expect) << "top=" << top;
     }
 }
