@@ -9,6 +9,8 @@
 
 #include <complex>
 #include <random>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "ckks/encoder.h"
@@ -102,6 +104,26 @@ inline void expect_close(const std::vector<complexd> &got,
     }
     EXPECT_LT(max_err, tolerance) << what;
 }
+
+/// FNV-1a over the bytes of a value; doubles fold by bit pattern, so any
+/// change in the last ulp of a simulated figure changes the digest.  The
+/// cost-pinning tests hash every figure a refactor must keep.
+struct Digest {
+    uint64_t h = 0xcbf29ce484222325ull;
+
+    void bytes(const void *p, std::size_t len) {
+        const auto *c = static_cast<const unsigned char *>(p);
+        for (std::size_t i = 0; i < len; ++i) {
+            h = (h ^ c[i]) * 0x100000001b3ull;
+        }
+    }
+    void num(double v) { bytes(&v, sizeof v); }
+    void num(std::size_t v) { bytes(&v, sizeof v); }
+    void str(const std::string &s) { bytes(s.data(), s.size() + 1); }
+    void words(std::span<const uint64_t> w) {
+        bytes(w.data(), w.size_bytes());
+    }
+};
 
 // ---------------------------------------------------------------------------
 // NTT fixtures: batched polynomials and their reference transforms

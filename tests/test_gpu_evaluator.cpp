@@ -377,3 +377,61 @@ TEST(GpuEvaluator, PlainOpsMatchCpu) {
     EXPECT_EQ(got.data, expect.data);
     EXPECT_DOUBLE_EQ(got.scale, expect.scale);
 }
+
+TEST(GpuEvaluator, CostIsPinned) {
+    // Every word and every simulated cost of the key-switching and
+    // rescaling primitives — each output word, each profiler entry's
+    // launches, time and ALU ops, physical submissions, the queue clock and
+    // the memory cache's counters — across both devices and every
+    // fusion and cache switch, at N=1024 L=3.  A refactor of the evaluator
+    // must keep this digest; a deliberate cost-model change updates it.
+    xehe::test::CkksBench host(1024, 3);
+    const auto relin = host.keygen.create_relin_keys();
+    const int steps[] = {1};
+    const auto galois = host.keygen.create_galois_keys(steps);
+    const auto a = host.enc(host.values(40));
+    const auto b = host.enc(host.values(41));
+
+    xehe::test::Digest d;
+    for (const auto &spec : {xg::device1(), xg::device2()}) {
+        for (const bool fuse_dyadic : {false, true}) {
+            for (const bool fuse_mad_mod : {false, true}) {
+                for (const bool cache : {false, true}) {
+                    xr::GpuOptions opts = small_gpu_options();
+                    opts.fuse_dyadic = fuse_dyadic;
+                    opts.fuse_mad_mod = fuse_mad_mod;
+                    opts.use_memory_cache = cache;
+                    xr::GpuContext gpu(host.context, spec, opts);
+                    const xr::GpuEvaluator eval(gpu);
+                    const auto ga = xr::upload(gpu, a);
+                    const auto gb = xr::upload(gpu, b);
+                    const auto product = eval.multiply(ga, gb);
+                    const auto relinearized = eval.relinearize(product, relin);
+                    const auto rescaled = eval.rescale(relinearized);
+                    d.words(eval.rescale(product).all());
+                    d.words(relinearized.all());
+                    d.words(rescaled.all());
+                    d.words(eval.rotate(ga, 1, galois).all());
+                    d.words(eval.mod_switch_add(rescaled, ga).all());
+                    const auto &profiler = gpu.profiler();
+                    for (const auto &[name, e] : profiler.entries()) {
+                        d.str(name);
+                        d.num(e.launches);
+                        d.num(e.time_ns);
+                        d.num(e.alu_ops);
+                    }
+                    d.num(profiler.submissions());
+                    d.num(gpu.queue().clock_ns());
+                    const auto alloc = gpu.queue().cache().stats();
+                    d.num(alloc.requests);
+                    d.num(alloc.device_allocs);
+                    d.num(alloc.cache_hits);
+                    d.num(alloc.sim_alloc_ns);
+                    d.num(alloc.peak_live_bytes);
+                }
+            }
+        }
+    }
+    EXPECT_EQ(d.h, 0x62eb8757704e7d14ull)
+        << "simulated evaluator cost moved; digest now " << std::hex << d.h;
+}

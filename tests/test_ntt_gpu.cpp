@@ -168,26 +168,6 @@ TEST(GpuNtt, InlineAsmFasterThanCompiler) {
     EXPECT_LT(asm_, comp);
 }
 
-namespace {
-
-/// FNV-1a over the bytes of a value; doubles fold by bit pattern, so any
-/// change in the last ulp of a simulated figure changes the digest.
-struct Digest {
-    uint64_t h = 0xcbf29ce484222325ull;
-
-    void bytes(const void *p, std::size_t len) {
-        const auto *c = static_cast<const unsigned char *>(p);
-        for (std::size_t i = 0; i < len; ++i) {
-            h = (h ^ c[i]) * 0x100000001b3ull;
-        }
-    }
-    void num(double v) { bytes(&v, sizeof v); }
-    void num(std::size_t v) { bytes(&v, sizeof v); }
-    void str(const std::string &s) { bytes(s.data(), s.size() + 1); }
-};
-
-}  // namespace
-
 TEST(GpuNtt, CostIsPinned) {
     // Every simulated cost the NTT reports — forward and inverse ns and each
     // profiler entry's launches, time and ALU ops — across variants, both
@@ -199,7 +179,7 @@ TEST(GpuNtt, CostIsPinned) {
     const auto big_tables =
         xn::make_ntt_tables(32768, xu::generate_ntt_primes(50, 32768, 1));
 
-    Digest d;
+    xehe::test::Digest d;
     for (const xn::NttVariant v : kAllVariants) {
         for (const auto &spec : {xg::device1(), xg::device2()}) {
             for (const xg::IsaMode isa :
