@@ -69,7 +69,8 @@ int main() {
     //    synchronization point).
     auto gpu_a = core::upload(gpu, ct_a);
     auto gpu_b = core::upload(gpu, ct_b);
-    auto gpu_prod = evaluator.mul_lin_rs(gpu_a, gpu_b, relin_keys);
+    auto gpu_prod = evaluator.rescale(
+        evaluator.relinearize(evaluator.multiply(gpu_a, gpu_b), relin_keys));
     const auto ct_prod = core::download(gpu, gpu_prod);
 
     // 6. Decrypt + decode.

@@ -201,7 +201,9 @@ void Evaluator::switch_key_inplace(Ciphertext &dest,
 
     // Extended base {q_0..q_{l-1}, p}: index j of it is key modulus
     // mod_index(j).
-    const auto mod_index = [&](std::size_t j) { return j < l ? j : special; };
+    const auto mod_index = [&](std::size_t j) {
+        return kswitch_modulus_index(*context_, l, j);
+    };
 
     // The scratch below is written in full before it is read, so none of
     // it is zero-filled.

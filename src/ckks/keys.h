@@ -33,6 +33,13 @@ struct KSwitchKey {
 void require_kswitch_key(const CkksContext &context, const KSwitchKey &key,
                          std::size_t l);
 
+/// Key modulus of prime j of an `l`-limb key switch's extended base
+/// {q_0..q_{l-1}, p}: data prime j for j < l, the special prime for j = l.
+inline std::size_t kswitch_modulus_index(const CkksContext &context,
+                                         std::size_t l, std::size_t j) {
+    return j < l ? j : context.key_rns() - 1;
+}
+
 struct RelinKeys {
     KSwitchKey key;  ///< switches s^2 -> s
 };

@@ -12,24 +12,21 @@ GpuEvaluator::GpuEvaluator(GpuContext &gpu)
 
 void GpuEvaluator::submit_dyadic(const char *name, std::size_t elements,
                                  double ops_per_element, double streams,
-                                 std::function<void(std::size_t)> body,
-                                 bool is_ntt, double gmem_eff) const {
-    if (open_group_ && !is_ntt) {
+                                 std::function<void(std::size_t)> body) const {
+    if (open_group_) {
         // A pre-planned dyadic group is recording: stage the kernel (its
         // own index domain — group members are mutually independent, so
         // horizontal fusion is always legal) and submit at group end.
         open_group_->stage(name, elements, ops_per_element, streams,
-                           std::move(body), gmem_eff);
+                           std::move(body));
         return;
     }
     xgpu::KernelStats stats;
     stats.name = name;
-    stats.is_ntt = is_ntt;
     stats.alu_ops = ops_per_element * static_cast<double>(elements);
     // ops are computed for the active ISA mode already; don't rescale.
     stats.asm_sensitive = 0.0;
     stats.gmem_bytes = streams * 8.0 * static_cast<double>(elements);
-    stats.gmem_eff = gmem_eff;
     xgpu::ElementwiseKernel kernel(name, elements, std::move(body), stats,
                                    gpu_->options().wg_size);
     gpu_->queue().submit(kernel);
@@ -266,8 +263,6 @@ void GpuEvaluator::switch_key_inplace(GpuCiphertext &dest,
                                       const KSwitchKey &key) const {
     const std::size_t n = ctx_->n();
     const std::size_t l = dest.rns;
-    const std::size_t special = ctx_->key_rns() - 1;
-    const Modulus &p = ctx_->special_prime();
     util::require(target.size() == l * n, "switch-key target size mismatch");
     ckks::require_kswitch_key(*ctx_, key, l);
     const bool fuse = gpu_->options().fuse_dyadic;
@@ -287,7 +282,9 @@ void GpuEvaluator::switch_key_inplace(GpuCiphertext &dest,
     // kernel (one launch for the whole limb group), their buffers and the
     // mod-down temp block merge into a single scratch allocation, and the
     // per-prime NTT/inner-product structure is untouched — the profiler's
-    // kernel-name multiset is invariant.
+    // kernel-name multiset is invariant.  Unfused, the single digits
+    // buffer is rebuilt per prime, so each build is consumed by its inner
+    // product before the next overwrites it.
     auto acc0 = gpu_->allocate((l + 1) * n);
     auto acc1 = gpu_->allocate((l + 1) * n);
     auto scratch = fuse ? gpu_->allocate((l + 1) * l * n + l * n)
@@ -297,26 +294,8 @@ void GpuEvaluator::switch_key_inplace(GpuCiphertext &dest,
         return fuse ? scratch.span().subspan(j * l * n, l * n)
                     : scratch.span();
     };
-    const auto t_at = [&](std::size_t j) {
-        return fuse ? scratch.span().subspan((l + 1) * l * n + j * n, n)
-                    : t_buf.span();
-    };
-
-    const auto build_digits = [&](xgpu::FusionBuilder &group, std::size_t j) {
-        const std::size_t mod_idx = (j < l) ? j : special;
-        const Modulus &mj = ctx_->key_modulus()[mod_idx];
-        const auto src = target_coeff.span();
-        auto dst = digits_at(j);
-        group.stage("ks_reduce_digits", l * n, 4.0, 2.0,
-                    [=](std::size_t i) {
-                        const std::size_t comp = i / n;
-                        dst[i] = comp == mod_idx
-                                     ? src[i]
-                                     : util::barrett_reduce_64(src[i], mj);
-                    });
-    };
     const auto inner_product = [&](std::size_t j) {
-        const std::size_t mod_idx = (j < l) ? j : special;
+        const std::size_t mod_idx = ckks::kswitch_modulus_index(*ctx_, l, j);
         const Modulus &mj = ctx_->key_modulus()[mod_idx];
         gpu_->gpu_ntt().forward(digits_at(j), l, table_span(mod_idx));
         const auto dig = digits_at(j);
@@ -341,55 +320,96 @@ void GpuEvaluator::switch_key_inplace(GpuCiphertext &dest,
                           a1[k] = s1;
                       });
     };
-    if (fuse) {
-        // One launch covering all l+1 digit builds; the NTT and inner
-        // product keep their per-prime dependency structure.
-        xgpu::FusionBuilder digit_group = dyadic_group();
-        for (std::size_t j = 0; j <= l; ++j) {
-            build_digits(digit_group, j);
-        }
-        digit_group.submit();
-        for (std::size_t j = 0; j <= l; ++j) {
-            inner_product(j);
-        }
-    } else {
-        // Unfused: the single digits buffer is rebuilt per prime, so each
-        // build must be consumed before the next overwrites it.
-        for (std::size_t j = 0; j <= l; ++j) {
-            xgpu::FusionBuilder digit_group = dyadic_group();
-            build_digits(digit_group, j);
+    xgpu::FusionBuilder digit_group = dyadic_group();
+    for (std::size_t j = 0; j <= l; ++j) {
+        const std::size_t mod_idx = ckks::kswitch_modulus_index(*ctx_, l, j);
+        const Modulus &mj = ctx_->key_modulus()[mod_idx];
+        const auto src = target_coeff.span();
+        auto dst = digits_at(j);
+        digit_group.stage("ks_reduce_digits", l * n, 4.0, 2.0,
+                          [=](std::size_t i) {
+                              const std::size_t comp = i / n;
+                              dst[i] = comp == mod_idx
+                                           ? src[i]
+                                           : util::barrett_reduce_64(src[i],
+                                                                     mj);
+                          });
+        if (!fuse) {
             digit_group.submit();
             inner_product(j);
         }
     }
+    if (fuse) {
+        digit_group.submit();
+        for (std::size_t j = 0; j <= l; ++j) {
+            inner_product(j);
+        }
+    }
 
-    // 3. Mod-down by the special prime with rounding.  Fused, the per-limb
-    // reduce and mod-down steps each submit as one kernel per limb group;
-    // the forward NTTs stay per-limb.
-    const uint64_t half = ctx_->half(special);
-    for (int part = 0; part < 2; ++part) {
-        auto &acc = part == 0 ? acc0 : acc1;
-        auto sp = acc.span().subspan(l * n, n);
-        gpu_->gpu_ntt().inverse(sp, 1, table_span(special));
-        submit_dyadic("ks_add_half", n, op_cost(CoreOp::AddMod), 2.0,
+    // 3. Mod-down by the special prime with rounding, accumulated into
+    // dest.
+    const RoundedDivision parts[] = {
+        {acc0.span().subspan(l * n, n), acc0.span().first(l * n),
+         dest.poly(0)},
+        {acc1.span().subspan(l * n, n), acc1.span().first(l * n),
+         dest.poly(1)},
+    };
+    divide_round(parts, ctx_->key_rns() - 1, l,
+                 fuse ? scratch.span().subspan((l + 1) * l * n, l * n)
+                      : t_buf.span(),
+                 {"ks_add_half", "ks_reduce_special", "ks_mod_down",
+                  /*accumulate=*/true});
+}
+
+void GpuEvaluator::divide_round(std::span<const RoundedDivision> parts,
+                                std::size_t drop_idx, std::size_t count,
+                                std::span<uint64_t> temps,
+                                const DivisionKernels &kernels) const {
+    const std::size_t n = ctx_->n();
+    const Modulus &q_drop = ctx_->key_modulus()[drop_idx];
+    const uint64_t half = ctx_->half(drop_idx);
+    const bool fuse = gpu_->options().fuse_dyadic;
+    const bool accumulate = kernels.accumulate;
+    const double finish_ops =
+        op_cost(CoreOp::SubMod) + op_cost(CoreOp::MulMod) +
+        (accumulate ? op_cost(CoreOp::AddMod) : 0.0);
+    const double finish_streams = accumulate ? 4.0 : 3.0;
+    for (const RoundedDivision &part : parts) {
+        const auto drop = part.drop;
+        gpu_->gpu_ntt().inverse(drop, 1, table_span(drop_idx));
+        submit_dyadic(kernels.add_half, n, op_cost(CoreOp::AddMod), 2.0,
                       [=](std::size_t k) {
-                          sp[k] = util::add_mod(sp[k], half, p);
+                          drop[k] = util::add_mod(drop[k], half, q_drop);
                       });
         xgpu::FusionBuilder reduce_group = dyadic_group();
-        for (std::size_t j = 0; j < l; ++j) {
+        xgpu::FusionBuilder finish_group = dyadic_group();
+        for (std::size_t j = 0; j < count; ++j) {
             const Modulus &qj = ctx_->key_modulus()[j];
-            const uint64_t half_mod = ctx_->half_mod(special, j);
-            auto t = t_at(j);
-            reduce_group.stage("ks_reduce_special", n,
+            const uint64_t half_mod = ctx_->half_mod(drop_idx, j);
+            const auto inv = ctx_->inv_mod(drop_idx, j);
+            const auto t = fuse ? temps.subspan(j * n, n) : temps;
+            const auto src = part.src.subspan(j * n, n);
+            const auto dst = part.dst.subspan(j * n, n);
+            reduce_group.stage(kernels.reduce, n,
                                4.0 + op_cost(CoreOp::SubMod), 2.0,
                                [=](std::size_t k) {
                                    t[k] = util::sub_mod(
-                                       util::barrett_reduce_64(sp[k], qj),
+                                       util::barrett_reduce_64(drop[k], qj),
                                        half_mod, qj);
+                               });
+            finish_group.stage(kernels.finish, n, finish_ops, finish_streams,
+                               [=](std::size_t k) {
+                                   const uint64_t v = util::mul_mod(
+                                       util::sub_mod(src[k], t[k], qj), inv,
+                                       qj);
+                                   dst[k] = accumulate
+                                                ? util::add_mod(dst[k], v, qj)
+                                                : v;
                                });
             if (!fuse) {
                 reduce_group.submit();
-                finish_mod_down(dest, acc.span(), part, j, t);
+                gpu_->gpu_ntt().forward(t, 1, table_span(j));
+                finish_group.submit();
             }
         }
         if (fuse) {
@@ -397,49 +417,10 @@ void GpuEvaluator::switch_key_inplace(GpuCiphertext &dest,
             // The per-limb temps are contiguous and independent: one
             // batched forward NTT over the whole limb group (bit-exact —
             // each slice transforms under its own table).
-            gpu_->gpu_ntt().forward(
-                scratch.span().subspan((l + 1) * l * n, l * n), 1,
-                ctx_->tables(l));
-            xgpu::FusionBuilder down_group = dyadic_group();
-            for (std::size_t j = 0; j < l; ++j) {
-                record_mod_down(down_group, dest, acc.span(), part, j,
-                                t_at(j));
-            }
-            down_group.submit();
+            gpu_->gpu_ntt().forward(temps, 1, ctx_->tables(count));
+            finish_group.submit();
         }
     }
-}
-
-/// The NTT + mod-down tail of one (part, limb) step in the unfused path.
-void GpuEvaluator::finish_mod_down(GpuCiphertext &dest,
-                                   std::span<uint64_t> acc, int part,
-                                   std::size_t j,
-                                   std::span<uint64_t> t) const {
-    gpu_->gpu_ntt().forward(t, 1, table_span(j));
-    xgpu::FusionBuilder single = dyadic_group();
-    record_mod_down(single, dest, acc, part, j, t);
-    single.submit();
-}
-
-/// Records one limb's mod-down accumulation stage into `group`.
-void GpuEvaluator::record_mod_down(xgpu::FusionBuilder &group,
-                                   GpuCiphertext &dest,
-                                   std::span<uint64_t> acc, int part,
-                                   std::size_t j,
-                                   std::span<const uint64_t> t) const {
-    const std::size_t n = ctx_->n();
-    const Modulus &qj = ctx_->key_modulus()[j];
-    auto aj = acc.subspan(j * n, n);
-    auto dst = dest.component(static_cast<std::size_t>(part), j);
-    const auto inv_p = ctx_->inv_mod(ctx_->key_rns() - 1, j);
-    group.stage("ks_mod_down", n,
-                op_cost(CoreOp::SubMod) + op_cost(CoreOp::MulMod) +
-                    op_cost(CoreOp::AddMod),
-                4.0, [=](std::size_t k) {
-                    const uint64_t diff = util::sub_mod(aj[k], t[k], qj);
-                    dst[k] = util::add_mod(
-                        dst[k], util::mul_mod(diff, inv_p, qj), qj);
-                });
 }
 
 GpuCiphertext GpuEvaluator::relinearize(const GpuCiphertext &a,
@@ -460,73 +441,29 @@ GpuCiphertext GpuEvaluator::rescale(const GpuCiphertext &a) const {
     util::require(a.rns >= 2, "cannot rescale at the last level");
     const std::size_t n = a.n;
     const std::size_t last = a.rns - 1;
-    const Modulus &q_last = ctx_->key_modulus()[last];
-    const uint64_t half = ctx_->half(last);
 
     GpuCiphertext out = allocate_ciphertext(
         *gpu_, a.size, a.rns - 1,
-        a.scale / static_cast<double>(q_last.value()));
+        a.scale / static_cast<double>(ctx_->key_modulus()[last].value()));
 
-    // Fused, the per-limb scale steps submit as one kernel per limb group
-    // (the forward NTTs stay per limb), and the last-limb scratch merges
-    // with the temp block into a single allocation.
+    // The dropped limb is copied into scratch (divide_round transforms it
+    // in place).  Fused, the last-limb scratch merges with the temp block
+    // into a single allocation.
     const bool fuse = gpu_->options().fuse_dyadic;
     auto scratch = gpu_->allocate(fuse ? (last + 1) * n : n);
     auto t_buf = fuse ? xgpu::DeviceBuffer{} : gpu_->allocate(n);
-    const auto t_at = [&](std::size_t j) {
-        return fuse ? scratch.span().subspan((j + 1) * n, n) : t_buf.span();
-    };
+    const auto lc = scratch.span().first(n);
+    const auto temps = fuse ? scratch.span().subspan(n, last * n)
+                            : t_buf.span();
     for (std::size_t poly_i = 0; poly_i < a.size; ++poly_i) {
         const auto src_last = a.component(poly_i, last);
-        auto lc = scratch.span().first(n);
         submit_dyadic("rs_copy_last", n, 0.0, 2.0,
                       [=](std::size_t k) { lc[k] = src_last[k]; });
-        gpu_->gpu_ntt().inverse(lc, 1, table_span(last));
-        submit_dyadic("rs_add_half", n, op_cost(CoreOp::AddMod), 2.0,
-                      [=](std::size_t k) {
-                          lc[k] = util::add_mod(lc[k], half, q_last);
-                      });
-        xgpu::FusionBuilder reduce_group = dyadic_group();
-        xgpu::FusionBuilder divide_group = dyadic_group();
-        for (std::size_t j = 0; j < last; ++j) {
-            const Modulus &qj = ctx_->key_modulus()[j];
-            const uint64_t half_mod = ctx_->half_mod(last, j);
-            auto t = t_at(j);
-            reduce_group.stage("rs_reduce", n, 4.0 + op_cost(CoreOp::SubMod),
-                               2.0,
-                               [=](std::size_t k) {
-                                   t[k] = util::sub_mod(
-                                       util::barrett_reduce_64(lc[k], qj),
-                                       half_mod, qj);
-                               });
-            if (!fuse) {
-                reduce_group.submit();
-                gpu_->gpu_ntt().forward(t, 1, table_span(j));
-            }
-            const auto src = a.component(poly_i, j);
-            auto dst = out.component(poly_i, j);
-            const auto inv_q = ctx_->inv_mod(last, j);
-            divide_group.stage("rs_divide", n,
-                               op_cost(CoreOp::SubMod) +
-                                   op_cost(CoreOp::MulMod),
-                               3.0,
-                               [=](std::size_t k) {
-                                   dst[k] = util::mul_mod(
-                                       util::sub_mod(src[k], t[k], qj), inv_q,
-                                       qj);
-                               });
-            if (!fuse) {
-                divide_group.submit();
-            }
-        }
-        if (fuse) {
-            reduce_group.submit();
-            // One batched forward NTT across the contiguous per-limb
-            // temps (each slice under its own table; bit-exact).
-            gpu_->gpu_ntt().forward(scratch.span().subspan(n, last * n), 1,
-                                    ctx_->tables(last));
-            divide_group.submit();
-        }
+        const RoundedDivision part{lc, a.poly(poly_i).first(last * n),
+                                   out.poly(poly_i)};
+        divide_round({&part, 1}, last, last, temps,
+                     {"rs_add_half", "rs_reduce", "rs_divide",
+                      /*accumulate=*/false});
     }
     gpu_->maybe_sync();
     return out;
@@ -600,30 +537,20 @@ GpuCiphertext GpuEvaluator::apply_galois(const GpuCiphertext &a, uint64_t elt,
     GpuCiphertext out = allocate_ciphertext(*gpu_, 2, a.rns, a.scale);
     auto rotated_c1 = gpu_->allocate(a.rns * n);
 
-    // Galois permutation of both polynomials (a gather, poorly coalesced).
-    // Fused, the per-limb permutation kernels submit as one launch.
+    // Galois permutation of both polynomials (a gather, poorly coalesced):
+    // one stage per limb carries its cost, and fused they submit as one
+    // launch.  The permutation itself is applied table-driven.
     xgpu::FusionBuilder permute_group = dyadic_group();
     for (std::size_t r = 0; r < a.rns; ++r) {
-        const auto c0 = a.component(0, r);
-        const auto c1 = a.component(1, r);
-        auto o0 = out.component(0, r);
-        auto g1 = rotated_c1.span().subspan(r * n, n);
-        const ckks::GaloisTool *tool = &galois_;
         permute_group.stage("galois_permute", n, 6.0, 4.0,
-                            [=](std::size_t) { /* executed once below */ },
-                            0.25);
-        if (!gpu_->options().fuse_dyadic) {
-            permute_group.submit();
-        }
-        // The permutation itself is applied as a whole (table-driven).
+                            [](std::size_t) {}, 0.25);
         if (gpu_->queue().functional()) {
-            tool->apply_ntt(c0, elt, o0);
-            tool->apply_ntt(c1, elt, g1);
+            galois_.apply_ntt(a.component(0, r), elt, out.component(0, r));
+            galois_.apply_ntt(a.component(1, r), elt,
+                              rotated_c1.span().subspan(r * n, n));
         }
     }
-    if (gpu_->options().fuse_dyadic) {
-        permute_group.submit();
-    }
+    permute_group.submit();
     if (elt != 1) {
         switch_key_inplace(out, rotated_c1.span(), keys.key(elt));
     } else {
@@ -634,23 +561,6 @@ GpuCiphertext GpuEvaluator::apply_galois(const GpuCiphertext &a, uint64_t elt,
     }
     gpu_->maybe_sync();
     return out;
-}
-
-GpuCiphertext GpuEvaluator::mul_lin(const GpuCiphertext &a,
-                                    const GpuCiphertext &b,
-                                    const RelinKeys &keys) const {
-    return relinearize(multiply(a, b), keys);
-}
-
-GpuCiphertext GpuEvaluator::mul_lin_rs(const GpuCiphertext &a,
-                                       const GpuCiphertext &b,
-                                       const RelinKeys &keys) const {
-    return rescale(relinearize(multiply(a, b), keys));
-}
-
-GpuCiphertext GpuEvaluator::sqr_lin_rs(const GpuCiphertext &a,
-                                       const RelinKeys &keys) const {
-    return rescale(relinearize(square(a), keys));
 }
 
 GpuCiphertext GpuEvaluator::mod_switch_add(const GpuCiphertext &a,
@@ -694,13 +604,6 @@ GpuCiphertext GpuEvaluator::mod_switch_add(const GpuCiphertext &a,
     group.submit();
     gpu_->maybe_sync();
     return out;
-}
-
-GpuCiphertext GpuEvaluator::mul_lin_rs_modsw_add(const GpuCiphertext &a,
-                                                 const GpuCiphertext &b,
-                                                 const GpuCiphertext &c,
-                                                 const RelinKeys &keys) const {
-    return mod_switch_add(mul_lin_rs(a, b, keys), c);
 }
 
 }  // namespace xehe::core

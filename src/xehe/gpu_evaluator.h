@@ -5,16 +5,19 @@
 // dyadic ciphertext arithmetic as elementwise kernels (optionally using the
 // fused mad_mod of Section III-A1), NTT/iNTT through the configured
 // GpuNtt variant, and SEAL-style RNS key switching for relinearization and
-// rotation.  The five routines benchmarked in Section IV-C (MulLin,
-// MulLinRS, SqrLinRS, MulLinRSModSwAdd, Rotate) are provided directly.
+// rotation.  Rescale and the key-switch mod-down run through one rounded
+// division, divide_round, as on the host.  The five routines benchmarked
+// in Section IV-C (MulLin, MulLinRS, SqrLinRS, MulLinRSModSwAdd, Rotate)
+// are compositions of these primitives; routine_program (xehe/routines.h)
+// is their one definition.
 //
 // With GpuOptions::fuse_dyadic (default on) the non-NTT segments route
 // through the xgpu FusionBuilder: the tensor-product partials become one
-// launch, the per-limb scale/reduce steps of rescale and key-switch
-// mod-down submit as one kernel per RNS limb group, and the routines'
-// scratch allocations merge — fewer launch overheads, less intermediate
-// traffic, fewer MemoryCache requests, identical ciphertexts
-// (tests/test_fusion.cpp proves bit-exactness differentially).
+// launch, the per-limb reduce and finish stages of the rounded division
+// submit as one kernel per RNS limb group, and the primitives' scratch
+// allocations merge — fewer launch overheads, less intermediate traffic,
+// fewer MemoryCache requests, identical ciphertexts (tests/test_fusion.cpp
+// proves bit-exactness differentially).
 //
 // Results are bit-exact against the CPU ckks::Evaluator (validated in
 // tests/test_gpu_evaluator.cpp).
@@ -101,18 +104,6 @@ public:
     /// Submits and closes the open group.
     void end_dyadic_group() const;
 
-    // --- the five benchmarked routines (Section IV-C) -------------------
-    GpuCiphertext mul_lin(const GpuCiphertext &a, const GpuCiphertext &b,
-                          const RelinKeys &keys) const;
-    GpuCiphertext mul_lin_rs(const GpuCiphertext &a, const GpuCiphertext &b,
-                             const RelinKeys &keys) const;
-    GpuCiphertext sqr_lin_rs(const GpuCiphertext &a,
-                             const RelinKeys &keys) const;
-    GpuCiphertext mul_lin_rs_modsw_add(const GpuCiphertext &a,
-                                       const GpuCiphertext &b,
-                                       const GpuCiphertext &c,
-                                       const RelinKeys &keys) const;
-
 private:
     /// Shared Galois-automorphism path of rotate / conjugate.
     GpuCiphertext apply_galois(const GpuCiphertext &a, uint64_t elt,
@@ -123,22 +114,45 @@ private:
                             std::span<const uint64_t> target,
                             const KSwitchKey &key) const;
 
-    /// NTT + mod-down tail of one (part, limb) key-switch step (unfused).
-    void finish_mod_down(GpuCiphertext &dest, std::span<uint64_t> acc,
-                         int part, std::size_t j, std::span<uint64_t> t) const;
+    /// One RNS polynomial to divide by a modulus with rounding: `drop` is
+    /// its NTT-form limb under the dropped modulus (transformed in place),
+    /// `src` its remaining limbs, and `dst` receives the quotient.
+    struct RoundedDivision {
+        std::span<uint64_t> drop;
+        std::span<const uint64_t> src;
+        std::span<uint64_t> dst;
+    };
 
-    /// Records one limb's mod-down accumulation stage into `group`.
-    void record_mod_down(xgpu::FusionBuilder &group, GpuCiphertext &dest,
-                         std::span<uint64_t> acc, int part, std::size_t j,
-                         std::span<const uint64_t> t) const;
+    /// What tells the callers of divide_round apart: the profiler names of
+    /// its three element-wise stages, and whether the finish stage writes
+    /// the quotient (Rescale) or adds it into `dst` (key-switch mod-down,
+    /// one more AddMod and stream per element).
+    struct DivisionKernels {
+        const char *add_half;
+        const char *reduce;
+        const char *finish;
+        bool accumulate;
+    };
+
+    /// Divides each part by key modulus `drop_idx` with rounding onto its
+    /// first `count` limbs — the device twin of the host evaluator's
+    /// divide_round, shared by Rescale and the key-switch mod-down.  Per
+    /// part: the inverse NTT of `drop`, the add-half kernel, the per-limb
+    /// reduce stages into `temps`, the forward NTTs of the temps and the
+    /// per-limb finish stages.  Fused, each stage group is one launch and
+    /// the forward NTTs one batched call over `temps` (count limbs);
+    /// unfused, `temps` is one limb reused per limb.
+    void divide_round(std::span<const RoundedDivision> parts,
+                      std::size_t drop_idx, std::size_t count,
+                      std::span<uint64_t> temps,
+                      const DivisionKernels &kernels) const;
 
     /// Submits an elementwise kernel over `elements` indices with
     /// `ops_per_element` int64 ops (already ISA-mode specific) and
     /// `streams` polynomial-sized memory streams.
     void submit_dyadic(const char *name, std::size_t elements,
                        double ops_per_element, double streams,
-                       std::function<void(std::size_t)> body,
-                       bool is_ntt = false, double gmem_eff = 1.0) const;
+                       std::function<void(std::size_t)> body) const;
 
     /// Fresh fusion recorder over the context's queue, honoring
     /// GpuOptions::fuse_dyadic.

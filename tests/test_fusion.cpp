@@ -34,6 +34,30 @@ xr::GpuOptions gpu_options(bool fuse) {
     return opts;
 }
 
+/// Composes one Section IV-C routine from the evaluator's primitives.
+xr::GpuCiphertext compose(const xr::GpuEvaluator &eval, xr::Routine routine,
+                          const xr::GpuCiphertext &a,
+                          const xr::GpuCiphertext &b,
+                          const xr::GpuCiphertext &c,
+                          const xc::RelinKeys &relin,
+                          const xc::GaloisKeys &galois) {
+    switch (routine) {
+        case xr::Routine::MulLin:
+            return eval.relinearize(eval.multiply(a, b), relin);
+        case xr::Routine::MulLinRS:
+            return eval.rescale(eval.relinearize(eval.multiply(a, b), relin));
+        case xr::Routine::SqrLinRS:
+            return eval.rescale(eval.relinearize(eval.square(a), relin));
+        case xr::Routine::MulLinRSModSwAdd:
+            return eval.mod_switch_add(
+                eval.rescale(eval.relinearize(eval.multiply(a, b), relin)),
+                c);
+        case xr::Routine::Rotate:
+            return eval.rotate(a, 1, galois);
+    }
+    return {};
+}
+
 /// One full evaluator stack (host scheme + GPU context) with a fixed
 /// fusion mode; inputs are encrypted identically across instances.
 struct FusionBench : xehe::test::CkksBench {
@@ -71,20 +95,8 @@ struct FusionBench : xehe::test::CkksBench {
         const auto ga = xr::upload(gpu, a);
         const auto gb = xr::upload(gpu, b);
         const auto gc = xr::upload(gpu, c);
-        switch (routine) {
-            case xr::Routine::MulLin:
-                return xr::download(gpu, eval.mul_lin(ga, gb, relin));
-            case xr::Routine::MulLinRS:
-                return xr::download(gpu, eval.mul_lin_rs(ga, gb, relin));
-            case xr::Routine::SqrLinRS:
-                return xr::download(gpu, eval.sqr_lin_rs(ga, relin));
-            case xr::Routine::MulLinRSModSwAdd:
-                return xr::download(
-                    gpu, eval.mul_lin_rs_modsw_add(ga, gb, gc, relin));
-            case xr::Routine::Rotate:
-                return xr::download(gpu, eval.rotate(ga, 1, galois));
-        }
-        return {};
+        return xr::download(
+            gpu, compose(eval, routine, ga, gb, gc, relin, galois));
     }
 };
 
@@ -130,25 +142,8 @@ TEST(FusionDifferential, RoutinesBitIdenticalAndCheaper) {
         const auto ga = xr::upload(fused_gpu, a);
         const auto gb = xr::upload(fused_gpu, b);
         const auto gc = xr::upload(fused_gpu, c);
-        xr::GpuCiphertext gout;
-        switch (routine) {
-            case xr::Routine::MulLin:
-                gout = fused_eval.mul_lin(ga, gb, unfused.relin);
-                break;
-            case xr::Routine::MulLinRS:
-                gout = fused_eval.mul_lin_rs(ga, gb, unfused.relin);
-                break;
-            case xr::Routine::SqrLinRS:
-                gout = fused_eval.sqr_lin_rs(ga, unfused.relin);
-                break;
-            case xr::Routine::MulLinRSModSwAdd:
-                gout = fused_eval.mul_lin_rs_modsw_add(ga, gb, gc,
-                                                       unfused.relin);
-                break;
-            case xr::Routine::Rotate:
-                gout = fused_eval.rotate(ga, 1, unfused.galois);
-                break;
-        }
+        const xr::GpuCiphertext gout = compose(
+            fused_eval, routine, ga, gb, gc, unfused.relin, unfused.galois);
         const auto got = xr::download(fused_gpu, gout);
 
         // Bit-identical ciphertexts, hence bit-identical decryptions.

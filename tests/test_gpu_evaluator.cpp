@@ -165,8 +165,10 @@ TEST(GpuEvaluator, AllNttVariantsAgree) {
         const auto b = bench.encrypt_random(14);
         const auto got = xr::download(
             bench.gpu,
-            bench.eval.mul_lin_rs(xr::upload(bench.gpu, a),
-                                  xr::upload(bench.gpu, b), bench.relin));
+            bench.eval.rescale(bench.eval.relinearize(
+                bench.eval.multiply(xr::upload(bench.gpu, a),
+                                    xr::upload(bench.gpu, b)),
+                bench.relin)));
         if (reference.empty()) {
             reference = got.data;
         } else {
@@ -188,8 +190,9 @@ TEST(GpuEvaluator, RoutinesDecryptCorrectly) {
     const auto ct = bench.encryptor.encrypt(
         bench.encoder.encode(std::span<const double>(a_values), kScale));
     const auto result = xr::download(
-        bench.gpu, bench.eval.sqr_lin_rs(xr::upload(bench.gpu, ct),
-                                         bench.relin));
+        bench.gpu, bench.eval.rescale(bench.eval.relinearize(
+                       bench.eval.square(xr::upload(bench.gpu, ct)),
+                       bench.relin)));
     const auto decoded = bench.encoder.decode(bench.decryptor.decrypt(result));
     double max_err = 0;
     for (std::size_t i = 0; i < a_values.size(); ++i) {

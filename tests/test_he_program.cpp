@@ -79,13 +79,19 @@ TEST(HeProgram, CanonicalProgramsMatchDirectRoutineCallsBitExact) {
         const auto direct = [&](core::Routine r) -> core::GpuCiphertext {
             switch (r) {
                 case core::Routine::MulLin:
-                    return evaluator.mul_lin(a, b, rig.relin);
+                    return evaluator.relinearize(evaluator.multiply(a, b),
+                                                 rig.relin);
                 case core::Routine::MulLinRS:
-                    return evaluator.mul_lin_rs(a, b, rig.relin);
+                    return evaluator.rescale(evaluator.relinearize(
+                        evaluator.multiply(a, b), rig.relin));
                 case core::Routine::SqrLinRS:
-                    return evaluator.sqr_lin_rs(a, rig.relin);
+                    return evaluator.rescale(evaluator.relinearize(
+                        evaluator.square(a), rig.relin));
                 case core::Routine::MulLinRSModSwAdd:
-                    return evaluator.mul_lin_rs_modsw_add(a, b, c, rig.relin);
+                    return evaluator.mod_switch_add(
+                        evaluator.rescale(evaluator.relinearize(
+                            evaluator.multiply(a, b), rig.relin)),
+                        c);
                 case core::Routine::Rotate:
                     return evaluator.rotate(a, 1, rig.galois);
             }

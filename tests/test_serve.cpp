@@ -77,8 +77,10 @@ TEST(Serve, MulLinRsMatchesDirectEvaluationBitExact) {
     core::GpuContext gpu(b.host.context, xgpu::device1(), core::GpuOptions{});
     core::GpuEvaluator evaluator(gpu);
     const auto ref = core::download(
-        gpu, evaluator.mul_lin_rs(core::upload(gpu, ct_a),
-                                  core::upload(gpu, ct_b), b.relin));
+        gpu, evaluator.rescale(evaluator.relinearize(
+                 evaluator.multiply(core::upload(gpu, ct_a),
+                                    core::upload(gpu, ct_b)),
+                 b.relin)));
     EXPECT_EQ(result.data, ref.data);
     EXPECT_EQ(result.rns, ref.rns);
     EXPECT_EQ(result.scale, ref.scale);
