@@ -19,11 +19,19 @@ an empty or malformed baseline or current file (a truncated artifact must
 not read as "all 0 metrics within tolerance").  Metrics present in the
 current run but absent from the baseline are listed as ungated so new
 benches get baseline entries.
+
+Informational only, whatever the exit status: every gated metric that
+differs from its baseline value at all (relative 1e-9) gets a "moved:"
+note, and the report ends with "unchanged: K/N", so a change meant to keep
+the simulated costs shows in the log that it kept them.
 """
 
 import argparse
 import json
 import sys
+
+# Relative difference below which a metric reads as unchanged.
+UNCHANGED_RTOL = 1e-9
 
 
 def load_metrics(path):
@@ -48,6 +56,8 @@ def main():
 
     failures = []
     drifts = []
+    moved = []
+    unchanged = 0
     print(f"{'metric':<44}{'baseline':>12}{'current':>12}{'ratio':>8}")
     for name, base in sorted(baseline.items()):
         if name not in current:
@@ -55,6 +65,10 @@ def main():
             print(f"{name:<44}{base:>12.3f}{'MISSING':>12}")
             continue
         cur = current[name]
+        if abs(cur - base) > UNCHANGED_RTOL * abs(base):
+            moved.append(f"{name}: {base!r} -> {cur!r}")
+        else:
+            unchanged += 1
         higher_is_better = name.endswith("_speedup")
         if higher_is_better:
             # cur == 0 on a higher-is-better metric is a total collapse.
@@ -75,20 +89,25 @@ def main():
 
     for d in drifts:
         print(f"note: {d}")
+    for m in moved:
+        print(f"moved: {m}")
     ungated = sorted(set(current) - set(baseline))
     if ungated:
         print(f"note: {len(ungated)} metric(s) have no baseline entry "
               f"(not gated): {', '.join(ungated[:8])}"
               f"{', ...' if len(ungated) > 8 else ''}")
     if failures:
+        # stderr is unbuffered: flush first so the report stays in order.
+        sys.stdout.flush()
         print(f"\n{len(failures)} regression(s) beyond "
               f"{args.tolerance * 100.0:.0f}% tolerance:", file=sys.stderr)
         for f in failures:
             print(f"  {f}", file=sys.stderr)
-        return 1
-    print(f"\nall {len(baseline)} metrics within "
-          f"{args.tolerance * 100.0:.0f}% of baseline")
-    return 0
+    else:
+        print(f"\nall {len(baseline)} metrics within "
+              f"{args.tolerance * 100.0:.0f}% of baseline")
+    print(f"unchanged: {unchanged}/{len(baseline)}")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
